@@ -49,6 +49,7 @@ from .graphs import (
     all_geodesics,
     bfs_distances,
     estimate_delta,
+    geodesic_layers,
     safe_distance,
     set_diameter,
 )

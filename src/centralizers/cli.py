@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--geodesic-cap", type=int, default=64)
 
     p = sub.add_parser("afp", help="almost-fixed set and midpoint certification")
     add_group_flags(p)
@@ -176,10 +175,7 @@ def _cmd_ball(args, report):
 def _cmd_delta(args, report):
     oracle, _ = _make_oracle(args)
     ball = build_ball(oracle, args.radius, budget=args.budget)
-    est = estimate_delta(
-        ball, mode=args.mode, samples=args.samples,
-        seed=args.seed, geodesic_cap=args.geodesic_cap,
-    )
+    est = estimate_delta(ball, mode=args.mode, samples=args.samples, seed=args.seed)
     report.emit("delta_estimate", radius=ball.radius, **est.to_record())
     report.say(
         f"delta {est.delta} over {est.triangles} triangles "
@@ -355,6 +351,52 @@ _COMMANDS = {
 }
 
 
+_FLAG_WORDS = {"1": True, "true": True, "yes": True,
+               "0": False, "false": False, "no": False}
+
+
+def _config_value(action: argparse.Action, text: str):
+    """Coerce a config-file string as the command line would coerce it."""
+    if isinstance(action, argparse._StoreTrueAction):
+        try:
+            return _FLAG_WORDS[text.lower()]
+        except KeyError:
+            raise InputError(
+                f"config key {action.dest}: expected true/false, got {text!r}"
+            ) from None
+    value = text
+    if action.type is not None:
+        try:
+            value = action.type(text)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"config key {action.dest}: cannot parse {text!r}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise InputError(
+            f"config key {action.dest}: {value!r} is not one of {list(action.choices)}"
+        )
+    return value
+
+
+def _apply_config(parser: argparse.ArgumentParser, args, argv) -> None:
+    """Merge the --config file into args; explicit flags win over it."""
+    defaults = load_config_file(args.config)
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    actions = {a.dest: a for a in subparsers.choices[args.subcommand]._actions}
+    bad = set(defaults) - set(actions)
+    if bad:
+        raise InputError(f"unknown config keys: {sorted(bad)}")
+    explicit = {
+        tok[2:].split("=", 1)[0].replace("-", "_")
+        for tok in (argv if argv is not None else sys.argv[1:])
+        if tok.startswith("--")
+    }
+    for key, text in defaults.items():
+        if key not in explicit:
+            setattr(args, key, _config_value(actions[key], text))
+
+
 def run(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
@@ -362,33 +404,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            defaults = load_config_file(args.config)
-            subparsers = next(
-                a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)
-            )
-            known = {a.dest for a in subparsers.choices[args.subcommand]._actions}
-            bad = set(defaults) - known
-            if bad:
-                raise InputError(f"unknown config keys: {sorted(bad)}")
-            explicit = {
-                tok[2:].split("=", 1)[0].replace("-", "_")
-                for tok in (argv if argv is not None else sys.argv[1:])
-                if tok.startswith("--")
-            }
-            for key, value in defaults.items():
-                # explicit flags win over the config file
-                if key not in explicit:
-                    setattr(args, key, value)
-            # re-coerce integer-typed values that came in as strings
-            for name in ("radius", "budget", "seed", "samples", "depth",
-                         "c0", "order_bound", "geodesic_cap", "delta_samples",
-                         "delta_depth"):
-                v = getattr(args, name, None)
-                if isinstance(v, str):
-                    setattr(args, name, int(v))
-            if isinstance(getattr(args, "certify", None), str):
-                args.certify = args.certify.lower() in ("1", "true", "yes")
+            _apply_config(parser, args, argv)
         inputs = {
             k: v for k, v in sorted(vars(args).items())
             if k not in ("config", "out") and v is not None

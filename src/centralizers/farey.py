@@ -11,13 +11,12 @@ checked geodesic witness.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional
 
 from .errors import InputError, WindowError
-from .fixpoints import ActionContext, AlmostFixedSet, almost_fixed_set
+from .fixpoints import ActionContext, AlmostFixedSet, almost_fixed_set, orbit, orbit_diameter
 from .graphs import FiniteMetricGraph
 
 INFINITY_SLOPE: "Slope"
@@ -300,23 +299,6 @@ def build_window(depth: int) -> FareyWindow:
     )
 
 
-def bfs_window_distance(window: FareyWindow, s1: Slope, s2: Slope) -> int:
-    """Brute-force BFS oracle inside the window (>= the ambient distance)."""
-    src = window.slope_id(s1)
-    dst = window.slope_id(s2)
-    dist = {src: 0}
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        if u == dst:
-            return dist[u]
-        for v in window.adjacency[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    raise WindowError(f"{s1} and {s2} are disconnected inside the window")
-
-
 class FareyContext(ActionContext):
     """Farey window acted on by unimodular matrices; distances are exact."""
 
@@ -336,13 +318,6 @@ class FareyContext(ActionContext):
     def pair_distance(self, u: int, v: int) -> tuple[int, bool]:
         # globally exact, no truncation caveat
         return farey_distance(self.window.slopes[u], self.window.slopes[v]), True
-
-    def vertex_label(self, vid: int) -> str:
-        return str(self.window.slopes[vid])
-
-    def vertex_key(self, vid: int):
-        s = self.window.slopes[vid]
-        return (s.q, s.p)
 
 
 def almost_fixed_slopes(subgroup: FiniteMatrixGroup, window: FareyWindow,
@@ -366,15 +341,11 @@ def orbit_diameter_profile(subgroup: FiniteMatrixGroup,
     excluded = 0
     for vid in range(window.size):
         try:
-            orbit_ids = {ctx.act(m, vid) for m in subgroup.elements}
+            orb = orbit(ctx, subgroup.elements, vid)
         except WindowError:
             excluded += 1
             continue
-        slopes = [window.slopes[i] for i in orbit_ids]
-        diam = 0
-        for i, u in enumerate(slopes):
-            for v in slopes[i + 1:]:
-                diam = max(diam, farey_distance(u, v))
+        diam, _ = orbit_diameter(ctx, orb)
         r = farey_distance(window.center, window.slopes[vid])
         rows.setdefault(r, []).append(diam)
     table = [

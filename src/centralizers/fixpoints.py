@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InputError, WindowError
-from .graphs import FiniteMetricGraph, all_geodesics
+from .graphs import FiniteMetricGraph, bfs_distances, geodesic_layers
 from .groups import CayleyBall, GroupElement
 
 
@@ -31,13 +31,6 @@ class ActionContext:
 
     def pair_distance(self, u: int, v: int) -> tuple[int, bool]:
         """(distance, ambient-exactness flag) inside the window."""
-        raise NotImplementedError
-
-    def vertex_label(self, vid: int) -> str:
-        raise NotImplementedError
-
-    def vertex_key(self, vid: int):
-        """Deterministic tie-breaking key (lexicographic canonical form)."""
         raise NotImplementedError
 
 
@@ -69,12 +62,6 @@ class CayleyContext(ActionContext):
         d = self.oracle.distance(self.ball.vertices[u], self.ball.vertices[v])
         lo = min(self.ball.lengths[u], self.ball.lengths[v])
         return d, lo + d <= self.ball.radius
-
-    def vertex_label(self, vid: int) -> str:
-        return str(self.ball.vertices[vid])
-
-    def vertex_key(self, vid: int):
-        return self.oracle.key(self.ball.vertices[vid])
 
 
 def orbit(ctx: ActionContext, subgroup: Iterable, vid: int) -> tuple[int, ...]:
@@ -157,7 +144,6 @@ class MidpointCertificate:
     certified: tuple[tuple[int, int], ...]  # (vertex, orbit diameter)
     counterexamples: tuple[tuple[int, int], ...]
     window_excluded: int
-    truncated: bool
 
     @property
     def ok(self) -> bool:
@@ -171,20 +157,22 @@ class MidpointCertificate:
             "certified": [list(c) for c in self.certified],
             "counterexamples": [list(c) for c in self.counterexamples],
             "window_excluded": self.window_excluded,
-            "truncated": self.truncated,
+            # every geodesic is scanned, so this is always false; the key
+            # stays so that the record schema is unchanged for its readers
+            "truncated": False,
         }
 
 
 def midpoint_certify(ctx: ActionContext, subgroup: Iterable, x: int, y: int,
-                     delta, geodesic_cap: int = 256) -> MidpointCertificate:
+                     delta) -> MidpointCertificate:
     """Certify small orbits at deep interior vertices of x-y geodesics.
 
     Preconditions: x and y are almost fixed at threshold 6*delta with a valid
-    window, and d(x, y) >= 20*delta.  Every enumerated geodesic is scanned;
-    each interior vertex z with d(x, z) >= 6*delta + 1 and d(z, y) >=
-    6*delta + 1 must have orbit diameter <= 8*delta.  A violation is reported
-    as a counterexample record (it would falsify the window or the delta
-    input), never raised.
+    window, and d(x, y) >= 20*delta.  The whole geodesic interval is scanned:
+    each vertex z on some x-y geodesic with d(x, z) >= 6*delta + 1 and
+    d(z, y) >= 6*delta + 1 must have orbit diameter <= 8*delta.  A violation
+    is reported as a counterexample record (it would falsify the window or the
+    delta input), never raised.
     """
     delta = Fraction(delta)
     if delta < 0:
@@ -211,24 +199,22 @@ def midpoint_certify(ctx: ActionContext, subgroup: Iterable, x: int, y: int,
     if dxy < twenty:
         raise InputError(f"d(x, y) = {dxy} < 20*delta = {twenty}")
 
-    geodesics, truncated = all_geodesics(ctx.graph, x, y, cap=geodesic_cap)
+    layers = geodesic_layers(ctx.graph, x, y, bfs_distances(ctx.graph, y))
     certified = {}
     counterexamples = {}
-    window_excluded = set()
-    for path in geodesics:
-        for i, z in enumerate(path):
-            if i < interior_cut or (dxy - i) < interior_cut:
-                continue
-            if z in certified or z in counterexamples or z in window_excluded:
-                continue
+    window_excluded = 0
+    for i, layer in enumerate(layers):
+        if i < interior_cut or (dxy - i) < interior_cut:
+            continue
+        for z in layer:
             try:
                 orb = orbit(ctx, subgroup, z)
             except WindowError:
-                window_excluded.add(z)
+                window_excluded += 1
                 continue
             diam, ok = orbit_diameter(ctx, orb)
             if not ok:
-                window_excluded.add(z)
+                window_excluded += 1
             elif diam <= eight:
                 certified[z] = diam
             else:
@@ -236,9 +222,8 @@ def midpoint_certify(ctx: ActionContext, subgroup: Iterable, x: int, y: int,
     return MidpointCertificate(
         endpoints=(x, y),
         distance=dxy,
-        geodesics_examined=len(geodesics),
+        geodesics_examined=layers[-1][y],
         certified=tuple(sorted(certified.items())),
         counterexamples=tuple(sorted(counterexamples.items())),
-        window_excluded=len(window_excluded),
-        truncated=truncated,
+        window_excluded=window_excluded,
     )

@@ -148,17 +148,13 @@ def builtin_group(name: str) -> GroupOracle:
         return DirectProductOracle(["a", "b"], MultiplicationTable.cyclic(3, "u"))
     if key in ("Z2*Z2", "D_inf", "Dinf"):
         return FreeProductOracle(
-            [_cyclic_named(2, "r"), _cyclic_named(2, "s")]
+            [MultiplicationTable.cyclic(2, "r"), MultiplicationTable.cyclic(2, "s")]
         )
     if key == "Z2*Z3":
         return FreeProductOracle(
-            [_cyclic_named(2, "r"), _cyclic_named(3, "s")]
+            [MultiplicationTable.cyclic(2, "r"), MultiplicationTable.cyclic(3, "s")]
         )
     raise ParseError(f"unknown built-in family {name!r}")
 
 
 BUILTIN_NAMES = ("F1", "F2", "F2xZ2", "F2xZ3", "Z2*Z2", "Z2*Z3")
-
-
-def _cyclic_named(m: int, symbol: str) -> MultiplicationTable:
-    return MultiplicationTable.cyclic(m, symbol)

@@ -131,6 +131,14 @@ def test_config_file_merge_and_override(tmp_path):
     assert invoke(["delta", "--family", "F2", "--config", str(bad)])[0] == EXIT_INPUT
     bad.write_text("no_such_key = 1\n")
     assert invoke(["delta", "--family", "F2", "--config", str(bad)])[0] == EXIT_INPUT
+    # values go through each flag's own converter; a bad one is an input error
+    bad.write_text("radius = abc\n")
+    code, _, err = invoke(["delta", "--family", "F2", "--config", str(bad)])
+    assert code == EXIT_INPUT and "Traceback" not in err
+    bad.write_text("certify = maybe\n")
+    code, _, err = invoke(["afp", "--family", "F2xZ2", "--subgroup", "t", "--delta", "1/6",
+                           "--config", str(bad)])
+    assert code == EXIT_INPUT and "Traceback" not in err
 
 
 def test_load_config_file(tmp_path):

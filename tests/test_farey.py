@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 from math import gcd
 
@@ -29,7 +30,6 @@ from centralizers.farey import (
     S_MATRIX,
     T_MATRIX,
     ZERO_SLOPE,
-    bfs_window_distance,
 )
 
 
@@ -202,6 +202,22 @@ def test_window_adjacency_matches_intersection_one():
     for u, nbrs in enumerate(w.adjacency):
         for v in nbrs:
             assert adjacent(w.slopes[u], w.slopes[v])
+
+
+def bfs_window_distance(window, s1, s2):
+    """Brute-force BFS oracle inside the window (>= the ambient distance)."""
+    src, dst = window.slope_id(s1), window.slope_id(s2)
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        if u == dst:
+            return dist[u]
+        for v in window.adjacency[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    raise AssertionError(f"{s1} and {s2} are disconnected inside the window")
 
 
 def test_window_bfs_upper_bounds_exact_distance():

@@ -135,12 +135,6 @@ class _RiggedContext(ActionContext):
     def pair_distance(self, u, v):
         return abs(u - v), True
 
-    def vertex_label(self, vid):
-        return str(vid)
-
-    def vertex_key(self, vid):
-        return vid
-
 
 def test_midpoint_certify_detects_counterexample():
     # endpoints are fixed, but an interior vertex has a large orbit

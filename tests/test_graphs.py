@@ -1,7 +1,8 @@
-"""Distances, geodesic enumeration, and thin-triangle delta estimation."""
+"""Distances, geodesic enumeration and intervals, and thin-triangle delta."""
 
 import itertools
 
+import numpy as np
 import pytest
 
 from centralizers import (
@@ -11,9 +12,11 @@ from centralizers import (
     bfs_distances,
     build_ball,
     estimate_delta,
+    geodesic_layers,
     safe_distance,
     set_diameter,
 )
+from centralizers.graphs import _PairData, distance_matrix
 
 
 def cycle_graph(n):
@@ -52,6 +55,27 @@ def brute_force_geodesics(graph, x, y):
     return sorted(out)
 
 
+def grid_graph(k):
+    adj = [[] for _ in range(k * k)]
+    for i in range(k):
+        for j in range(k):
+            v = i * k + j
+            if j + 1 < k:
+                adj[v].append(v + 1)
+                adj[v + 1].append(v)
+            if i + 1 < k:
+                adj[v].append(v + k)
+                adj[v + k].append(v)
+    return FiniteMetricGraph(adjacency=tuple(tuple(sorted(a)) for a in adj))
+
+
+def assert_interval_matches(g, x, y, paths):
+    """geodesic_layers covers exactly the enumerated paths, and counts them."""
+    layers = geodesic_layers(g, x, y, bfs_distances(g, y))
+    assert set().union(*layers) == {v for p in paths for v in p}
+    assert layers[-1][y] == len(paths)
+
+
 def test_bfs_on_path():
     g = path_graph(6)
     assert bfs_distances(g, 0) == [0, 1, 2, 3, 4, 5]
@@ -70,6 +94,7 @@ def test_all_geodesics_match_brute_force_on_cycles(n):
         paths, truncated = all_geodesics(g, x, y)
         assert not truncated
         assert sorted(paths) == brute_force_geodesics(g, x, y)
+        assert_interval_matches(g, x, y, paths)
 
 
 def test_all_geodesics_match_brute_force_on_ball(z2z3):
@@ -79,6 +104,7 @@ def test_all_geodesics_match_brute_force_on_ball(z2z3):
         for y in range(x + 1, ball.size):
             paths, _ = all_geodesics(g, x, y)
             assert sorted(paths) == brute_force_geodesics(g, x, y)
+            assert_interval_matches(g, x, y, paths)
 
 
 def test_all_geodesics_cap():
@@ -150,8 +176,15 @@ def test_sampled_delta_is_lower_bound_and_deterministic():
     assert not s1.exhaustive
 
 
-def test_delta_geodesic_cap_flag(f2xz2):
-    est = estimate_delta(build_ball(f2xz2, 3), geodesic_cap=2)
-    assert est.geodesics_capped
-    # capping examines fewer geodesic choices, never more
-    assert est.delta <= estimate_delta(build_ball(f2xz2, 3)).delta
+def test_delta_exact_beyond_64_geodesics():
+    # corner-to-corner pairs of the 5x5 grid have C(8, 4) = 70 geodesics
+    g = grid_graph(5)
+    assert len(all_geodesics(g, 0, 24, cap=10**6)[0]) == 70
+    dmat = distance_matrix(g)
+    for p, q in itertools.combinations(range(g.n), 2):
+        paths, _ = all_geodesics(g, p, q, cap=10**6)
+        worst = np.max([dmat[:, list(path)].min(axis=1) for path in paths], axis=0)
+        assert np.array_equal(_PairData(g, dmat, p, q).far, worst)
+    est = estimate_delta(g)
+    assert est.delta == 4
+    assert est.to_record()["geodesics_capped"] is False
