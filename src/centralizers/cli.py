@@ -284,7 +284,7 @@ def _cmd_farey(args, report):
                      "main theorem's hypothesis")
     delta_depth = args.delta_depth if args.delta_depth is not None else args.depth
     delta_window = window if delta_depth == args.depth else fy.build_window(delta_depth)
-    est = estimate_delta(delta_window.graph(), mode=args.delta_mode,
+    est = estimate_delta(delta_window, mode=args.delta_mode,
                          samples=args.delta_samples, seed=args.seed)
     report.emit("delta_estimate", depth=delta_depth, **est.to_record(),
                 note="window artifact, lower-bound estimate")
@@ -378,12 +378,19 @@ def _config_value(action: argparse.Action, text: str):
 
 
 def _apply_config(parser: argparse.ArgumentParser, args, argv) -> None:
-    """Merge the --config file into args; explicit flags win over it."""
+    """Merge the --config file into args; explicit flags win over it.
+
+    Keys are the subcommand's option dests, except ``help`` and ``config``:
+    a config file can neither ask for help nor name another config file.
+    """
     defaults = load_config_file(args.config)
     subparsers = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
-    actions = {a.dest: a for a in subparsers.choices[args.subcommand]._actions}
+    actions = {
+        a.dest: a for a in subparsers.choices[args.subcommand]._actions
+        if a.dest not in ("help", "config")
+    }
     bad = set(defaults) - set(actions)
     if bad:
         raise InputError(f"unknown config keys: {sorted(bad)}")

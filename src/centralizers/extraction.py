@@ -23,7 +23,6 @@ from typing import Optional
 
 from .errors import BudgetError, InputError
 from .fixpoints import ActionContext, AlmostFixedSet, CayleyContext
-from .graphs import bfs_distances
 from .groups import DirectProductOracle, FiniteSubgroup, GroupElement, GroupOracle
 
 
@@ -75,9 +74,12 @@ def compute_constants(c0: int, c1: int, c2: int, c3: int, delta,
 def measure_constants(ctx: ActionContext, a: int) -> tuple[int, int, int]:
     """(C1, C2, C3) for the window's action.
 
-    C2 is measured as the largest vertex count of an a-ball around a core
-    vertex (one whose a-ball provably stays inside the window).  For Cayley
-    contexts the action is simply transitive, so C1 = C3 = 1 structurally.
+    C2 is the largest vertex count of an a-ball around a core vertex p, one
+    with |p| + a <= R, whose window a-ball is its ambient a-ball.  For Cayley
+    contexts the action is simply transitive, so C1 = C3 = 1 structurally,
+    and right multiplication carries every ambient a-ball isometrically onto
+    the one at the identity: C2 = #{v : |v| <= a}.  The core is nonempty
+    iff a <= R.
     """
     if a < 0:
         raise InputError("a must be >= 0")
@@ -87,17 +89,12 @@ def measure_constants(ctx: ActionContext, a: int) -> tuple[int, int, int]:
             "matrix action has infinite vertex stabilizers"
         )
     ball = ctx.ball
-    core = [v for v in range(ball.size) if ball.lengths[v] + a <= ball.radius]
-    if not core:
+    if a > ball.radius:
         raise BudgetError(
             f"window radius {ball.radius} too small to measure a={a} balls",
             radius_reached=ball.radius,
         )
-    c2 = 0
-    for p in core:
-        dist = bfs_distances(ctx.graph, p)
-        c2 = max(c2, sum(1 for d in dist if 0 <= d <= a))
-    return 1, c2, 1
+    return 1, sum(1 for length in ball.lengths if length <= a), 1
 
 
 @dataclass(frozen=True)

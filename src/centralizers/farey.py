@@ -159,38 +159,50 @@ def finite_subgroup(name: str) -> FiniteMatrixGroup:
     return FiniteMatrixGroup(name=name, elements=elements)
 
 
-def _parents(p: int, q: int) -> tuple[Slope, Slope]:
-    # the two Farey neighbors of p/q with strictly smaller denominator
-    b = pow(p % q, -1, q)
-    a = (p * b - 1) // q
-    return Slope.make(a, b), Slope.make(p - a, q - b)
+def _descend_to_infinity(s: Slope) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Distance and one geodesic from s to 1/0 by parent descent, the
+    geodesic's slopes given as (p, q) pairs.
 
-
-def _descend_to_infinity(s: Slope, memo: dict) -> tuple[int, tuple[Slope, ...]]:
-    """Distance and one geodesic from s to 1/0 by parent descent.
-
-    Any path to infinity must exit through a parent (tessellation edges do
-    not cross), so d(s, oo) = 1 + min over the two parents.
+    Any path to infinity must exit through one of the two Farey parents of s
+    (tessellation edges do not cross), so d(s, oo) = 1 + min over the two
+    parents, ties going to the first parent in (q, p) order.  The parents of
+    each mediant on the Stern-Brocot path from (k/1, (k+1)/1), k = floor(s),
+    down to s are the ends of its interval, so one loop down that path
+    settles every distance on the way.  The loop takes a run of equal turns
+    at once: in a run the interval keeps one end f while its mediants are
+    m_j = j*f + g, and since d(m_1) >= d(f) (f and g are adjacent) and f has
+    the smaller denominator, every m_j past the first descends through f.
     """
-    cached = memo.get(s)
-    if cached is not None:
-        return cached
-    if s.q == 0:
-        result = (0, (s,))
-    elif s.q == 1:
-        result = (1, (s, INFINITY_SLOPE))
-    else:
-        best = None
-        for parent in sorted(_parents(s.p, s.q), key=lambda t: (t.q, t.p)):
-            d, path = _descend_to_infinity(parent, memo)
-            if best is None or d < best[0]:
-                best = (d, path)
-        result = (best[0] + 1, (s,) + best[1])
-    memo[s] = result
-    return result
-
-
-_DESCENT_MEMO: dict = {}
+    sp, sq = s.p, s.q
+    if sq == 0:
+        return 0, ((1, 0),)
+    if sq == 1:
+        return 1, ((sp, 1), (1, 0))
+    k = sp // sq
+    # each end of the current interval as a geodesic from it to 1/0
+    lo, hi = ((k, 1), (1, 0)), ((k + 1, 1), (1, 0))
+    while True:
+        (ap, aq), (bp, bq) = lo[0], hi[0]
+        # s - a = above / (sq * aq) and b - s = below / (sq * bq), so
+        # s <= j*a + b iff j*above <= below, and s >= a + j*b iff j*below <= above
+        above, below = sp * aq - sq * ap, sq * bp - sp * bq
+        if above <= below:
+            j, fixed = below // above, lo
+            m = (j * ap + bp, j * aq + bq)
+        else:
+            j, fixed = above // below, hi
+            m = (ap + j * bp, aq + j * bq)
+        if j == 1:
+            first, second = (lo, hi) if (aq, ap) < (bq, bp) else (hi, lo)
+            path = (m,) + (second if len(second) < len(first) else first)
+        else:
+            path = (m,) + fixed
+        if m == (sp, sq):
+            return len(path) - 1, path
+        if fixed is lo:
+            hi = path
+        else:
+            lo = path
 
 
 def farey_distance(s1: Slope, s2: Slope,
@@ -206,11 +218,11 @@ def farey_distance(s1: Slope, s2: Slope,
     g, x, y = _extended_gcd(s2.p, s2.q)
     mover = UniMatrix(x, y, -s2.q, s2.p)
     moved = act(mover, s1)
-    d, path = _descend_to_infinity(moved, _DESCENT_MEMO)
+    d, path = _descend_to_infinity(moved)
     if not with_path:
         return d
     back = mover.inverse()
-    mapped = tuple(act(back, v) for v in path)
+    mapped = tuple(act(back, Slope(p, q)) for p, q in path)
     for u, v in zip(mapped, mapped[1:]):
         if not adjacent(u, v):
             raise AssertionError(f"descent produced a non-edge {u} -- {v}")
@@ -233,31 +245,28 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True, eq=False)
-class FareyWindow:
-    """A finite mediant-generated window on the (locally infinite) Farey graph."""
+@dataclass(frozen=True, eq=False, kw_only=True)
+class FareyWindow(FiniteMetricGraph):
+    """A finite mediant-generated window on the (locally infinite) Farey graph.
+
+    It carries no radius: its distances are window distances, and the exact
+    ones come from ``farey_distance``.
+    """
 
     center: Slope
     depth: int
     slopes: tuple[Slope, ...]
     index: dict
-    adjacency: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
         return len(self.slopes)
-
-    def __contains__(self, s: Slope) -> bool:
-        return s in self.index
 
     def slope_id(self, s: Slope) -> int:
         try:
             return self.index[s]
         except KeyError:
             raise InputError(f"slope {s} is not in the window")
-
-    def graph(self) -> FiniteMetricGraph:
-        return FiniteMetricGraph(adjacency=self.adjacency)
 
 
 def build_window(depth: int) -> FareyWindow:
@@ -303,8 +312,7 @@ class FareyContext(ActionContext):
     """Farey window acted on by unimodular matrices; distances are exact."""
 
     def __init__(self, window: FareyWindow):
-        self.window = window
-        self.graph = window.graph()
+        self.window = self.graph = window
 
     def act(self, matrix: UniMatrix, vid: int) -> int:
         image = act(matrix, self.window.slopes[vid])

@@ -44,9 +44,8 @@ class CayleyContext(ActionContext):
     """
 
     def __init__(self, ball: CayleyBall):
-        self.ball = ball
+        self.ball = self.graph = ball
         self.oracle = ball.oracle
-        self.graph = ball.graph()
 
     def act(self, h: GroupElement, vid: int) -> int:
         image = self.oracle.multiply(self.ball.vertices[vid], h)
@@ -60,8 +59,7 @@ class CayleyContext(ActionContext):
 
     def pair_distance(self, u: int, v: int) -> tuple[int, bool]:
         d = self.oracle.distance(self.ball.vertices[u], self.ball.vertices[v])
-        lo = min(self.ball.lengths[u], self.ball.lengths[v])
-        return d, lo + d <= self.ball.radius
+        return d, self.ball.valid(u, v, d)
 
 
 def orbit(ctx: ActionContext, subgroup: Iterable, vid: int) -> tuple[int, ...]:

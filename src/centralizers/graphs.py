@@ -4,8 +4,8 @@ All graphs are undirected with unit edge lengths.  When a graph is a window
 on an infinite ambient graph (a Cayley ball, carrying base-point lengths and
 a radius), a distance computed inside the window is *ambient-exact* exactly
 when min(|x|, |y|) + d(x, y) <= R: every ambient geodesic between the pair
-then stays inside the window.  That predicate is the validity flag used
-everywhere downstream.
+then stays inside the window.  ``FiniteMetricGraph.valid`` is that predicate,
+the validity flag used everywhere downstream.
 """
 
 from __future__ import annotations
@@ -18,31 +18,38 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import GraphError, InputError
-from .groups import CayleyBall
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class FiniteMetricGraph:
+    """A finite graph; a window on an ambient graph also carries the lengths
+    |v| from its base point and its radius R."""
+
     adjacency: tuple[tuple[int, ...], ...]
-    base_lengths: Optional[tuple[int, ...]] = None
+    lengths: Optional[tuple[int, ...]] = None
     radius: Optional[int] = None
+
+    def __post_init__(self):
+        if (self.lengths is None) != (self.radius is None):
+            raise InputError("a window needs both base lengths and a radius")
 
     @property
     def n(self) -> int:
         return len(self.adjacency)
 
+    def valid(self, u: int, v: int, d: int) -> bool:
+        """Whether the window distance d(u, v) = d is the ambient distance.
 
-def _as_graph(window) -> FiniteMetricGraph:
-    if isinstance(window, CayleyBall):
-        return window.graph()
-    if isinstance(window, FiniteMetricGraph):
-        return window
-    raise InputError(f"not a graph window: {type(window).__name__}")
+        Always true for a graph that is its own ambient (no radius); for a
+        window, true iff min(|u|, |v|) + d <= R.
+        """
+        if self.radius is None:
+            return True
+        return min(self.lengths[u], self.lengths[v]) + d <= self.radius
 
 
 def bfs_distances(graph: FiniteMetricGraph, source: int) -> list[int]:
     """Exact distances from source inside the window; -1 marks unreachable."""
-    graph = _as_graph(graph)
     if not 0 <= source < graph.n:
         raise InputError(f"source {source} out of range")
     dist = [-1] * graph.n
@@ -59,7 +66,6 @@ def bfs_distances(graph: FiniteMetricGraph, source: int) -> list[int]:
 
 def distance_matrix(graph: FiniteMetricGraph) -> np.ndarray:
     """All-pairs distances as int32; -1 for unreachable pairs."""
-    graph = _as_graph(graph)
     out = np.empty((graph.n, graph.n), dtype=np.int32)
     for s in range(graph.n):
         out[s] = bfs_distances(graph, s)
@@ -93,14 +99,13 @@ def _one_geodesic(graph: FiniteMetricGraph, x: int, y: int,
     return tuple(path)
 
 
-def safe_distance(ball, x: int, y: int) -> DistanceWitness:
-    """Window distance with the ambient-exactness flag.
+def safe_distance(graph: FiniteMetricGraph, x: int, y: int) -> DistanceWitness:
+    """Window distance with the ambient-exactness flag ``graph.valid``.
 
     Valid iff min(|x|, |y|) + d(x, y) <= R, in which case the value equals
     the distance in the ambient infinite graph.
     """
-    graph = _as_graph(ball)
-    if graph.base_lengths is None or graph.radius is None:
+    if graph.radius is None:
         raise InputError("safe_distance needs a window with base lengths and radius")
     if not (0 <= x < graph.n and 0 <= y < graph.n):
         raise InputError(f"vertices ({x}, {y}) outside the window")
@@ -108,23 +113,21 @@ def safe_distance(ball, x: int, y: int) -> DistanceWitness:
     d = dist_from_y[x]
     if d < 0:
         raise GraphError(f"pair ({x}, {y}) is disconnected inside the window")
-    valid = min(graph.base_lengths[x], graph.base_lengths[y]) + d <= graph.radius
     return DistanceWitness(
         pair=(x, y),
         distance=d,
-        valid=valid,
+        valid=graph.valid(x, y, d),
         path=_one_geodesic(graph, x, y, dist_from_y),
     )
 
 
-def all_geodesics(graph, x: int, y: int,
+def all_geodesics(graph: FiniteMetricGraph, x: int, y: int,
                   cap: int = 1000) -> tuple[list[tuple[int, ...]], bool]:
     """Enumerate shortest x-y paths via the BFS predecessor DAG.
 
     Paths come out in lexicographic vertex-id order.  Enumeration stops after
     ``cap`` paths; the second value reports truncation.
     """
-    graph = _as_graph(graph)
     if not (0 <= x < graph.n and 0 <= y < graph.n):
         raise InputError(f"vertices ({x}, {y}) outside the graph")
     dist_from_y = bfs_distances(graph, y)
@@ -150,7 +153,7 @@ def all_geodesics(graph, x: int, y: int,
     return paths, truncated
 
 
-def geodesic_layers(graph, x: int, y: int,
+def geodesic_layers(graph: FiniteMetricGraph, x: int, y: int,
                     dist_from_y: Sequence[int]) -> list[dict[int, int]]:
     """The geodesic interval {w : d(x,w) + d(w,y) = d(x,y)}, layer by layer.
 
@@ -159,7 +162,6 @@ def geodesic_layers(graph, x: int, y: int,
     geodesics.  The walk goes forward from x over the neighbours one step
     closer to y, which are exactly the next layer's vertices.
     """
-    graph = _as_graph(graph)
     if not (0 <= x < graph.n and 0 <= y < graph.n):
         raise InputError(f"vertices ({x}, {y}) outside the graph")
     if dist_from_y[x] < 0:
@@ -175,9 +177,9 @@ def geodesic_layers(graph, x: int, y: int,
     return layers
 
 
-def set_diameter(graph, vertex_set: Sequence[int]) -> tuple[int, tuple[int, int]]:
+def set_diameter(graph: FiniteMetricGraph,
+                 vertex_set: Sequence[int]) -> tuple[int, tuple[int, int]]:
     """Maximum pairwise distance over the set, with a witnessing pair."""
-    graph = _as_graph(graph)
     vs = sorted(set(vertex_set))
     if not vs:
         raise InputError("diameter of an empty set")
@@ -256,8 +258,8 @@ def _triangle_thinness(sides) -> int:
     return worst
 
 
-def estimate_delta(window, mode: str = "exhaustive", samples: int = 10000,
-                   seed: int = 0) -> DeltaEstimate:
+def estimate_delta(graph: FiniteMetricGraph, mode: str = "exhaustive",
+                   samples: int = 10000, seed: int = 0) -> DeltaEstimate:
     """Thin-triangle delta over the window's valid geodesic triangles.
 
     Convention: delta is the least value such that each side of a geodesic
@@ -265,21 +267,14 @@ def estimate_delta(window, mode: str = "exhaustive", samples: int = 10000,
     taking the worst case over every geodesic per side.  Exhaustive over a
     window means exact for that window.
     """
-    graph = _as_graph(window)
     n = graph.n
     if n == 0:
         raise InputError("empty window")
     dmat = distance_matrix(graph)
-    lengths = graph.base_lengths
-    radius = graph.radius
 
     def pair_valid(u, v):
         d = dmat[u, v]
-        if d < 0:
-            return False
-        if lengths is not None and radius is not None:
-            return min(lengths[u], lengths[v]) + d <= radius
-        return True
+        return d >= 0 and graph.valid(u, v, d)
 
     pair_cache: dict[tuple[int, int], _PairData] = {}
 

@@ -10,8 +10,8 @@ family owns one normal-form rule:
   component's table element;
 * finite groups: a single table element.
 
-Multiplication, inversion and conjugation are derived from ``normalize``,
-so two raw words are equal in the group iff they normalize identically.
+Multiplication and inversion are derived from ``normalize``, so two raw
+words are equal in the group iff they normalize identically.
 
 Convention (fixed globally): edges of the Cayley graph join x and s*x for
 generators s; the group acts on vertices by RIGHT multiplication x -> x*g,
@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, ClosureError, InputError
+from .graphs import FiniteMetricGraph
 
 DEFAULT_BALL_BUDGET = 2_000_000
 
@@ -107,10 +108,6 @@ class GroupOracle:
         inv = self.alphabet.inverse
         return self.normalize(tuple(inv[s] for s in reversed(x.word)))
 
-    def conjugate(self, g: GroupElement, x: GroupElement) -> GroupElement:
-        """g^-1 * x * g."""
-        return self.multiply(self.multiply(self.invert(g), x), g)
-
     def length(self, x: GroupElement) -> int:
         # Canonical forms of every family spell one generator per letter.
         return len(x.word)
@@ -179,9 +176,6 @@ class MultiplicationTable:
     def mult(self, i: int, j: int) -> int:
         return self.table[i][j]
 
-    def nonidentity(self) -> tuple[str, ...]:
-        return self.names[1:]
-
     @classmethod
     def cyclic(cls, m: int, symbol: str) -> "MultiplicationTable":
         if m < 1:
@@ -227,6 +221,10 @@ class FreeGroupOracle(GroupOracle):
 
     def normalize(self, raw: Sequence[str]) -> GroupElement:
         self._check_symbols(raw)
+        return GroupElement(self.reduce(raw))
+
+    def reduce(self, raw: Sequence[str]) -> tuple[str, ...]:
+        """Free reduction of a word whose symbols are already checked."""
         inv = self.alphabet.inverse
         stack: list[str] = []
         for s in raw:
@@ -234,7 +232,7 @@ class FreeGroupOracle(GroupOracle):
                 stack.pop()
             else:
                 stack.append(s)
-        return GroupElement(tuple(stack))
+        return tuple(stack)
 
 
 class FiniteGroupOracle(GroupOracle):
@@ -309,14 +307,14 @@ class DirectProductOracle(GroupOracle):
         for s in raw:
             if s not in self._free_symbols:
                 acc = self.table.mult(acc, self._finite_idx[s])
-        word = self.free.normalize(free_part).word
+        word = self.free.reduce(free_part)
         if acc != 0:
             word = word + (self.table.names[acc],)
         return GroupElement(word)
 
     def free_projection(self, x: GroupElement) -> GroupElement:
-        return self.free.normalize(
-            tuple(s for s in x.word if s in self._free_symbols)
+        return GroupElement(
+            self.free.reduce([s for s in x.word if s in self._free_symbols])
         )
 
 
@@ -332,9 +330,6 @@ class FiniteSubgroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __contains__(self, x: GroupElement) -> bool:
-        return x in set(self.elements)
 
 
 def verify_subgroup(oracle: GroupOracle,
@@ -362,16 +357,17 @@ def verify_subgroup(oracle: GroupOracle,
     return FiniteSubgroup(ordered)
 
 
-@dataclass(frozen=True, eq=False)
-class CayleyBall:
-    """The radius-R ball of a Cayley graph, with lengths and induced adjacency."""
+@dataclass(frozen=True, eq=False, kw_only=True)
+class CayleyBall(FiniteMetricGraph):
+    """The radius-R ball of a Cayley graph, with lengths and induced adjacency.
+
+    The ball is the graph window itself: its ``lengths`` are word lengths and
+    ``valid`` flags which of its distances are ambient word distances.
+    """
 
     oracle: GroupOracle
-    radius: int
     vertices: tuple[GroupElement, ...]
     index: dict
-    adjacency: tuple[tuple[int, ...], ...]
-    lengths: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -382,18 +378,6 @@ class CayleyBall:
             return self.index[x]
         except KeyError:
             raise InputError(f"element {x} is not in the radius-{self.radius} ball")
-
-    def __contains__(self, x: GroupElement) -> bool:
-        return x in self.index
-
-    def graph(self):
-        from .graphs import FiniteMetricGraph
-
-        return FiniteMetricGraph(
-            adjacency=self.adjacency,
-            base_lengths=self.lengths,
-            radius=self.radius,
-        )
 
 
 def build_ball(oracle: GroupOracle, radius: int,

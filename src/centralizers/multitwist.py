@@ -233,25 +233,11 @@ def cyclic_rotation_action(cycle_length: int, fixed: int = 0) -> PermutationActi
 
 def symmetric3_action() -> PermutationAction:
     """S_3 permuting three curves naturally."""
-    perms3 = sorted(itertools.permutations(range(3)))
-    names = ["".join(str(i) for i in p) for p in perms3]
-    names[names.index("012")] = "id"
-    compose = {}
-    idx = {p: i for i, p in enumerate(perms3)}
-    rows = []
-    for p in perms3:
-        row = []
-        for q in perms3:
-            pq = tuple(p[q[i]] for i in range(3))
-            row.append(idx[pq])
-        rows.append(row)
-    # reorder so the identity comes first
-    order = [idx[(0, 1, 2)]] + [i for i in range(6) if i != idx[(0, 1, 2)]]
-    pos = {old: new for new, old in enumerate(order)}
-    names2 = [names[i] for i in order]
-    rows2 = [[names2[pos[rows[i][j]]] for j in order] for i in order]
-    table = MultiplicationTable(names2, rows2)
-    perms = tuple(perms3[i] for i in order)
+    perms = tuple(sorted(itertools.permutations(range(3))))  # identity first
+    names = ["id"] + ["".join(str(i) for i in p) for p in perms[1:]]
+    idx = {p: i for i, p in enumerate(perms)}
+    rows = [[names[idx[tuple(p[q[i]] for i in range(3))]] for q in perms] for p in perms]
+    table = MultiplicationTable(names, rows)
     return PermutationAction(labels=("x", "y", "z"), table=table, perms=perms)
 
 

@@ -261,9 +261,8 @@ def test_criterion_7_contrapositive_illustration():
     diam_s, diam_c = [], []
     for depth in range(4, 9):
         window = build_window(depth)
-        graph = window.graph()
         est = estimate_delta(
-            graph,
+            window,
             mode="exhaustive" if window.size <= 200 else "sampled",
             samples=20_000,
             seed=0,

@@ -139,6 +139,11 @@ def test_config_file_merge_and_override(tmp_path):
     code, _, err = invoke(["afp", "--family", "F2xZ2", "--subgroup", "t", "--delta", "1/6",
                            "--config", str(bad)])
     assert code == EXIT_INPUT and "Traceback" not in err
+    # help and config are dests of the parser, not options a config file sets
+    for line in ("help = x\n", f"config = {cfg}\n"):
+        bad.write_text(line)
+        code, out, _ = invoke(["ball", "--family", "F2", "--radius", "1", "--config", str(bad)])
+        assert code == EXIT_INPUT and out == ""
 
 
 def test_load_config_file(tmp_path):

@@ -10,7 +10,9 @@ from centralizers import (
     CayleyContext,
     InputError,
     almost_fixed_set,
+    bfs_distances,
     build_ball,
+    builtin_group,
     compute_constants,
     extract_centralizers,
     measure_constants,
@@ -57,6 +59,23 @@ def test_compute_constants_validation():
         compute_constants(1, 1, 1, 1, -1)
     with pytest.raises(InputError):
         compute_constants(1, 1, 1, 1, 0, formula="nope")
+
+
+def brute_force_c2(ball, a):
+    """The largest window a-ball over the core vertices, one BFS per vertex."""
+    dists = [bfs_distances(ball, p) for p in range(ball.size)]
+    return max(
+        (sum(1 for d in dists[p] if 0 <= d <= a)
+         for p in range(ball.size) if ball.lengths[p] + a <= ball.radius)
+    )
+
+
+@pytest.mark.parametrize("family,radius", [("F2xZ2", 5), ("F2xZ3", 4),
+                                           ("Z2*Z3", 8), ("Z2*Z2", 8)])
+def test_measure_constants_matches_core_sweep(family, radius):
+    ctx = CayleyContext(build_ball(builtin_group(family), radius))
+    for a in range(radius + 1):
+        assert measure_constants(ctx, a) == (1, brute_force_c2(ctx.ball, a), 1)
 
 
 def test_measure_constants(f2xz2, f2xz3):

@@ -132,6 +132,14 @@ def test_farey_distance_witness_path():
         assert adjacent(u, v)
 
 
+def test_farey_distance_deep_slope():
+    # 1/5000 lies 4,999 Stern-Brocot steps below 0/1 -- 1/1; the descent
+    # must not depend on the recursion limit
+    d, path = farey_distance(Slope(1, 5000), INFINITY_SLOPE, with_path=True)
+    assert d == 2 and path == (Slope(1, 5000), ZERO_SLOPE, INFINITY_SLOPE)
+    assert farey_distance(INFINITY_SLOPE, Slope(-4999, 5000)) == 2
+
+
 def test_farey_distance_invariant_under_action():
     m = T_MATRIX * S_MATRIX * T_MATRIX * T_MATRIX
     rng = random.Random(9)

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from centralizers import (
+    CayleyContext,
     FiniteMetricGraph,
     GraphError,
+    InputError,
     all_geodesics,
     bfs_distances,
     build_ball,
+    build_window,
     estimate_delta,
     geodesic_layers,
     safe_distance,
@@ -99,12 +102,11 @@ def test_all_geodesics_match_brute_force_on_cycles(n):
 
 def test_all_geodesics_match_brute_force_on_ball(z2z3):
     ball = build_ball(z2z3, 3)
-    g = ball.graph()
     for x in range(ball.size):
         for y in range(x + 1, ball.size):
-            paths, _ = all_geodesics(g, x, y)
-            assert sorted(paths) == brute_force_geodesics(g, x, y)
-            assert_interval_matches(g, x, y, paths)
+            paths, _ = all_geodesics(ball, x, y)
+            assert sorted(paths) == brute_force_geodesics(ball, x, y)
+            assert_interval_matches(ball, x, y, paths)
 
 
 def test_all_geodesics_cap():
@@ -130,6 +132,24 @@ def test_safe_distance_window_validity(f2):
     path = w2.path
     assert path[0] == deep[0] and path[-1] == deep[-1]
     assert len(path) == w2.distance + 1
+
+
+def test_one_validity_predicate(f2xz2):
+    # the window predicate, the witness flag and the word-metric flag agree
+    ball = build_ball(f2xz2, 3)
+    assert isinstance(ball, FiniteMetricGraph)
+    assert isinstance(build_window(2), FiniteMetricGraph)
+    ctx = CayleyContext(ball)
+    dmat = distance_matrix(ball)
+    flags = set()
+    for u, v in itertools.product(range(ball.size), repeat=2):
+        valid = ball.valid(u, v, dmat[u, v])
+        assert safe_distance(ball, u, v).valid == valid
+        assert ctx.pair_distance(u, v)[1] == valid
+        flags.add(valid)
+    assert flags == {True, False}
+    with pytest.raises(InputError):
+        FiniteMetricGraph(adjacency=((),), radius=1)  # no lengths to test against
 
 
 def test_set_diameter():

@@ -58,9 +58,11 @@ def test_finite_oracle_table():
     assert str(oracle.invert(g)) == "g3"
 
 
-def test_parse_rejects_unknown_symbol(f2):
+def test_parse_rejects_unknown_symbol(f2, f2xz2):
     with pytest.raises(InputError):
         f2.parse("a*q")
+    with pytest.raises(InputError):
+        f2xz2.parse("t*a*q")  # the direct product checks its symbols once, up front
 
 
 # --- group axioms (property-based) ------------------------------------------
@@ -151,7 +153,7 @@ def test_free_product_ball_sizes(z2z2, z2z3):
 
 def test_ball_lengths_match_bfs(z2z3):
     ball = build_ball(z2z3, 5)
-    depths = bfs_distances(ball.graph(), 0)
+    depths = bfs_distances(ball, 0)
     assert list(ball.lengths) == depths
 
 
@@ -166,9 +168,8 @@ def test_word_metric_matches_ball_bfs(f2xz2):
     # exact check: for pairs within the validity window the oracle distance
     # equals BFS distance inside the ball
     ball = build_ball(f2xz2, 4)
-    graph = ball.graph()
     for u in range(0, ball.size, 7):
-        dist = bfs_distances(graph, u)
+        dist = bfs_distances(ball, u)
         for v in range(0, ball.size, 11):
             lu, lv = ball.lengths[u], ball.lengths[v]
             d = f2xz2.distance(ball.vertices[u], ball.vertices[v])
