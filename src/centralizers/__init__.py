@@ -38,6 +38,7 @@ from .fixpoints import (
     CayleyContext,
     MidpointCertificate,
     almost_fixed_set,
+    far_pairs,
     midpoint_certify,
     orbit,
     orbit_diameter,

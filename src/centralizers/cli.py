@@ -19,7 +19,7 @@ from . import multitwist as mt
 from . import farey as fy
 from .errors import BudgetError, InputError, ParseError, ToolkitError, WindowError
 from .extraction import compute_constants, extract_centralizers, measure_constants
-from .fixpoints import CayleyContext, almost_fixed_set, midpoint_certify
+from .fixpoints import CayleyContext, almost_fixed_set, far_pairs, midpoint_certify
 from .graphs import estimate_delta
 from .groupfile import BUILTIN_NAMES, builtin_group, load_group
 from .groups import build_ball, verify_subgroup
@@ -211,18 +211,13 @@ def _cmd_afp(args, report):
     if args.certify:
         if delta <= 0 and not afp.members:
             raise InputError("--certify needs a nonempty member set")
-        twenty = 20 * delta
         pairs = 0
         bad = 0
-        for i, x in enumerate(afp.members):
-            for y in afp.members[i + 1:]:
-                d, ok = ctx.pair_distance(x, y)
-                if not ok or d < twenty:
-                    continue
-                cert = midpoint_certify(ctx, subgroup, x, y, delta)
-                pairs += 1
-                bad += len(cert.counterexamples)
-                report.emit("midpoint_certificate", **cert.to_record())
+        for x, y, _ in far_pairs(ctx, afp.members, delta):
+            cert = midpoint_certify(ctx, subgroup, x, y, delta)
+            pairs += 1
+            bad += len(cert.counterexamples)
+            report.emit("midpoint_certificate", **cert.to_record())
         report.say(f"certified {pairs} far-apart pairs; {bad} counterexamples")
         if bad:
             return EXIT_NONE_FOUND

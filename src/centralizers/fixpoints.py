@@ -8,9 +8,11 @@ distances are not ambient-exact, is excluded and counted, never guessed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from math import ceil, floor
+from typing import Iterable, Iterator
 
 from .errors import InputError, WindowError
 from .graphs import FiniteMetricGraph, bfs_distances, geodesic_layers
@@ -21,10 +23,21 @@ class ActionContext:
     """Graph window plus a vertex action by graph isomorphisms."""
 
     graph: FiniteMetricGraph
+    # (source, BFS row) of the last bfs_from call; a class-level default, so
+    # a context needs no __init__ of this class to hold it
+    _bfs_row: tuple = (None, None)
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    def bfs_from(self, source: int) -> list[int]:
+        """Window BFS distances from source, reusing the last row computed."""
+        last, row = self._bfs_row
+        if last != source:
+            row = bfs_distances(self.graph, source)
+            self._bfs_row = (source, row)
+        return row
 
     def act(self, h, vid: int) -> int:
         raise NotImplementedError
@@ -161,6 +174,42 @@ class MidpointCertificate:
         }
 
 
+def far_pairs(ctx: ActionContext, members: tuple[int, ...],
+              delta) -> Iterator[tuple[int, int, int]]:
+    """The window-valid pairs of members at distance >= 20*delta, as (x, y, d).
+
+    Pairs come in the order i < j over ``members``.  A valid pair on a window
+    of radius R has min(|x|, |y|) + d <= R, so when d >= 20*delta one of its
+    endpoints lies in the near set {v : |v| + 20*delta <= R}; pairs with no
+    near endpoint are skipped without a distance call.  On a window the rest
+    are read off one BFS from x, the row ``midpoint_certify`` then reuses: a
+    window distance flagged valid is the ambient one.  On a graph without a
+    radius every member is near and every pair goes through ``pair_distance``.
+    """
+    twenty = 20 * Fraction(delta)
+    need = ceil(twenty)  # distances are integers
+    graph = ctx.graph
+    window = graph.radius is not None
+    if window:
+        cut = floor(graph.radius - twenty)
+        near = [j for j, v in enumerate(members) if graph.lengths[v] <= cut]
+    else:
+        near = list(range(len(members)))
+    is_near = set(near)
+    for i, x in enumerate(members):
+        later = range(i + 1, len(members)) if i in is_near else near[bisect_right(near, i):]
+        row = ctx.bfs_from(x) if window and later else None
+        for j in later:
+            y = members[j]
+            if row is None:
+                d, ok = ctx.pair_distance(x, y)
+            else:
+                d = row[y]
+                ok = d >= 0 and graph.valid(x, y, d)
+            if ok and d >= need:
+                yield x, y, d
+
+
 def midpoint_certify(ctx: ActionContext, subgroup: Iterable, x: int, y: int,
                      delta) -> MidpointCertificate:
     """Certify small orbits at deep interior vertices of x-y geodesics.
@@ -170,7 +219,8 @@ def midpoint_certify(ctx: ActionContext, subgroup: Iterable, x: int, y: int,
     each vertex z on some x-y geodesic with d(x, z) >= 6*delta + 1 and
     d(z, y) >= 6*delta + 1 must have orbit diameter <= 8*delta.  A violation
     is reported as a counterexample record (it would falsify the window or the
-    delta input), never raised.
+    delta input), never raised.  The interval is symmetric in x and y, so it
+    is read off one BFS from x, which consecutive pairs sharing x reuse.
     """
     delta = Fraction(delta)
     if delta < 0:
@@ -197,7 +247,8 @@ def midpoint_certify(ctx: ActionContext, subgroup: Iterable, x: int, y: int,
     if dxy < twenty:
         raise InputError(f"d(x, y) = {dxy} < 20*delta = {twenty}")
 
-    layers = geodesic_layers(ctx.graph, x, y, bfs_distances(ctx.graph, y))
+    # layers by distance from y; the interior cut below is symmetric
+    layers = geodesic_layers(ctx.graph, y, x, ctx.bfs_from(x))
     certified = {}
     counterexamples = {}
     window_excluded = 0
@@ -220,7 +271,7 @@ def midpoint_certify(ctx: ActionContext, subgroup: Iterable, x: int, y: int,
     return MidpointCertificate(
         endpoints=(x, y),
         distance=dxy,
-        geodesics_examined=layers[-1][y],
+        geodesics_examined=layers[-1][x],
         certified=tuple(sorted(certified.items())),
         counterexamples=tuple(sorted(counterexamples.items())),
         window_excluded=window_excluded,

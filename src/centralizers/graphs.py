@@ -283,7 +283,9 @@ def estimate_delta(graph: FiniteMetricGraph, mode: str = "exhaustive",
         pd = pair_cache.get(k)
         if pd is None:
             pd = _PairData(graph, dmat, k[0], k[1])
-            pair_cache[k] = pd
+            # a sampled pair is rarely met again; caching it only holds memory
+            if mode == "exhaustive":
+                pair_cache[k] = pd
         return pd
 
     best = 0

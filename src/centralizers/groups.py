@@ -10,8 +10,8 @@ family owns one normal-form rule:
   component's table element;
 * finite groups: a single table element.
 
-Multiplication and inversion are derived from ``normalize``, so two raw
-words are equal in the group iff they normalize identically.
+Multiplication and inversion are derived from the normal-form rule, so two
+raw words are equal in the group iff they normalize identically.
 
 Convention (fixed globally): edges of the Cayley graph join x and s*x for
 generators s; the group acts on vertices by RIGHT multiplication x -> x*g,
@@ -83,7 +83,8 @@ IDENTITY = GroupElement(())
 class GroupOracle:
     """Base oracle: a retraction ``normalize`` onto canonical forms.
 
-    Subclasses implement ``normalize``; everything else is derived.
+    Subclasses implement ``_normal_form`` on words whose symbols are known to
+    be in the alphabet; everything else is derived.
     """
 
     alphabet: GeneratorAlphabet
@@ -98,15 +99,21 @@ class GroupOracle:
             if s not in self.alphabet:
                 raise InputError(f"unknown symbol {s!r} for {self.family} oracle")
 
-    def normalize(self, raw: Sequence[str]) -> GroupElement:
+    def _normal_form(self, raw: Sequence[str]) -> GroupElement:
         raise NotImplementedError
 
+    def normalize(self, raw: Sequence[str]) -> GroupElement:
+        """Canonical form of a raw word; InputError on an unknown symbol."""
+        self._check_symbols(raw)
+        return self._normal_form(raw)
+
+    # canonical words spell only alphabet symbols, so these skip the check
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        return self.normalize(x.word + y.word)
+        return self._normal_form(x.word + y.word)
 
     def invert(self, x: GroupElement) -> GroupElement:
         inv = self.alphabet.inverse
-        return self.normalize(tuple(inv[s] for s in reversed(x.word)))
+        return self._normal_form(tuple(inv[s] for s in reversed(x.word)))
 
     def length(self, x: GroupElement) -> int:
         # Canonical forms of every family spell one generator per letter.
@@ -219,8 +226,7 @@ class FreeGroupOracle(GroupOracle):
         self.generators = gens
         self.alphabet = GeneratorAlphabet(tuple(symbols), inverse)
 
-    def normalize(self, raw: Sequence[str]) -> GroupElement:
-        self._check_symbols(raw)
+    def _normal_form(self, raw: Sequence[str]) -> GroupElement:
         return GroupElement(self.reduce(raw))
 
     def reduce(self, raw: Sequence[str]) -> tuple[str, ...]:
@@ -245,8 +251,7 @@ class FiniteGroupOracle(GroupOracle):
         self.alphabet = _table_alphabet([table])
         self._idx = {name: i for i, name in enumerate(table.names)}
 
-    def normalize(self, raw: Sequence[str]) -> GroupElement:
-        self._check_symbols(raw)
+    def _normal_form(self, raw: Sequence[str]) -> GroupElement:
         acc = 0
         for s in raw:
             acc = self.table.mult(acc, self._idx[s])
@@ -269,8 +274,7 @@ class FreeProductOracle(GroupOracle):
             for i in range(1, t.order):
                 self._where[t.names[i]] = (f, i)
 
-    def normalize(self, raw: Sequence[str]) -> GroupElement:
-        self._check_symbols(raw)
+    def _normal_form(self, raw: Sequence[str]) -> GroupElement:
         out: list[tuple[int, int]] = []
         for s in raw:
             f, i = self._where[s]
@@ -300,8 +304,7 @@ class DirectProductOracle(GroupOracle):
         self._finite_idx = {name: i for i, name in enumerate(table.names)}
         self._free_symbols = set(self.free.alphabet.symbols)
 
-    def normalize(self, raw: Sequence[str]) -> GroupElement:
-        self._check_symbols(raw)
+    def _normal_form(self, raw: Sequence[str]) -> GroupElement:
         free_part = [s for s in raw if s in self._free_symbols]
         acc = 0
         for s in raw:

@@ -1,15 +1,22 @@
 """Orbits, almost-fixed-point sets, and midpoint certification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from centralizers import (
     CayleyContext,
+    FareyContext,
     InputError,
     WindowError,
     almost_fixed_set,
+    bfs_distances,
     build_ball,
+    build_window,
+    builtin_group,
+    far_pairs,
+    geodesic_layers,
     midpoint_certify,
     orbit,
     orbit_diameter,
@@ -17,6 +24,8 @@ from centralizers import (
 )
 from centralizers.fixpoints import ActionContext
 from centralizers.graphs import FiniteMetricGraph
+
+from conftest import make_subgroup
 
 
 @pytest.fixture(scope="module")
@@ -98,15 +107,11 @@ def test_midpoint_certify_nonvacuous(ctx_f2xz2, h_central):
     delta = Fraction(1, 6)
     afp = almost_fixed_set(ctx_f2xz2, h_central, 6 * delta)
     done = 0
-    for i, x in enumerate(afp.members):
-        for y in afp.members[i + 1:]:
-            d, ok = ctx_f2xz2.pair_distance(x, y)
-            if not ok or d < 20 * delta:
-                continue
-            cert = midpoint_certify(ctx_f2xz2, h_central, x, y, delta)
-            assert cert.ok and cert.certified
-            assert cert.geodesics_examined >= 1
-            done += 1
+    for x, y, _ in far_pairs(ctx_f2xz2, afp.members, delta):
+        cert = midpoint_certify(ctx_f2xz2, h_central, x, y, delta)
+        assert cert.ok and cert.certified
+        assert cert.geodesics_examined >= 1
+        done += 1
     assert done > 0
 
 
@@ -120,6 +125,115 @@ def test_midpoint_certify_preconditions(ctx_f2xz2, h_central):
             midpoint_certify(ctx_f2xz2, h_central, x, y, delta)
     with pytest.raises(InputError):
         midpoint_certify(ctx_f2xz2, h_central, x, y, Fraction(-1))
+
+
+class _CountingContext(CayleyContext):
+    """A Cayley context that counts its distance calls and BFS runs."""
+
+    calls = 0
+
+    def pair_distance(self, u, v):
+        self.calls += 1
+        return super().pair_distance(u, v)
+
+    def bfs_from(self, source):
+        self.calls += 1
+        return super().bfs_from(source)
+
+
+def _brute_force_far_pairs(ctx, members, deltas):
+    # the all-pairs screen far_pairs replaces, one list per delta
+    measured = [(x, y, *ctx.pair_distance(x, y))
+                for i, x in enumerate(members) for y in members[i + 1:]]
+    return [[(x, y, d) for x, y, d, ok in measured if ok and d >= 20 * delta]
+            for delta in deltas]
+
+
+DELTAS = (Fraction(0), Fraction(1, 6), Fraction(1, 2), Fraction(5))
+
+
+@pytest.mark.parametrize("name,spec,radius", [
+    ("F2xZ2", "t", 5), ("F2xZ3", "u,u*u", 4), ("Z2*Z3", "s,s*s", 8), ("Z2*Z2", "r", 8),
+])
+def test_far_pairs_match_brute_force(name, spec, radius):
+    oracle = builtin_group(name)
+    ctx = _CountingContext(build_ball(oracle, radius))
+    afp = almost_fixed_set(ctx, make_subgroup(oracle, spec), 1)
+    # ball ids grow with length, so sorted members put every near vertex
+    # first; a shuffled sample interleaves near and far ones (the identity,
+    # vertex 0, is near whenever 20*delta <= R)
+    rng = random.Random(radius)
+    sample = [0] + rng.sample(range(1, ctx.n), min(ctx.n - 1, 150))
+    rng.shuffle(sample)
+    for members in (afp.members, tuple(sample)):
+        wants = _brute_force_far_pairs(ctx, members, DELTAS)
+        for delta, want in zip(DELTAS, wants):
+            ctx.calls = 0
+            assert list(far_pairs(ctx, members, delta)) == want
+            if delta == 5:
+                # 20*delta exceeds the radius: no near vertex, no distance
+                # call and no BFS
+                assert want == [] and ctx.calls == 0
+    assert wants[1]  # the sample has far-apart pairs at delta = 1/6
+
+
+def test_far_pairs_without_radius():
+    # a Farey window has no radius, so every pair is measured
+    window = build_window(4)
+    ctx = FareyContext(window)
+    members = tuple(range(window.size))
+    deltas = (Fraction(0), Fraction(1, 10), Fraction(1, 6))
+    for delta, want in zip(deltas, _brute_force_far_pairs(ctx, members, deltas)):
+        assert list(far_pairs(ctx, members, delta)) == want
+        assert want
+    assert not list(far_pairs(ctx, members, 5))
+
+
+def _reference_certificate(ctx, subgroup, x, y, delta):
+    """The midpoint record from y's own BFS, with the layers read from x."""
+    layers = geodesic_layers(ctx.graph, x, y, bfs_distances(ctx.graph, y))
+    dxy = len(layers) - 1
+    certified, counterexamples, excluded = {}, {}, 0
+    for i, layer in enumerate(layers):
+        if min(i, dxy - i) < 6 * delta + 1:
+            continue
+        for z in layer:
+            try:
+                diam, ok = orbit_diameter(ctx, orbit(ctx, subgroup, z))
+            except WindowError:
+                excluded += 1
+                continue
+            if not ok:
+                excluded += 1
+            elif diam <= 8 * delta:
+                certified[z] = diam
+            else:
+                counterexamples[z] = diam
+    return {
+        "endpoints": [x, y],
+        "distance": dxy,
+        "geodesics_examined": layers[-1][y],
+        "certified": [list(c) for c in sorted(certified.items())],
+        "counterexamples": [list(c) for c in sorted(counterexamples.items())],
+        "window_excluded": excluded,
+        "truncated": False,
+    }
+
+
+def test_midpoint_certify_bfs_slot(f2xz2, h_central):
+    # one context across both passes: a BFS row kept for the wrong endpoint
+    # would show as a wrong record once the pairs are shuffled
+    ctx = CayleyContext(build_ball(f2xz2, 5))
+    delta = Fraction(1, 6)
+    afp = almost_fixed_set(ctx, h_central, 6 * delta)
+    pairs = [(x, y) for x, y, _ in far_pairs(ctx, afp.members, delta)]
+    assert len({x for x, _ in pairs}) > 1
+    want = {pair: _reference_certificate(ctx, h_central, *pair, delta) for pair in pairs}
+    shuffled = list(pairs)
+    random.Random(0).shuffle(shuffled)
+    for order in (pairs, shuffled):
+        for pair in order:
+            assert midpoint_certify(ctx, h_central, *pair, delta).to_record() == want[pair]
 
 
 class _RiggedContext(ActionContext):

@@ -1,0 +1,51 @@
+"""Golden report streams: the sha256 of stdout and stderr of fixed CLI calls.
+
+The calls are the four criterion-9 configurations and the README's
+``afp ... --radius 4 --certify`` example.  A change that is meant to leave the
+reports alone must leave these digests alone; a change that alters a stream on
+purpose updates its digest here and says why in CHANGES.md.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from centralizers.cli import run as cli_run
+
+GOLDEN = [
+    (["delta", "--family", "Z2*Z3", "--radius", "5", "--mode", "sampled",
+      "--samples", "400", "--seed", "17"],
+     "16101b3a7850e758ab868a248e6e85cd35195edb0f2021d9a9107bf19d5c1b65",
+     "40fb5920c7fe5536e0d8c2112acfa364f0bce14009b2f2b24601607c0bf6ef09"),
+    (["extract", "--family", "F2xZ2", "--subgroup", "t", "--threshold-a", "1",
+      "--c0", "2", "--radius", "4", "--seed", "3"],
+     "fddea04afaf4873b7ee7642372496363f1ddca00ef9aa9f99e1726a2f883c371",
+     "b9fb94aaa027cce3ded23047adfc6fdbc15d2b45eef6b45ac8be3fd3a45f876b"),
+    (["farey", "--depth", "5", "--subgroup-name", "ST6", "--seed", "5",
+      "--delta-mode", "sampled", "--delta-samples", "500"],
+     "109b0ee63cab10af99c90db4683e61336f0c494066aa43e92055f6ae2d1449ed",
+     "b14441c1b62467b6b864603e39d1ec1e7b15c2ad77d8a8cb1d3da4aa0a128234"),
+    (["afp", "--family", "F2xZ3", "--subgroup", "u,u*u", "--delta", "1/6",
+      "--radius", "4", "--certify"],
+     "70c0cb1c97dc9caf3d0a17cd5ea231f97de2d9c17dbc358a0a320fd52028ec18",
+     "032c2a5b4c5cccd89c168a9f866e178b97e2ec1877a0169a859ad4a091b336df"),
+    # README example: 36 far-apart pairs certified
+    (["afp", "--family", "F2xZ2", "--subgroup", "t", "--delta", "1/6",
+      "--radius", "4", "--certify"],
+     "19847de9c862275a05d0358e1377a575cf6ccb3f6e4a3ebc2b2068d2a834a1d6",
+     "fb8a09d2af69a7dae74d42e4514b27b6c0fbe8eff1ffa46a89e8d9a765092480"),
+]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv,stdout_sha,stderr_sha", GOLDEN,
+                         ids=[" ".join(argv[:3]) for argv, _, _ in GOLDEN])
+def test_golden_stream(argv, stdout_sha, stderr_sha):
+    out, err = io.StringIO(), io.StringIO()
+    assert cli_run(argv, stdout=out, stderr=err) == 0, err.getvalue()
+    assert _sha256(out.getvalue()) == stdout_sha
+    assert _sha256(err.getvalue()) == stderr_sha

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from centralizers import (
     BudgetError,
     ClosureError,
+    FiniteGroupOracle,
     FreeGroupOracle,
     FreeProductOracle,
+    GroupElement,
     InputError,
     MultiplicationTable,
     build_ball,
@@ -58,11 +60,19 @@ def test_finite_oracle_table():
     assert str(oracle.invert(g)) == "g3"
 
 
-def test_parse_rejects_unknown_symbol(f2, f2xz2):
+def test_parse_rejects_unknown_symbol(f2, f2xz2, z2z3):
     with pytest.raises(InputError):
         f2.parse("a*q")
     with pytest.raises(InputError):
         f2xz2.parse("t*a*q")  # the direct product checks its symbols once, up front
+    with pytest.raises(InputError):
+        z2z3.parse("s*q")
+    with pytest.raises(InputError):
+        FiniteGroupOracle(MultiplicationTable.cyclic(3, "u")).parse("u*q")
+    # multiply and invert skip the check, but a subgroup's words are
+    # normalized, and so checked, on the way in
+    with pytest.raises(InputError):
+        verify_subgroup(f2, {f2.identity, GroupElement(("q",))})
 
 
 # --- group axioms (property-based) ------------------------------------------
