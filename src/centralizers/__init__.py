@@ -6,6 +6,7 @@ from .errors import (
     ClosureError,
     GraphError,
     InputError,
+    InvariantError,
     ParseError,
     ToolkitError,
     WindowError,
@@ -45,14 +46,11 @@ from .fixpoints import (
 )
 from .graphs import (
     DeltaEstimate,
-    DistanceWitness,
     FiniteMetricGraph,
     all_geodesics,
     bfs_distances,
     estimate_delta,
     geodesic_layers,
-    safe_distance,
-    set_diameter,
 )
 from .groupfile import builtin_group, load_group, parse_group
 from .groups import (

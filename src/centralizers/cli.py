@@ -5,7 +5,8 @@ inputs it was computed from; identical configuration and seed produce a
 byte-identical stream (no timestamps, no unordered iteration).
 
 Exit codes: 0 ok / certificates found, 1 extraction found none,
-2 input or parse error, 3 budget exceeded, 4 window violation.
+2 input or parse error, 3 budget exceeded, 4 window violation,
+5 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from fractions import Fraction
 
 from . import multitwist as mt
 from . import farey as fy
-from .errors import BudgetError, InputError, ParseError, ToolkitError, WindowError
+from .errors import (
+    BudgetError, InputError, InvariantError, ParseError, ToolkitError, WindowError,
+)
 from .extraction import compute_constants, extract_centralizers, measure_constants
 from .fixpoints import CayleyContext, almost_fixed_set, far_pairs, midpoint_certify
 from .graphs import estimate_delta
@@ -29,6 +32,7 @@ EXIT_NONE_FOUND = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_WINDOW = 4
+EXIT_INVARIANT = 5
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -428,6 +432,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except WindowError as exc:
         print(f"window error: {exc}", file=stderr)
         return EXIT_WINDOW
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=stderr)
+        return EXIT_INVARIANT
     except ToolkitError as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_INPUT

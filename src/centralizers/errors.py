@@ -44,3 +44,7 @@ class WindowError(ToolkitError):
 
 class GraphError(ToolkitError):
     """Structural graph problem, e.g. a disconnected pair."""
+
+
+class InvariantError(ToolkitError):
+    """An internal consistency check failed: a defect of the toolkit, not of its input."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, InvariantError
 from .fixpoints import ActionContext, AlmostFixedSet, CayleyContext
 from .groups import DirectProductOracle, FiniteSubgroup, GroupElement, GroupOracle
 
@@ -290,7 +290,7 @@ def extract_centralizers(ctx: ActionContext, subgroup: FiniteSubgroup,
         and pc_general == pc_special
     )
     if not agree:
-        raise AssertionError(
+        raise InvariantError(
             "general and specialized extraction paths disagree on a Cayley input"
         )
 
@@ -306,7 +306,7 @@ def extract_centralizers(ctx: ActionContext, subgroup: FiniteSubgroup,
         seen.add(k)
         transcript = verify_centralizer(oracle, z, subgroup)
         if not transcript.ok:
-            raise AssertionError(
+            raise InvariantError(
                 f"extracted element {z} failed commutation verification"
             )
         certificates.append(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional
 
-from .errors import InputError, WindowError
+from .errors import InputError, InvariantError, WindowError
 from .fixpoints import ActionContext, AlmostFixedSet, almost_fixed_set, orbit, orbit_diameter
 from .graphs import FiniteMetricGraph
 
@@ -155,7 +155,7 @@ def finite_subgroup(name: str) -> FiniteMatrixGroup:
     generators, expected = gens[name]
     elements = _close_under_products(generators)
     if len(elements) != expected:
-        raise AssertionError(f"closure of {name} has unexpected order {len(elements)}")
+        raise InvariantError(f"closure of {name} has unexpected order {len(elements)}")
     return FiniteMatrixGroup(name=name, elements=elements)
 
 
@@ -225,9 +225,9 @@ def farey_distance(s1: Slope, s2: Slope,
     mapped = tuple(act(back, Slope(p, q)) for p, q in path)
     for u, v in zip(mapped, mapped[1:]):
         if not adjacent(u, v):
-            raise AssertionError(f"descent produced a non-edge {u} -- {v}")
+            raise InvariantError(f"descent produced a non-edge {u} -- {v}")
     if mapped[0] != s1 or mapped[-1] != s2:
-        raise AssertionError("descent endpoints do not match")
+        raise InvariantError("descent endpoints do not match")
     return d, mapped
 
 

@@ -1,4 +1,4 @@
-"""Distances, geodesics, diameters and thin-triangle delta on finite graphs.
+"""Distances, geodesics and thin-triangle delta on finite graphs.
 
 All graphs are undirected with unit edge lengths.  When a graph is a window
 on an infinite ambient graph (a Cayley ball, carrying base-point lengths and
@@ -17,7 +17,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import GraphError, InputError
+from .errors import BudgetError, GraphError, InputError
+
+# bytes the delta scan may hold in its n^2-or-larger arrays: the distance
+# matrix, and in exhaustive mode also the pair index and the ``far`` rows
+DELTA_MEMORY_BUDGET = 256 * 2**20
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -47,6 +51,16 @@ class FiniteMetricGraph:
             return True
         return min(self.lengths[u], self.lengths[v]) + d <= self.radius
 
+    def valid_pairs(self, dmat: np.ndarray) -> np.ndarray:
+        """``valid`` over a whole distance matrix; unreachable pairs are false."""
+        ok = dmat >= 0
+        if self.radius is not None:
+            lengths = np.asarray(self.lengths, dtype=dmat.dtype)
+            reach = np.minimum.outer(lengths, lengths)
+            reach += dmat
+            ok &= reach <= self.radius
+        return ok
+
 
 def bfs_distances(graph: FiniteMetricGraph, source: int) -> list[int]:
     """Exact distances from source inside the window; -1 marks unreachable."""
@@ -64,61 +78,21 @@ def bfs_distances(graph: FiniteMetricGraph, source: int) -> list[int]:
     return dist
 
 
+def _check_budget(nbytes: int, what: str) -> None:
+    if nbytes > DELTA_MEMORY_BUDGET:
+        raise BudgetError(
+            f"{what} would take {-(-nbytes // 2**20)} MiB, over the delta scan's "
+            f"{DELTA_MEMORY_BUDGET // 2**20} MiB budget"
+        )
+
+
 def distance_matrix(graph: FiniteMetricGraph) -> np.ndarray:
     """All-pairs distances as int32; -1 for unreachable pairs."""
+    _check_budget(4 * graph.n * graph.n, f"the distance matrix of {graph.n} vertices")
     out = np.empty((graph.n, graph.n), dtype=np.int32)
     for s in range(graph.n):
         out[s] = bfs_distances(graph, s)
     return out
-
-
-@dataclass(frozen=True)
-class DistanceWitness:
-    pair: tuple[int, int]
-    distance: int
-    valid: bool
-    path: tuple[int, ...]
-
-    def to_record(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "distance": self.distance,
-            "valid": self.valid,
-            "path": list(self.path),
-        }
-
-
-def _one_geodesic(graph: FiniteMetricGraph, x: int, y: int,
-                  dist_from_y: Sequence[int]) -> tuple[int, ...]:
-    # walk from x towards y, always taking the least-id descending neighbor
-    path = [x]
-    u = x
-    while u != y:
-        u = min(v for v in graph.adjacency[u] if dist_from_y[v] == dist_from_y[u] - 1)
-        path.append(u)
-    return tuple(path)
-
-
-def safe_distance(graph: FiniteMetricGraph, x: int, y: int) -> DistanceWitness:
-    """Window distance with the ambient-exactness flag ``graph.valid``.
-
-    Valid iff min(|x|, |y|) + d(x, y) <= R, in which case the value equals
-    the distance in the ambient infinite graph.
-    """
-    if graph.radius is None:
-        raise InputError("safe_distance needs a window with base lengths and radius")
-    if not (0 <= x < graph.n and 0 <= y < graph.n):
-        raise InputError(f"vertices ({x}, {y}) outside the window")
-    dist_from_y = bfs_distances(graph, y)
-    d = dist_from_y[x]
-    if d < 0:
-        raise GraphError(f"pair ({x}, {y}) is disconnected inside the window")
-    return DistanceWitness(
-        pair=(x, y),
-        distance=d,
-        valid=graph.valid(x, y, d),
-        path=_one_geodesic(graph, x, y, dist_from_y),
-    )
 
 
 def all_geodesics(graph: FiniteMetricGraph, x: int, y: int,
@@ -175,23 +149,6 @@ def geodesic_layers(graph: FiniteMetricGraph, x: int, y: int,
                     nxt[v] = nxt.get(v, 0) + count
         layers.append(nxt)
     return layers
-
-
-def set_diameter(graph: FiniteMetricGraph,
-                 vertex_set: Sequence[int]) -> tuple[int, tuple[int, int]]:
-    """Maximum pairwise distance over the set, with a witnessing pair."""
-    vs = sorted(set(vertex_set))
-    if not vs:
-        raise InputError("diameter of an empty set")
-    best = (0, (vs[0], vs[0]))
-    for i, u in enumerate(vs):
-        dist = bfs_distances(graph, u)
-        for v in vs[i + 1:]:
-            if dist[v] < 0:
-                raise GraphError(f"pair ({u}, {v}) is disconnected")
-            if dist[v] > best[0]:
-                best = (dist[v], (u, v))
-    return best
 
 
 @dataclass(frozen=True)
@@ -258,6 +215,57 @@ def _triangle_thinness(sides) -> int:
     return worst
 
 
+def _exhaustive_scan(graph, dmat, ok) -> DeltaEstimate:
+    """Every valid triangle x < y < z, all z of a pair (x, y) in one pass.
+
+    Each valid pair p < q gets one row of ``far`` (see ``_PairData``), and
+    ``pid`` maps a pair either way round to its row.  For a pair (x, y) and
+    all valid z > y at once, a side's score is the max over its geodesic
+    interval of min(far of the other two sides), as in
+    ``_triangle_thinness``; the intervals of xz and yz are masks read off
+    ``dmat``.  The witness is the first triangle in (x, y, z) order that
+    reaches the final delta.
+    """
+    n = graph.n
+    ps, qs = np.nonzero(np.triu(ok, 1))  # row-major, so (x, y) in lexicographic order
+    # far values are window distances (or -1), so the narrowest type that
+    # holds the largest one never wraps
+    top = int(dmat.max())
+    dtype = next(t for t in (np.int8, np.int16, np.int32) if top <= np.iinfo(t).max)
+    _check_budget(dmat.nbytes + 4 * n * n + len(ps) * n * np.dtype(dtype).itemsize,
+                  f"the exhaustive scan of {len(ps)} pairs")
+    pid = np.full((n, n), -1, dtype=np.int32)
+    pid[ps, qs] = pid[qs, ps] = np.arange(len(ps), dtype=np.int32)
+    far = np.empty((len(ps), n), dtype=dtype)
+    for i, (p, q) in enumerate(zip(ps.tolist(), qs.tolist())):
+        far[i] = _PairData(graph, dmat, p, q).far
+
+    best = 0
+    witness = None
+    count = 0
+    for i, (x, y) in enumerate(zip(ps.tolist(), qs.tolist())):
+        zs = np.flatnonzero(ok[x, y + 1:] & ok[y, y + 1:]) + (y + 1)
+        if not zs.size:
+            continue
+        f_xy, f_xz, f_yz = far[i], far[pid[x, zs]], far[pid[y, zs]]
+        on_xy = dmat[x] + dmat[y] == dmat[x, y]
+        d_z = dmat[zs]
+        on_xz = dmat[x] + d_z == dmat[x, zs, None]
+        on_yz = dmat[y] + d_z == dmat[y, zs, None]
+        # every score is >= 0 on its interval, so 0 off it changes no max
+        thin = np.maximum.reduce([
+            np.minimum(f_xz[:, on_xy], f_yz[:, on_xy]).max(axis=1),
+            np.where(on_xz, np.minimum(f_xy, f_yz), 0).max(axis=1),
+            np.where(on_yz, np.minimum(f_xy, f_xz), 0).max(axis=1),
+        ])
+        j = int(thin.argmax())
+        count += zs.size
+        if thin[j] > best:
+            best = int(thin[j])
+            witness = (x, y, int(zs[j]))
+    return DeltaEstimate(best, count, True, witness, "exhaustive")
+
+
 def estimate_delta(graph: FiniteMetricGraph, mode: str = "exhaustive",
                    samples: int = 10000, seed: int = 0) -> DeltaEstimate:
     """Thin-triangle delta over the window's valid geodesic triangles.
@@ -265,67 +273,40 @@ def estimate_delta(graph: FiniteMetricGraph, mode: str = "exhaustive",
     Convention: delta is the least value such that each side of a geodesic
     triangle lies in the delta-neighborhood of the union of the other two,
     taking the worst case over every geodesic per side.  Exhaustive over a
-    window means exact for that window.
+    window means exact for that window.  The arrays of the scan are held to
+    ``DELTA_MEMORY_BUDGET`` bytes; a window over it raises ``BudgetError``.
     """
     n = graph.n
     if n == 0:
         raise InputError("empty window")
+    if mode not in ("exhaustive", "sampled"):
+        raise InputError(f"unknown delta mode {mode!r}")
     dmat = distance_matrix(graph)
+    ok = graph.valid_pairs(dmat)
+    if mode == "exhaustive":
+        return _exhaustive_scan(graph, dmat, ok)
 
-    def pair_valid(u, v):
-        d = dmat[u, v]
-        return d >= 0 and graph.valid(u, v, d)
-
-    pair_cache: dict[tuple[int, int], _PairData] = {}
-
-    def pair_data(u, v):
-        k = (u, v) if u < v else (v, u)
-        pd = pair_cache.get(k)
-        if pd is None:
-            pd = _PairData(graph, dmat, k[0], k[1])
-            # a sampled pair is rarely met again; caching it only holds memory
-            if mode == "exhaustive":
-                pair_cache[k] = pd
-        return pd
-
+    # a sampled pair is rarely met again, so its data is built on demand
+    rng = random.Random(seed)
     best = 0
     witness = None
     count = 0
-
-    def scan(x, y, z) -> None:
-        nonlocal best, witness, count
-        sides = (pair_data(x, y), pair_data(x, z), pair_data(y, z))
-        val = _triangle_thinness(sides)
-        count += 1
-        if val > best:
-            best = val
-            witness = (x, y, z)
-
-    if mode == "exhaustive":
-        for x in range(n):
-            for y in range(x + 1, n):
-                if not pair_valid(x, y):
-                    continue
-                for z in range(y + 1, n):
-                    if pair_valid(x, z) and pair_valid(y, z):
-                        scan(x, y, z)
-        return DeltaEstimate(best, count, True, witness, "exhaustive")
-
-    if mode == "sampled":
-        rng = random.Random(seed)
-        seen = set()
-        attempts = 0
-        while count < samples and attempts < samples * 20:
-            attempts += 1
-            if n < 3:
-                break
-            tri = tuple(sorted(rng.sample(range(n), 3)))
-            if tri in seen:
-                continue
-            seen.add(tri)
-            x, y, z = tri
-            if pair_valid(x, y) and pair_valid(x, z) and pair_valid(y, z):
-                scan(x, y, z)
-        return DeltaEstimate(best, count, False, witness, "sampled", seed)
-
-    raise InputError(f"unknown delta mode {mode!r}")
+    seen = set()
+    attempts = 0
+    while count < samples and attempts < samples * 20:
+        attempts += 1
+        if n < 3:
+            break
+        tri = tuple(sorted(rng.sample(range(n), 3)))
+        if tri in seen:
+            continue
+        seen.add(tri)
+        x, y, z = tri
+        if ok[x, y] and ok[x, z] and ok[y, z]:
+            val = _triangle_thinness(tuple(
+                _PairData(graph, dmat, p, q) for p, q in ((x, y), (x, z), (y, z))))
+            count += 1
+            if val > best:
+                best = val
+                witness = tri
+    return DeltaEstimate(best, count, False, witness, "sampled", seed)

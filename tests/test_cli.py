@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from centralizers import extraction
 from centralizers.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
+    EXIT_INVARIANT,
     EXIT_NONE_FOUND,
     EXIT_OK,
     load_config_file,
@@ -68,6 +70,23 @@ def test_extract_found_and_not_found():
     code, _, err = invoke(base + ["--threshold-a", "0"])
     assert code == EXIT_NONE_FOUND
     assert "no extraction possible" in err
+
+
+def test_invariant_failure_exits_5(monkeypatch):
+    # the two refinement paths must agree; a path that loses an element is a
+    # defect of the toolkit, reported as such and not as "none found"
+    specialized = extraction._specialized_path
+
+    def drop_one(ctx, subgroup, members):
+        cls, pc = specialized(ctx, subgroup, members)
+        return cls[1:], pc
+
+    monkeypatch.setattr(extraction, "_specialized_path", drop_one)
+    code, out, err = invoke(["extract", "--family", "Z2*Z3", "--subgroup", "r", "--c0", "2",
+                             "--radius", "6", "--threshold-a", "1"])
+    assert code == EXIT_INVARIANT and out == ""
+    assert err.startswith("internal error:") and "disagree" in err
+    assert "Traceback" not in err
 
 
 def test_farey_subcommand():

@@ -1,7 +1,8 @@
 """Golden report streams: the sha256 of stdout and stderr of fixed CLI calls.
 
-The calls are the four criterion-9 configurations and the README's
-``afp ... --radius 4 --certify`` example.  A change that is meant to leave the
+The calls are the four criterion-9 configurations, the README's
+``afp ... --radius 4 --certify`` example and the README's exhaustive
+``farey --depth 6`` example.  A change that is meant to leave the
 reports alone must leave these digests alone; a change that alters a stream on
 purpose updates its digest here and says why in CHANGES.md.
 """
@@ -35,6 +36,10 @@ GOLDEN = [
       "--radius", "4", "--certify"],
      "19847de9c862275a05d0358e1377a575cf6ccb3f6e4a3ebc2b2068d2a834a1d6",
      "fb8a09d2af69a7dae74d42e4514b27b6c0fbe8eff1ffa46a89e8d9a765092480"),
+    # README example: every triangle of the 128-slope window
+    (["farey", "--depth", "6", "--subgroup-name", "S4"],
+     "349c56959c37389edc3f65e2bfdf98bbfd2ca4c954459a1f70c65bf4eeaef8b3",
+     "3529b106dc0194b0822ee4db898596cd67844d8c8f5d7352a45452283f1548fc"),
 ]
 
 

@@ -1,11 +1,16 @@
 """Distances, geodesic enumeration and intervals, and thin-triangle delta."""
 
+import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centralizers import (
+    BudgetError,
     CayleyContext,
     FiniteMetricGraph,
     GraphError,
@@ -14,12 +19,13 @@ from centralizers import (
     bfs_distances,
     build_ball,
     build_window,
+    builtin_group,
     estimate_delta,
     geodesic_layers,
-    safe_distance,
-    set_diameter,
 )
-from centralizers.graphs import _PairData, distance_matrix
+from centralizers import graphs
+from centralizers.cli import EXIT_BUDGET, run as cli_run
+from centralizers.graphs import _PairData, _triangle_thinness, distance_matrix
 
 
 def cycle_graph(n):
@@ -121,17 +127,15 @@ def test_all_geodesics_disconnected():
         all_geodesics(g, 0, 1)
 
 
-def test_safe_distance_window_validity(f2):
+def test_window_validity_against_bfs(f2):
     ball = build_ball(f2, 3)
-    w = safe_distance(ball, 0, 1)
-    assert w.distance == 1 and w.valid
+    assert bfs_distances(ball, 1)[0] == 1 and ball.valid(0, 1, 1)
     # two deepest vertices: the window cannot certify their distance
     deep = [v for v in range(ball.size) if ball.lengths[v] == 3]
-    w2 = safe_distance(ball, deep[0], deep[-1])
-    assert not w2.valid
-    path = w2.path
-    assert path[0] == deep[0] and path[-1] == deep[-1]
-    assert len(path) == w2.distance + 1
+    dist = bfs_distances(ball, deep[-1])
+    assert dist[deep[0]] == 6 and not ball.valid(deep[0], deep[-1], dist[deep[0]])
+    layers = geodesic_layers(ball, deep[0], deep[-1], dist)
+    assert len(layers) == dist[deep[0]] + 1 and layers[-1] == {deep[-1]: 1}
 
 
 def test_one_validity_predicate(f2xz2):
@@ -141,21 +145,16 @@ def test_one_validity_predicate(f2xz2):
     assert isinstance(build_window(2), FiniteMetricGraph)
     ctx = CayleyContext(ball)
     dmat = distance_matrix(ball)
+    ok = ball.valid_pairs(dmat)
     flags = set()
     for u, v in itertools.product(range(ball.size), repeat=2):
         valid = ball.valid(u, v, dmat[u, v])
-        assert safe_distance(ball, u, v).valid == valid
+        assert ok[u, v] == valid
         assert ctx.pair_distance(u, v)[1] == valid
         flags.add(valid)
     assert flags == {True, False}
     with pytest.raises(InputError):
         FiniteMetricGraph(adjacency=((),), radius=1)  # no lengths to test against
-
-
-def test_set_diameter():
-    g = path_graph(7)
-    diam, pair = set_diameter(g, [1, 3, 6])
-    assert diam == 5 and pair == (1, 6)
 
 
 # --- delta estimation ---------------------------------------------------------
@@ -208,3 +207,130 @@ def test_delta_exact_beyond_64_geodesics():
     est = estimate_delta(g)
     assert est.delta == 4
     assert est.to_record()["geodesics_capped"] is False
+
+
+# --- the batched exhaustive scan against the per-triangle scan ----------------
+
+def per_triangle_delta(graph):
+    """Reference: every valid x < y < z in order, one ``_triangle_thinness`` each."""
+    dmat = distance_matrix(graph)
+
+    def valid(u, v):
+        return dmat[u, v] >= 0 and graph.valid(u, v, dmat[u, v])
+
+    best, witness, count = 0, None, 0
+    for x, y, z in itertools.combinations(range(graph.n), 3):
+        if valid(x, y) and valid(x, z) and valid(y, z):
+            val = _triangle_thinness(tuple(
+                _PairData(graph, dmat, p, q) for p, q in ((x, y), (x, z), (y, z))))
+            count += 1
+            if val > best:
+                best, witness = val, (x, y, z)
+    return best, count, witness
+
+
+def assert_scan_matches_reference(graph):
+    est = estimate_delta(graph)
+    assert (est.delta, est.triangles, est.witness) == per_triangle_delta(graph)
+
+
+def graph_from_edges(n, edges, lengths=None, radius=None):
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return FiniteMetricGraph(adjacency=tuple(tuple(sorted(a)) for a in adj),
+                             lengths=lengths, radius=radius)
+
+
+@st.composite
+def random_graphs(draw, max_n=11):
+    n = draw(st.integers(3, max_n))
+    # a random spanning tree keeps it connected; extra edges add cycles
+    edges = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges += draw(st.lists(pairs, max_size=2 * n))
+    return n, edges
+
+
+@st.composite
+def scan_cases(draw):
+    kind = draw(st.sampled_from(["random", "cycle", "grid", "union", "window"]))
+    if kind == "cycle":
+        return cycle_graph(draw(st.integers(3, 16)))
+    if kind == "grid":
+        return grid_graph(draw(st.integers(2, 4)))
+    n, edges = draw(random_graphs())
+    if kind == "union":
+        m, more = draw(random_graphs(max_n=6))
+        return graph_from_edges(n + m, edges + [(u + n, v + n) for u, v in more])
+    if kind == "window":
+        # base lengths and a radius: validity prunes pairs, as in a Cayley ball
+        lengths = tuple(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+        return graph_from_edges(n, edges, lengths, draw(st.integers(0, 6)))
+    return graph_from_edges(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+def test_batched_scan_matches_per_triangle_scan(graph):
+    assert_scan_matches_reference(graph)
+
+
+@pytest.mark.parametrize("family,radius", [("F2xZ2", 3), ("F2xZ3", 2), ("Z2*Z3", 5),
+                                           ("Z2*Z2", 6)])
+def test_batched_scan_on_cayley_windows(family, radius):
+    assert_scan_matches_reference(build_ball(builtin_group(family), radius))
+
+
+def test_batched_scan_past_int8_distances():
+    # a 4-cycle a-b-c-d with a 128-vertex path hanging off c: distances reach
+    # 130, so the far rows are int16.  Only the triangles through the path's
+    # last two vertices are valid (their base length is 0, every other
+    # vertex's is out of reach).  On (a, p127, p128), b and d are 1 from a
+    # geodesic of side a-p127 and 128 from side p127-p128: a store that
+    # wrapped 128 to -128 would score this, the only 1-thin triangle, 0.
+    n = 132
+    p127, p128, a, b, c, d = 0, 1, 2, 3, 4, 5
+    path = [c] + list(range(6, n)) + [p127, p128]
+    edges = [(a, b), (b, c), (c, d), (d, a)] + list(zip(path, path[1:]))
+    lengths = tuple(0 if v in (p127, p128) else 10**6 for v in range(n))
+    graph = graph_from_edges(n, edges, lengths, radius=131)
+    assert distance_matrix(graph).max() == 130
+    est = estimate_delta(graph)
+    assert (est.delta, est.triangles, est.witness) == per_triangle_delta(graph)
+    assert (est.delta, est.triangles, est.witness) == (1, n - 2, (p127, p128, a))
+
+
+def test_delta_budget_checked_before_allocation():
+    # isolated vertices: no edges to walk, but n^2 int32 distances over budget
+    n = 9000
+    assert 4 * n * n > graphs.DELTA_MEMORY_BUDGET
+    graph = FiniteMetricGraph(adjacency=((),) * n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            estimate_delta(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_delta_budget_covers_far_rows(monkeypatch):
+    graph = cycle_graph(40)  # 780 valid pairs of 40 int8 far values each
+    fixed = 2 * 4 * 40 * 40  # distance matrix and pair index
+    monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", fixed + 780 * 40 - 1)
+    with pytest.raises(BudgetError):
+        estimate_delta(graph)
+    assert estimate_delta(graph, mode="sampled", samples=10).triangles == 10
+    monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", fixed + 780 * 40)
+    assert estimate_delta(graph).triangles == 40 * 39 * 38 // 6
+
+
+def test_farey_depth_10_exceeds_delta_budget():
+    out, err = io.StringIO(), io.StringIO()
+    assert cli_run(["farey", "--depth", "10"], stdout=out, stderr=err) == EXIT_BUDGET
+    assert err.getvalue().startswith("budget error:") and "Traceback" not in err.getvalue()
+    assert out.getvalue() == ""
