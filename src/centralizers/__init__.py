@@ -72,7 +72,6 @@ from .multitwist import (
     SemidirectElement,
     build_T,
     commutes,
-    cycle_decomposition,
     parse_action,
     verify_multitwist_commutation,
 )

@@ -273,7 +273,9 @@ def build_window(depth: int) -> FareyWindow:
     """Mediant expansion from the base edge 0/1 -- 1/0.
 
     Each round adds, for every tessellation edge (u, v) found so far, the two
-    slopes adjacent to both endpoints (their mediant and co-mediant).
+    slopes adjacent to both endpoints (their mediant and co-mediant).  The
+    window is an ideal polygon triangulated by the edges found, so they are
+    all of its Farey edges and give its adjacency.
     """
     if depth < 0:
         raise InputError("depth must be >= 0")
@@ -294,17 +296,16 @@ def build_window(depth: int) -> FareyWindow:
     ordered = tuple(sorted(slopes, key=lambda s: (s.q, s.p)))
     index = {s: i for i, s in enumerate(ordered)}
     adjacency = [[] for _ in ordered]
-    for i, u in enumerate(ordered):
-        for j in range(i + 1, len(ordered)):
-            if adjacent(u, ordered[j]):
-                adjacency[i].append(j)
-                adjacency[j].append(i)
+    for u, v in edges:
+        i, j = index[u], index[v]
+        adjacency[i].append(j)
+        adjacency[j].append(i)
     return FareyWindow(
         center=ZERO_SLOPE,
         depth=depth,
         slopes=ordered,
         index=index,
-        adjacency=tuple(tuple(a) for a in adjacency),
+        adjacency=tuple(tuple(sorted(a)) for a in adjacency),
     )
 
 

@@ -26,6 +26,9 @@ class ActionContext:
     # (source, BFS row) of the last bfs_from call; a class-level default, so
     # a context needs no __init__ of this class to hold it
     _bfs_row: tuple = (None, None)
+    # (subgroup, {vertex: (orbit diameter, valid) or escape message}) of the
+    # last midpoint_certify call, held the same way
+    _orbit_memo: tuple = (None, None)
 
     @property
     def n(self) -> int:
@@ -228,13 +231,27 @@ def midpoint_certify(ctx: ActionContext, subgroup: Iterable, x: int, y: int,
     subgroup = list(subgroup)
     six, eight, twenty = 6 * delta, 8 * delta, 20 * delta
     interior_cut = six + 1
+    # orbit diameters do not depend on the pair or on delta, so the calls of
+    # one subgroup share them; compared with == since elements need no hash
+    held, memo = ctx._orbit_memo
+    if held != subgroup:
+        memo = {}
+        ctx._orbit_memo = (subgroup, memo)
+
+    def diameter(z: int):
+        """(orbit diameter, valid) of z, or the message of its orbit's escape."""
+        if z not in memo:
+            try:
+                memo[z] = orbit_diameter(ctx, orbit(ctx, subgroup, z))
+            except WindowError as exc:
+                memo[z] = str(exc)
+        return memo[z]
 
     for end in (x, y):
-        try:
-            orb = orbit(ctx, subgroup, end)
-        except WindowError as exc:
-            raise InputError(f"endpoint {end} has a window-invalid orbit: {exc}")
-        diam, valid = orbit_diameter(ctx, orb)
+        got = diameter(end)
+        if isinstance(got, str):
+            raise InputError(f"endpoint {end} has a window-invalid orbit: {got}")
+        diam, valid = got
         if not valid:
             raise InputError(f"endpoint {end} has window-invalid orbit distances")
         if diam > six:
@@ -256,12 +273,11 @@ def midpoint_certify(ctx: ActionContext, subgroup: Iterable, x: int, y: int,
         if i < interior_cut or (dxy - i) < interior_cut:
             continue
         for z in layer:
-            try:
-                orb = orbit(ctx, subgroup, z)
-            except WindowError:
+            got = diameter(z)
+            if isinstance(got, str):
                 window_excluded += 1
                 continue
-            diam, ok = orbit_diameter(ctx, orb)
+            diam, ok = got
             if not ok:
                 window_excluded += 1
             elif diam <= eight:

@@ -10,8 +10,10 @@ family owns one normal-form rule:
   component's table element;
 * finite groups: a single table element.
 
-Multiplication and inversion are derived from the normal-form rule, so two
-raw words are equal in the group iff they normalize identically.
+Two raw words are equal in the group iff they normalize identically.  The
+normal-form rule is the checked entry point and the reference; products and
+inverses of canonical words are computed at the seam, because two canonical
+words can only change where they meet.
 
 Convention (fixed globally): edges of the Cayley graph join x and s*x for
 generators s; the group acts on vertices by RIGHT multiplication x -> x*g,
@@ -84,7 +86,8 @@ class GroupOracle:
     """Base oracle: a retraction ``normalize`` onto canonical forms.
 
     Subclasses implement ``_normal_form`` on words whose symbols are known to
-    be in the alphabet; everything else is derived.
+    be in the alphabet, and ``multiply`` on canonical words, which must equal
+    ``_normal_form(x.word + y.word)``.
     """
 
     alphabet: GeneratorAlphabet
@@ -109,11 +112,13 @@ class GroupOracle:
 
     # canonical words spell only alphabet symbols, so these skip the check
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        return self._normal_form(x.word + y.word)
+        raise NotImplementedError
 
     def invert(self, x: GroupElement) -> GroupElement:
+        # the reversed word of inverse symbols is canonical for the free,
+        # free-product and finite families; the direct product overrides this
         inv = self.alphabet.inverse
-        return self._normal_form(tuple(inv[s] for s in reversed(x.word)))
+        return GroupElement(tuple(inv[s] for s in reversed(x.word)))
 
     def length(self, x: GroupElement) -> int:
         # Canonical forms of every family spell one generator per letter.
@@ -229,6 +234,18 @@ class FreeGroupOracle(GroupOracle):
     def _normal_form(self, raw: Sequence[str]) -> GroupElement:
         return GroupElement(self.reduce(raw))
 
+    def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
+        return GroupElement(self.cancel(x.word, y.word))
+
+    def cancel(self, xw: tuple[str, ...], yw: tuple[str, ...]) -> tuple[str, ...]:
+        """Product of two reduced words: x's suffix cancels y's prefix."""
+        inv = self.alphabet.inverse
+        i, j, m = len(xw), 0, len(yw)
+        while i and j < m and xw[i - 1] == inv[yw[j]]:
+            i -= 1
+            j += 1
+        return xw[:i] + yw[j:]
+
     def reduce(self, raw: Sequence[str]) -> tuple[str, ...]:
         """Free reduction of a word whose symbols are already checked."""
         inv = self.alphabet.inverse
@@ -256,6 +273,12 @@ class FiniteGroupOracle(GroupOracle):
         for s in raw:
             acc = self.table.mult(acc, self._idx[s])
         return GroupElement(() if acc == 0 else (self.table.names[acc],))
+
+    def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
+        idx = self._idx
+        a = self.table.mult(idx[x.word[0]] if x.word else 0,
+                            idx[y.word[0]] if y.word else 0)
+        return GroupElement(() if a == 0 else (self.table.names[a],))
 
 
 class FreeProductOracle(GroupOracle):
@@ -291,6 +314,22 @@ class FreeProductOracle(GroupOracle):
             # when i became identity nothing is appended; continue with next symbol
         return GroupElement(tuple(self.tables[f].names[i] for f, i in out))
 
+    def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
+        # merge x's last syllable into y's first while both lie in one factor
+        xw, yw, where = x.word, y.word, self._where
+        i, j, m = len(xw), 0, len(yw)
+        while i and j < m:
+            f, a = where[xw[i - 1]]
+            g, b = where[yw[j]]
+            if f != g:
+                break
+            c = self.tables[f].mult(a, b)
+            if c:
+                return GroupElement(xw[:i - 1] + (self.tables[f].names[c],) + yw[j + 1:])
+            i -= 1
+            j += 1
+        return GroupElement(xw[:i] + yw[j:])
+
 
 class DirectProductOracle(GroupOracle):
     """F_k x A for a finite group A; componentwise normal form (A is a direct factor)."""
@@ -315,10 +354,29 @@ class DirectProductOracle(GroupOracle):
             word = word + (self.table.names[acc],)
         return GroupElement(word)
 
+    def _split(self, w: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
+        """(free part, finite table index) of a canonical word."""
+        if w and w[-1] not in self._free_symbols:
+            return w[:-1], self._finite_idx[w[-1]]
+        return w, 0
+
+    def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
+        xf, a = self._split(x.word)
+        yf, b = self._split(y.word)
+        word = self.free.cancel(xf, yf)
+        c = self.table.mult(a, b)
+        return GroupElement(word + (self.table.names[c],) if c else word)
+
+    def invert(self, x: GroupElement) -> GroupElement:
+        xf, a = self._split(x.word)
+        inv = self.alphabet.inverse
+        word = tuple(inv[s] for s in reversed(xf))
+        if a:
+            word += (self.table.names[self.table.inverse_index[a]],)
+        return GroupElement(word)
+
     def free_projection(self, x: GroupElement) -> GroupElement:
-        return GroupElement(
-            self.free.reduce([s for s in x.word if s in self._free_symbols])
-        )
+        return GroupElement(self._split(x.word)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,42 +446,45 @@ def build_ball(oracle: GroupOracle, radius: int,
     """BFS from the identity over generator left-multiplication.
 
     Vertex ids are BFS discovery order (generators in alphabet order), so
-    identical inputs build identical balls.
+    identical inputs build identical balls.  Each vertex's neighbours are
+    recorded as it is processed; the radius-R shell is processed too but
+    discovers nothing, so every (vertex, generator) costs one product.
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
     gens = [GroupElement((s,)) for s in oracle.alphabet.symbols]
+    multiply = oracle.multiply
     vertices = [oracle.identity]
     index = {oracle.identity: 0}
     lengths = [0]
+    adjacency = []
     frontier = [oracle.identity]
     depth = 0
-    while depth < radius and frontier:
+    while frontier:
+        grow = depth < radius
         nxt = []
         for v in frontier:
+            nbrs = []
             for g in gens:
-                w = oracle.multiply(g, v)  # edge v -- s*v
-                if w not in index:
+                w = multiply(g, v)  # edge v -- s*v
+                j = index.get(w)
+                if j is None:
+                    if not grow:
+                        continue
                     if len(vertices) + 1 > budget:
                         raise BudgetError(
                             f"ball budget {budget} exceeded after radius {depth}",
                             radius_reached=depth,
                         )
-                    index[w] = len(vertices)
+                    j = index[w] = len(vertices)
                     vertices.append(w)
                     lengths.append(depth + 1)
                     nxt.append(w)
+                nbrs.append(j)  # s*v != v, as no generator is the identity
+            # frontiers run in id order, so this is vertex v's entry
+            adjacency.append(tuple(sorted(nbrs)))
         frontier = nxt
         depth += 1
-    adjacency = []
-    for v in vertices:
-        nbrs = set()
-        for g in gens:
-            w = oracle.multiply(g, v)
-            j = index.get(w)
-            if j is not None and w != v:
-                nbrs.add(j)
-        adjacency.append(tuple(sorted(nbrs)))
     return CayleyBall(
         oracle=oracle,
         radius=radius,

@@ -56,31 +56,6 @@ class PermutationAction:
     def family_size(self) -> int:
         return len(self.labels)
 
-    def element_index(self, name: str) -> int:
-        try:
-            return self.table.names.index(name)
-        except ValueError:
-            raise InputError(f"unknown group element {name!r}")
-
-
-def cycle_decomposition(action: PermutationAction, element: int) -> list[tuple[int, ...]]:
-    """Disjoint cycles covering the family, each starting at its least label."""
-    perm = action.perms[element]
-    seen = set()
-    cycles = []
-    for start in range(action.family_size):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        cur = perm[start]
-        while cur != start:
-            cycle.append(cur)
-            seen.add(cur)
-            cur = perm[cur]
-        cycles.append(tuple(cycle))
-    return cycles
-
 
 @dataclass(frozen=True)
 class SemidirectElement:

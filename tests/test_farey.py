@@ -31,6 +31,7 @@ from centralizers.farey import (
     T_MATRIX,
     ZERO_SLOPE,
 )
+from centralizers.graphs import bfs_distances
 
 
 def slopes_strategy():
@@ -210,6 +211,34 @@ def test_window_adjacency_matches_intersection_one():
     for u, nbrs in enumerate(w.adjacency):
         for v in nbrs:
             assert adjacent(w.slopes[u], w.slopes[v])
+
+
+def pairwise_adjacency(window):
+    """The n^2 reference: every pair of window slopes tested for adjacency."""
+    slopes = window.slopes
+    adjacency = [[] for _ in slopes]
+    for i, u in enumerate(slopes):
+        for j in range(i + 1, len(slopes)):
+            if adjacent(u, slopes[j]):
+                adjacency[i].append(j)
+                adjacency[j].append(i)
+    return tuple(tuple(a) for a in adjacency)
+
+
+@pytest.mark.parametrize("depth", range(11))
+def test_window_adjacency_from_mediant_edges(depth):
+    w = build_window(depth)
+    assert w.adjacency == pairwise_adjacency(w)
+
+
+@pytest.mark.parametrize("depth", range(9))
+def test_window_distances_are_farey_distances(depth):
+    # the window is convex: every distance inside it is the ambient one
+    w = build_window(depth)
+    for u in range(w.size):
+        row = bfs_distances(w, u)
+        for v in range(u + 1, w.size):
+            assert row[v] == farey_distance(w.slopes[u], w.slopes[v])
 
 
 def bfs_window_distance(window, s1, s2):

@@ -236,6 +236,49 @@ def test_midpoint_certify_bfs_slot(f2xz2, h_central):
             assert midpoint_certify(ctx, h_central, *pair, delta).to_record() == want[pair]
 
 
+class _DistanceCountingContext(CayleyContext):
+    distance_calls = 0
+
+    def pair_distance(self, u, v):
+        self.distance_calls += 1
+        return super().pair_distance(u, v)
+
+
+def test_midpoint_certify_orbit_memo(f2xz2, h_central):
+    # certificates from one context, whose memo fills as it goes, equal those
+    # of a fresh context; once every vertex is known only d(x, y) is measured
+    ball = build_ball(f2xz2, 5)
+    ctx = _DistanceCountingContext(ball)
+    delta = Fraction(1, 6)
+    afp = almost_fixed_set(ctx, h_central, 6 * delta)
+    pairs = [(x, y) for x, y, _ in far_pairs(ctx, afp.members, delta)]
+    shuffled = list(pairs)
+    random.Random(1).shuffle(shuffled)
+    certified = set()
+    for order in (pairs, shuffled):
+        for pair in order:
+            ctx.distance_calls = 0
+            got = midpoint_certify(ctx, h_central, *pair, delta)
+            assert got == midpoint_certify(CayleyContext(ball), h_central, *pair, delta)
+            certified.update(got.certified)
+            if order is shuffled:
+                assert ctx.distance_calls == 1
+    assert certified
+    # a different subgroup on the same context does not read the memo
+    trivial = verify_subgroup(f2xz2, {f2xz2.identity})
+    for sub in (trivial, h_central):
+        assert midpoint_certify(ctx, sub, *pairs[0], delta) == midpoint_certify(
+            CayleyContext(ball), sub, *pairs[0], delta)
+    # an escaping endpoint raises the same message from the memo
+    deep = ball.vertex_id(f2xz2.parse("a*a*a*a*a"))
+    messages = []
+    for c in (ctx, ctx, CayleyContext(ball)):
+        with pytest.raises(InputError, match="window-invalid orbit: image") as err:
+            midpoint_certify(c, h_central, deep, 0, delta)
+        messages.append(str(err.value))
+    assert len(set(messages)) == 1
+
+
 class _RiggedContext(ActionContext):
     """Path graph 0..n-1; the 'group' is a list of vertex maps (dicts)."""
 

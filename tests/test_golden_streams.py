@@ -1,8 +1,9 @@
 """Golden report streams: the sha256 of stdout and stderr of fixed CLI calls.
 
 The calls are the four criterion-9 configurations, the README's
-``afp ... --radius 4 --certify`` example and the README's exhaustive
-``farey --depth 6`` example.  A change that is meant to leave the
+``afp ... --radius 4 --certify`` example, the README's exhaustive
+``farey --depth 6`` example and the three calls of the benchmark's
+``cayley`` workload at ``--seed 1``.  A change that is meant to leave the
 reports alone must leave these digests alone; a change that alters a stream on
 purpose updates its digest here and says why in CHANGES.md.
 """
@@ -42,15 +43,42 @@ GOLDEN = [
      "3529b106dc0194b0822ee4db898596cd67844d8c8f5d7352a45452283f1548fc"),
 ]
 
+# the benchmark's `cayley` workload at --seed 1; kept apart from GOLDEN so
+# that the ids of both lists stay distinct
+CAYLEY_WORKLOAD = [
+    (["extract", "--family", "F2xZ2", "--subgroup", "t", "--threshold-a", "1",
+      "--c0", "2", "--radius", "7", "--seed", "1"],
+     "5bb270c338f5cbb5928232dd943e19f2e749addd42e13cfb149da6b3e8d8b0e7",
+     "49edfba7c5adfa66f404932f2fcdb1e320f02fa84a478dca524ef6546f653a4a"),
+    (["extract", "--family", "Z2*Z3", "--subgroup", "s,s*s", "--threshold-a", "1",
+      "--c0", "3", "--radius", "16", "--seed", "1"],
+     "191cb0db1e18d022a7aec60a65fe05ee55ef4a372587f2919159c59bb129b270",
+     "9b253ec62ed476392ede97b30e216583bf33ddd95c64310ad0022d64688267cb"),
+    (["afp", "--family", "F2xZ2", "--subgroup", "t", "--delta", "1/6",
+      "--radius", "6", "--certify", "--seed", "1"],
+     "3cb5be4b543f48a7ab83222e69034e3804de50c62436ccaca862a1d2df198398",
+     "3d89074b2b5b308f6d6ebfec47bee41bd93df4881475cad2ca0eb2ae31965a5b"),
+]
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("argv,stdout_sha,stderr_sha", GOLDEN,
-                         ids=[" ".join(argv[:3]) for argv, _, _ in GOLDEN])
-def test_golden_stream(argv, stdout_sha, stderr_sha):
+def _check_stream(argv, stdout_sha, stderr_sha):
     out, err = io.StringIO(), io.StringIO()
     assert cli_run(argv, stdout=out, stderr=err) == 0, err.getvalue()
     assert _sha256(out.getvalue()) == stdout_sha
     assert _sha256(err.getvalue()) == stderr_sha
+
+
+@pytest.mark.parametrize("argv,stdout_sha,stderr_sha", GOLDEN,
+                         ids=[" ".join(argv[:3]) for argv, _, _ in GOLDEN])
+def test_golden_stream(argv, stdout_sha, stderr_sha):
+    _check_stream(argv, stdout_sha, stderr_sha)
+
+
+@pytest.mark.parametrize("argv,stdout_sha,stderr_sha", CAYLEY_WORKLOAD,
+                         ids=[" ".join(argv[:3]) for argv, _, _ in CAYLEY_WORKLOAD])
+def test_cayley_workload_stream(argv, stdout_sha, stderr_sha):
+    _check_stream(argv, stdout_sha, stderr_sha)

@@ -1,5 +1,7 @@
 """Normal forms, group axioms, subgroup checks, and ball construction."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +17,11 @@ from centralizers import (
     MultiplicationTable,
     build_ball,
     builtin_group,
+    parse_group,
     verify_subgroup,
 )
 from centralizers.graphs import bfs_distances
+from centralizers.groupfile import BUILTIN_NAMES
 
 
 def words(oracle, max_size=8):
@@ -73,6 +77,64 @@ def test_parse_rejects_unknown_symbol(f2, f2xz2, z2z3):
     # normalized, and so checked, on the way in
     with pytest.raises(InputError):
         verify_subgroup(f2, {f2.identity, GroupElement(("q",))})
+
+
+# --- seam arithmetic against the normal-form reference -----------------------
+
+def _table_text(names, product):
+    rows = [" ".join(names[product(i, j)] for j in range(len(names)))
+            for i in range(len(names))]
+    return "elements " + " ".join(names) + "\ntable\n" + "\n".join(rows) + "\nend\n"
+
+
+def _s3_text(prefix):
+    # S3 as permutations of three points, identity first; not abelian
+    perms = list(itertools.permutations(range(3)))
+    names = ["1"] + [f"{prefix}{i}" for i in range(1, 6)]
+
+    def product(i, j):
+        return perms.index(tuple(perms[i][perms[j][k]] for k in range(3)))
+
+    return _table_text(names, product)
+
+
+GROUP_FILES = {
+    "S3": "family finite\n" + _s3_text("c"),
+    "S3*Z2": ("family free_product\nfactor\n" + _s3_text("c")
+              + "factor\n" + _table_text(["1", "r"], lambda i, j: (i + j) % 2)),
+    "F2xS3": "family direct_product\ngenerators a b\nfactor\n" + _s3_text("c"),
+}
+
+
+def family(name):
+    return builtin_group(name) if name in BUILTIN_NAMES else parse_group(GROUP_FILES[name])
+
+
+def test_group_files_are_non_abelian():
+    for name in GROUP_FILES:
+        oracle = family(name)
+        c1, c3 = oracle.parse("c1"), oracle.parse("c3")
+        assert oracle.multiply(c1, c3) != oracle.multiply(c3, c1)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + tuple(GROUP_FILES))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_seam_arithmetic_matches_normal_form(name, data):
+    oracle = family(name)
+    inv = oracle.alphabet.inverse
+    x = data.draw(words(oracle))
+    x_inv = tuple(inv[s] for s in reversed(x.word))
+    # y starts with k letters of x^-1, so up to all of x cancels at the seam
+    k = data.draw(st.integers(0, len(x_inv)))
+    tail = data.draw(st.lists(st.sampled_from(oracle.alphabet.symbols), max_size=6))
+    y = oracle.normalize(x_inv[:k] + tuple(tail))
+    assert oracle.multiply(x, y) == oracle._normal_form(x.word + y.word)
+    assert oracle.multiply(y, x) == oracle._normal_form(y.word + x.word)
+    assert oracle.invert(x) == oracle._normal_form(x_inv)
+    assert oracle.multiply(x, oracle.invert(x)) == oracle.identity
+    assert oracle.multiply(x, oracle.identity) == x == oracle.multiply(oracle.identity, x)
+    assert oracle.invert(oracle.identity) == oracle.identity
 
 
 # --- group axioms (property-based) ------------------------------------------
@@ -185,6 +247,47 @@ def test_word_metric_matches_ball_bfs(f2xz2):
             d = f2xz2.distance(ball.vertices[u], ball.vertices[v])
             if min(lu, lv) + d <= ball.radius:
                 assert dist[v] == d
+
+
+def two_pass_ball(oracle, radius):
+    """The reference: BFS discovery, then a second product per adjacency."""
+    gens = [GroupElement((s,)) for s in oracle.alphabet.symbols]
+    vertices, index, lengths = [oracle.identity], {oracle.identity: 0}, [0]
+    frontier = [oracle.identity]
+    depth = 0
+    while depth < radius and frontier:
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                w = oracle.multiply(g, v)
+                if w not in index:
+                    index[w] = len(vertices)
+                    vertices.append(w)
+                    lengths.append(depth + 1)
+                    nxt.append(w)
+        frontier = nxt
+        depth += 1
+    adjacency = []
+    for v in vertices:
+        nbrs = set()
+        for g in gens:
+            w = oracle.multiply(g, v)
+            j = index.get(w)
+            if j is not None and w != v:
+                nbrs.add(j)
+        adjacency.append(tuple(sorted(nbrs)))
+    return tuple(vertices), index, tuple(lengths), tuple(adjacency)
+
+
+@pytest.mark.parametrize("name,radius", [
+    ("F2", 5), ("F2xZ2", 5), ("F2xZ3", 4), ("Z2*Z3", 10), ("Z2*Z2", 8),
+    ("S3*Z2", 5), ("F2xS3", 2), ("S3", 4), ("F2", 0), ("Z2*Z3", 0),
+])
+def test_one_pass_ball_matches_two_pass(name, radius):
+    oracle = family(name)
+    ball = build_ball(oracle, radius)
+    assert (ball.vertices, ball.index, ball.lengths, ball.adjacency) == two_pass_ball(
+        oracle, radius)
 
 
 def test_ball_budget(f2):

