@@ -218,7 +218,7 @@ def _cmd_afp(args, report):
         pairs = 0
         bad = 0
         for x, y, _ in far_pairs(ctx, afp.members, delta):
-            cert = midpoint_certify(ctx, subgroup, x, y, delta)
+            cert = midpoint_certify(ctx, afp, x, y, delta)
             pairs += 1
             bad += len(cert.counterexamples)
             report.emit("midpoint_certificate", **cert.to_record())
@@ -296,7 +296,7 @@ def _cmd_farey(args, report):
     report.emit("almost_fixed_slopes", subgroup=subgroup.name,
                 threshold=str(a), size=afp.size,
                 excluded_window_invalid=afp.excluded, members=members)
-    profile, excluded = fy.orbit_diameter_profile(subgroup, window)
+    profile, excluded = fy.orbit_diameter_profile(afp, window)
     report.emit(
         "orbit_diameter_profile",
         subgroup=subgroup.name,
@@ -376,31 +376,27 @@ def _config_value(action: argparse.Action, text: str):
     return value
 
 
-def _apply_config(parser: argparse.ArgumentParser, args, argv) -> None:
-    """Merge the --config file into args; explicit flags win over it.
+def _apply_config(parser: argparse.ArgumentParser, args, argv) -> argparse.Namespace:
+    """Parse argv again over the --config file's values; explicit flags win.
 
-    Keys are the subcommand's option dests, except ``help`` and ``config``:
-    a config file can neither ask for help nor name another config file.
+    The coerced values become the subcommand's defaults, so argparse itself
+    decides which options argv sets, abbreviations included.  Keys are the
+    subcommand's option dests, except ``help`` and ``config``: a config file
+    can neither ask for help nor name another config file.
     """
     defaults = load_config_file(args.config)
     subparsers = next(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
-    actions = {
-        a.dest: a for a in subparsers.choices[args.subcommand]._actions
-        if a.dest not in ("help", "config")
-    }
+    subparser = subparsers.choices[args.subcommand]
+    actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
     bad = set(defaults) - set(actions)
     if bad:
         raise InputError(f"unknown config keys: {sorted(bad)}")
-    explicit = {
-        tok[2:].split("=", 1)[0].replace("-", "_")
-        for tok in (argv if argv is not None else sys.argv[1:])
-        if tok.startswith("--")
-    }
-    for key, text in defaults.items():
-        if key not in explicit:
-            setattr(args, key, _config_value(actions[key], text))
+    subparser.set_defaults(
+        **{key: _config_value(actions[key], text) for key, text in defaults.items()}
+    )
+    return parser.parse_args(argv)
 
 
 def run(argv=None, stdout=None, stderr=None) -> int:
@@ -410,7 +406,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config(parser, args, argv)
+            args = _apply_config(parser, args, argv)
         inputs = {
             k: v for k, v in sorted(vars(args).items())
             if k not in ("config", "out") and v is not None

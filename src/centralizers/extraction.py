@@ -180,9 +180,17 @@ class ExtractionResult:
         return tuple(c for c in self.certificates if not c.trivial)
 
 
-def _largest_class(groups: dict, member_key) -> list:
+def _member_rank(ctx: CayleyContext, members: list[int]):
+    """Sort key of members: each one's position in the oracle's key order,
+    computed once so that comparisons need no ``oracle.key`` (keys are distinct)."""
+    verts = ctx.ball.vertices
+    ordered = sorted(members, key=lambda i: ctx.oracle.key(verts[i]))
+    return {i: r for r, i in enumerate(ordered)}.__getitem__
+
+
+def _largest_class(groups: dict, rank) -> list:
     """Largest class; ties broken by the class holding the least member."""
-    return min(groups.values(), key=lambda idxs: (-len(idxs), min(member_key(i) for i in idxs)))
+    return min(groups.values(), key=lambda idxs: (-len(idxs), min(rank(i) for i in idxs)))
 
 
 def _general_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
@@ -190,10 +198,10 @@ def _general_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
     """Full refinement: orbit class, transporter pigeonhole, stabilizer cosets."""
     oracle = ctx.oracle
     verts = ctx.ball.vertices
-    mkey = lambda i: oracle.key(verts[i])
+    rank = _member_rank(ctx, members)
 
     # (1) partition by G-orbit: right multiplication is transitive, one class.
-    cls = sorted(members, key=mkey)
+    cls = sorted(members, key=rank)
     p1 = verts[cls[0]]
     p1_inv = oracle.invert(p1)
     transporter = {i: oracle.multiply(p1_inv, verts[i]) for i in cls}  # g_i
@@ -207,10 +215,10 @@ def _general_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
                 oracle.multiply(verts[i], h), oracle.invert(transporter[i])
             )
             groups.setdefault(oracle.key(value), []).append(i)
-        current = _largest_class(groups, mkey)
+        current = _largest_class(groups, rank)
 
     # (4) refine by stabilizer cosets at the base point b.
-    b = min(current, key=mkey)
+    b = min(current, key=rank)
     gb = transporter[b]
     gb_inv = oracle.invert(gb)
     for h in subgroup:
@@ -226,13 +234,13 @@ def _general_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
                 oracle.multiply(gb, h_inv),
             )
             groups.setdefault(oracle.key(w), []).append(i)
-        current = _largest_class(groups, mkey)
+        current = _largest_class(groups, rank)
 
     # (5) emit g_i^-1 * g_c over the final class.
-    c = min(current, key=mkey)
+    c = min(current, key=rank)
     gc = transporter[c]
     out = []
-    for i in sorted(current, key=mkey):
+    for i in sorted(current, key=rank):
         out.append((oracle.multiply(oracle.invert(transporter[i]), gc), verts[i]))
     return out, verts[c]
 
@@ -246,7 +254,7 @@ def _specialized_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
     """
     oracle = ctx.oracle
     verts = ctx.ball.vertices
-    mkey = lambda i: oracle.key(verts[i])
+    rank = _member_rank(ctx, members)
     conj = {
         i: {
             h: oracle.multiply(oracle.multiply(verts[i], h), oracle.invert(verts[i]))
@@ -254,16 +262,16 @@ def _specialized_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
         }
         for i in members
     }
-    cls = sorted(members, key=mkey)
+    cls = sorted(members, key=rank)
     for h in subgroup:
         groups: dict = {}
         for i in cls:
             groups.setdefault(oracle.key(conj[i][h]), []).append(i)
-        cls = _largest_class(groups, mkey)
-    c = min(cls, key=mkey)
+        cls = _largest_class(groups, rank)
+    c = min(cls, key=rank)
     pc = verts[c]
     out = []
-    for i in sorted(cls, key=mkey):
+    for i in sorted(cls, key=rank):
         out.append((oracle.multiply(oracle.invert(verts[i]), pc), verts[i]))
     return out, pc
 

@@ -16,7 +16,7 @@ from math import gcd
 from typing import Iterable, Optional
 
 from .errors import InputError, InvariantError, WindowError
-from .fixpoints import ActionContext, AlmostFixedSet, almost_fixed_set, orbit, orbit_diameter
+from .fixpoints import ActionContext, AlmostFixedSet, almost_fixed_set
 from .graphs import FiniteMetricGraph
 
 INFINITY_SLOPE: "Slope"
@@ -342,21 +342,18 @@ class ProfileRow:
     count: int
 
 
-def orbit_diameter_profile(subgroup: FiniteMatrixGroup,
+def orbit_diameter_profile(afp: AlmostFixedSet,
                            window: FareyWindow) -> tuple[list[ProfileRow], int]:
-    """Max orbit diameter per distance-from-center; excluded slopes counted."""
-    ctx = FareyContext(window)
+    """Max orbit diameter per distance-from-center, read off the orbit table of
+    an almost-fixed set on ``window``; slopes whose orbit escapes are counted."""
     rows: dict[int, list[int]] = {}
     excluded = 0
-    for vid in range(window.size):
-        try:
-            orb = orbit(ctx, subgroup.elements, vid)
-        except WindowError:
+    for vid, got in enumerate(afp.orbits):
+        if isinstance(got, str):
             excluded += 1
             continue
-        diam, _ = orbit_diameter(ctx, orb)
         r = farey_distance(window.center, window.slopes[vid])
-        rows.setdefault(r, []).append(diam)
+        rows.setdefault(r, []).append(got[0])
     table = [
         ProfileRow(r, max(ds), len(ds)) for r, ds in sorted(rows.items())
     ]

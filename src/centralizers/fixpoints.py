@@ -26,9 +26,6 @@ class ActionContext:
     # (source, BFS row) of the last bfs_from call; a class-level default, so
     # a context needs no __init__ of this class to hold it
     _bfs_row: tuple = (None, None)
-    # (subgroup, {vertex: (orbit diameter, valid) or escape message}) of the
-    # last midpoint_certify call, held the same way
-    _orbit_memo: tuple = (None, None)
 
     @property
     def n(self) -> int:
@@ -101,7 +98,9 @@ def orbit_diameter(ctx: ActionContext, vids: tuple[int, ...]) -> tuple[int, bool
 class AlmostFixedSet:
     threshold: Fraction
     members: tuple[int, ...]
-    diameters: dict
+    # per window vertex: (orbit diameter, valid), or the message of the
+    # WindowError its orbit raised on leaving the window
+    orbits: tuple
     excluded: int
     total: int
 
@@ -120,31 +119,32 @@ class AlmostFixedSet:
 
 
 def almost_fixed_set(ctx: ActionContext, subgroup: Iterable, threshold) -> AlmostFixedSet:
-    """All window vertices whose whole orbit stays valid with diameter <= threshold."""
+    """All window vertices whose whole orbit stays valid with diameter <= threshold.
+
+    Every vertex's orbit is measured here, once, into ``orbits``.
+    """
     threshold = Fraction(threshold)
     if threshold < 0:
         raise InputError("threshold must be >= 0")
     subgroup = list(subgroup)
+    cut = floor(threshold)  # diameters are integers
+    orbits = []
     members = []
-    diameters = {}
     excluded = 0
     for vid in range(ctx.n):
         try:
-            orb = orbit(ctx, subgroup, vid)
-        except WindowError:
+            got = orbit_diameter(ctx, orbit(ctx, subgroup, vid))
+        except WindowError as exc:
+            got = str(exc)
+        orbits.append(got)
+        if isinstance(got, str) or not got[1]:
             excluded += 1
-            continue
-        diam, valid = orbit_diameter(ctx, orb)
-        if not valid:
-            excluded += 1
-            continue
-        if diam <= threshold:
+        elif got[0] <= cut:
             members.append(vid)
-            diameters[vid] = diam
     return AlmostFixedSet(
         threshold=threshold,
         members=tuple(members),
-        diameters=diameters,
+        orbits=tuple(orbits),
         excluded=excluded,
         total=ctx.n,
     )
@@ -213,42 +213,28 @@ def far_pairs(ctx: ActionContext, members: tuple[int, ...],
                 yield x, y, d
 
 
-def midpoint_certify(ctx: ActionContext, subgroup: Iterable, x: int, y: int,
+def midpoint_certify(ctx: ActionContext, afp: AlmostFixedSet, x: int, y: int,
                      delta) -> MidpointCertificate:
     """Certify small orbits at deep interior vertices of x-y geodesics.
 
-    Preconditions: x and y are almost fixed at threshold 6*delta with a valid
-    window, and d(x, y) >= 20*delta.  The whole geodesic interval is scanned:
-    each vertex z on some x-y geodesic with d(x, z) >= 6*delta + 1 and
-    d(z, y) >= 6*delta + 1 must have orbit diameter <= 8*delta.  A violation
-    is reported as a counterexample record (it would falsify the window or the
-    delta input), never raised.  The interval is symmetric in x and y, so it
-    is read off one BFS from x, which consecutive pairs sharing x reuse.
+    ``afp`` is an almost-fixed set of the subgroup on this context; its orbit
+    table gives every diameter below.  Preconditions: x and y are almost fixed
+    at threshold 6*delta with a valid window, and d(x, y) >= 20*delta.  The
+    whole geodesic interval is scanned: each vertex z on some x-y geodesic
+    with d(x, z) >= 6*delta + 1 and d(z, y) >= 6*delta + 1 must have orbit
+    diameter <= 8*delta.  A violation is reported as a counterexample record
+    (it would falsify the window or the delta input), never raised.  The
+    interval is symmetric in x and y, so it is read off one BFS from x, which
+    consecutive pairs sharing x reuse.
     """
     delta = Fraction(delta)
     if delta < 0:
         raise InputError("delta must be >= 0")
-    subgroup = list(subgroup)
-    six, eight, twenty = 6 * delta, 8 * delta, 20 * delta
-    interior_cut = six + 1
-    # orbit diameters do not depend on the pair or on delta, so the calls of
-    # one subgroup share them; compared with == since elements need no hash
-    held, memo = ctx._orbit_memo
-    if held != subgroup:
-        memo = {}
-        ctx._orbit_memo = (subgroup, memo)
-
-    def diameter(z: int):
-        """(orbit diameter, valid) of z, or the message of its orbit's escape."""
-        if z not in memo:
-            try:
-                memo[z] = orbit_diameter(ctx, orbit(ctx, subgroup, z))
-            except WindowError as exc:
-                memo[z] = str(exc)
-        return memo[z]
-
+    # diameters and distances are integers: cut them at integer bounds
+    six, eight = floor(6 * delta), floor(8 * delta)
+    interior = ceil(6 * delta) + 1  # d >= 6*delta + 1  <=>  d >= interior
     for end in (x, y):
-        got = diameter(end)
+        got = afp.orbits[end]
         if isinstance(got, str):
             raise InputError(f"endpoint {end} has a window-invalid orbit: {got}")
         diam, valid = got
@@ -261,29 +247,23 @@ def midpoint_certify(ctx: ActionContext, subgroup: Iterable, x: int, y: int,
     dxy, valid = ctx.pair_distance(x, y)
     if not valid:
         raise InputError(f"pair ({x}, {y}) is not window-valid")
-    if dxy < twenty:
-        raise InputError(f"d(x, y) = {dxy} < 20*delta = {twenty}")
+    if dxy < ceil(20 * delta):
+        raise InputError(f"d(x, y) = {dxy} < 20*delta = {20 * delta}")
 
-    # layers by distance from y; the interior cut below is symmetric
+    # layers by distance from y; the interior cut is symmetric
     layers = geodesic_layers(ctx.graph, y, x, ctx.bfs_from(x))
     certified = {}
     counterexamples = {}
     window_excluded = 0
-    for i, layer in enumerate(layers):
-        if i < interior_cut or (dxy - i) < interior_cut:
-            continue
+    for layer in layers[interior:dxy + 1 - interior]:
         for z in layer:
-            got = diameter(z)
-            if isinstance(got, str):
+            got = afp.orbits[z]
+            if isinstance(got, str) or not got[1]:
                 window_excluded += 1
-                continue
-            diam, ok = got
-            if not ok:
-                window_excluded += 1
-            elif diam <= eight:
-                certified[z] = diam
+            elif got[0] <= eight:
+                certified[z] = got[0]
             else:
-                counterexamples[z] = diam
+                counterexamples[z] = got[0]
     return MidpointCertificate(
         endpoints=(x, y),
         distance=dxy,

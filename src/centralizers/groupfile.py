@@ -54,23 +54,39 @@ from .groups import (
 )
 
 
-def _strip(line: str) -> str:
-    return line.split("#", 1)[0].strip()
+class Directives:
+    """The non-blank lines of a definition text, '#' comments stripped, as
+    word lists; ``line`` is the 1-based number of the line last read."""
+
+    def __init__(self, text: str):
+        self._lines = text.splitlines()
+        self.line = 0
+
+    def __iter__(self):
+        while self.line < len(self._lines):
+            words = self._lines[self.line].split("#", 1)[0].split()
+            self.line += 1
+            if words:
+                yield words
+
+    def table(self) -> list[list[str]]:
+        """The rows after a ``table`` line, up to its ``end`` line."""
+        rows = []
+        for words in self:
+            if words == ["end"]:
+                return rows
+            rows.append(words)
+        raise ParseError("unterminated table (missing 'end')", line=self.line)
 
 
 def parse_group(text: str) -> GroupOracle:
-    lines = text.splitlines()
+    lines = Directives(text)
     family = None
     generators: list[str] = []
     tables: list[MultiplicationTable] = []
-    i = 0
     pending_elements = None
-    while i < len(lines):
-        line = _strip(lines[i])
-        i += 1
-        if not line:
-            continue
-        parts = line.split()
+    for parts in lines:
+        i = lines.line
         if parts[0] == "family":
             if family is not None:
                 raise ParseError("duplicate family line", line=i)
@@ -86,20 +102,11 @@ def parse_group(text: str) -> GroupOracle:
         elif parts[0] == "table":
             if pending_elements is None:
                 raise ParseError("table before an elements line", line=i)
-            rows = []
-            while i < len(lines):
-                row = _strip(lines[i])
-                i += 1
-                if row == "end":
-                    break
-                if row:
-                    rows.append(row.split())
-            else:
-                raise ParseError("unterminated table (missing 'end')", line=i)
+            rows = lines.table()
             try:
                 tables.append(MultiplicationTable(pending_elements, rows))
             except Exception as exc:
-                raise ParseError(str(exc), line=i)
+                raise ParseError(str(exc), line=lines.line)
             pending_elements = None
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", line=i)

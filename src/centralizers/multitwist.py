@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InputError, ParseError
+from .groupfile import Directives
 from .groups import MultiplicationTable
 
 
@@ -233,14 +234,9 @@ def parse_action(text: str) -> PermutationAction:
     names: Optional[list[str]] = None
     rows: list[list[str]] = []
     perm_lines: dict[str, dict[str, str]] = {}
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        line = lines[i].split("#", 1)[0].strip()
-        i += 1
-        if not line:
-            continue
-        parts = line.split()
+    lines = Directives(text)
+    for parts in lines:
+        i = lines.line
         if parts[0] == "labels":
             labels = tuple(parts[1:])
         elif parts[0] == "elements":
@@ -248,15 +244,7 @@ def parse_action(text: str) -> PermutationAction:
         elif parts[0] == "table":
             if names is None:
                 raise ParseError("table before elements", line=i)
-            while i < len(lines):
-                row_line = lines[i].split("#", 1)[0].strip()
-                i += 1
-                if row_line == "end":
-                    break
-                if row_line:
-                    rows.append(row_line.split())
-            else:
-                raise ParseError("unterminated table (missing 'end')", line=i)
+            rows.extend(lines.table())
         elif parts[0] == "perm":
             if len(parts) < 2:
                 raise ParseError("perm needs a group element name", line=i)

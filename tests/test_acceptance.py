@@ -166,7 +166,7 @@ def test_criterion_4_midpoint_certification():
                 d, valid = ctx.pair_distance(x, y)
                 if not valid or d < 20 * delta:
                     continue
-                cert = midpoint_certify(ctx, sub, x, y, delta)
+                cert = midpoint_certify(ctx, afp, x, y, delta)
                 total_pairs += 1
                 counterexamples += len(cert.counterexamples)
     elapsed = time.monotonic() - start

@@ -144,6 +144,9 @@ def test_config_file_merge_and_override(tmp_path):
     # explicit flag wins over the config value
     _, out2, _ = invoke(argv + ["--radius", "3"])
     assert records_of(out2)[0]["config"]["radius"] == 3
+    # so does an abbreviated one, which argparse expands
+    _, out3, _ = invoke(argv + ["--rad", "2"])
+    assert records_of(out3)[0]["config"]["radius"] == 2
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("radius: 5\n")

@@ -74,7 +74,8 @@ def test_almost_fixed_set_monotone_in_threshold(ctx_f2xz2, h_central):
 def test_almost_fixed_set_counts_add_up(ctx_f2xz2, h_central):
     afp = almost_fixed_set(ctx_f2xz2, h_central, 1)
     assert afp.size + afp.excluded <= afp.total
-    assert all(afp.diameters[v] <= 1 for v in afp.members)
+    assert len(afp.orbits) == afp.total
+    assert all(afp.orbits[v][0] <= 1 for v in afp.members)
 
 
 def test_almost_fixed_set_equivariance(ctx_f2xz2, h_central, f2xz2):
@@ -108,7 +109,7 @@ def test_midpoint_certify_nonvacuous(ctx_f2xz2, h_central):
     afp = almost_fixed_set(ctx_f2xz2, h_central, 6 * delta)
     done = 0
     for x, y, _ in far_pairs(ctx_f2xz2, afp.members, delta):
-        cert = midpoint_certify(ctx_f2xz2, h_central, x, y, delta)
+        cert = midpoint_certify(ctx_f2xz2, afp, x, y, delta)
         assert cert.ok and cert.certified
         assert cert.geodesics_examined >= 1
         done += 1
@@ -122,9 +123,9 @@ def test_midpoint_certify_preconditions(ctx_f2xz2, h_central):
     d, _ = ctx_f2xz2.pair_distance(x, y)
     if d < 20 * delta:
         with pytest.raises(InputError):
-            midpoint_certify(ctx_f2xz2, h_central, x, y, delta)
+            midpoint_certify(ctx_f2xz2, afp, x, y, delta)
     with pytest.raises(InputError):
-        midpoint_certify(ctx_f2xz2, h_central, x, y, Fraction(-1))
+        midpoint_certify(ctx_f2xz2, afp, x, y, Fraction(-1))
 
 
 class _CountingContext(CayleyContext):
@@ -233,7 +234,7 @@ def test_midpoint_certify_bfs_slot(f2xz2, h_central):
     random.Random(0).shuffle(shuffled)
     for order in (pairs, shuffled):
         for pair in order:
-            assert midpoint_certify(ctx, h_central, *pair, delta).to_record() == want[pair]
+            assert midpoint_certify(ctx, afp, *pair, delta).to_record() == want[pair]
 
 
 class _DistanceCountingContext(CayleyContext):
@@ -244,9 +245,10 @@ class _DistanceCountingContext(CayleyContext):
         return super().pair_distance(u, v)
 
 
-def test_midpoint_certify_orbit_memo(f2xz2, h_central):
-    # certificates from one context, whose memo fills as it goes, equal those
-    # of a fresh context; once every vertex is known only d(x, y) is measured
+def test_midpoint_certify_orbit_table(f2xz2, h_central):
+    # midpoints read every orbit diameter off the almost-fixed set's table:
+    # each call measures d(x, y) and nothing else, in any order, and gives
+    # the certificate of a fresh context
     ball = build_ball(f2xz2, 5)
     ctx = _DistanceCountingContext(ball)
     delta = Fraction(1, 6)
@@ -258,25 +260,26 @@ def test_midpoint_certify_orbit_memo(f2xz2, h_central):
     for order in (pairs, shuffled):
         for pair in order:
             ctx.distance_calls = 0
-            got = midpoint_certify(ctx, h_central, *pair, delta)
-            assert got == midpoint_certify(CayleyContext(ball), h_central, *pair, delta)
+            got = midpoint_certify(ctx, afp, *pair, delta)
+            assert ctx.distance_calls == 1
+            assert got == midpoint_certify(CayleyContext(ball), afp, *pair, delta)
             certified.update(got.certified)
-            if order is shuffled:
-                assert ctx.distance_calls == 1
     assert certified
-    # a different subgroup on the same context does not read the memo
+    # the trivial subgroup's set gives the trivial subgroup's certificate:
+    # every orbit is a point
     trivial = verify_subgroup(f2xz2, {f2xz2.identity})
-    for sub in (trivial, h_central):
-        assert midpoint_certify(ctx, sub, *pairs[0], delta) == midpoint_certify(
-            CayleyContext(ball), sub, *pairs[0], delta)
-    # an escaping endpoint raises the same message from the memo
+    trivial_afp = almost_fixed_set(ctx, trivial, 0)
+    cert = midpoint_certify(ctx, trivial_afp, *pairs[0], delta)
+    assert cert.to_record() == _reference_certificate(ctx, trivial, *pairs[0], delta)
+    assert cert.certified and all(diam == 0 for _, diam in cert.certified)
+    assert cert != midpoint_certify(ctx, afp, *pairs[0], delta)
+    # an escaping endpoint raises the message of orbit()'s WindowError
     deep = ball.vertex_id(f2xz2.parse("a*a*a*a*a"))
-    messages = []
-    for c in (ctx, ctx, CayleyContext(ball)):
-        with pytest.raises(InputError, match="window-invalid orbit: image") as err:
-            midpoint_certify(c, h_central, deep, 0, delta)
-        messages.append(str(err.value))
-    assert len(set(messages)) == 1
+    with pytest.raises(WindowError) as escape:
+        orbit(ctx, h_central, deep)
+    with pytest.raises(InputError) as err:
+        midpoint_certify(ctx, afp, deep, 0, delta)
+    assert str(err.value) == f"endpoint {deep} has a window-invalid orbit: {escape.value}"
 
 
 class _RiggedContext(ActionContext):
@@ -297,7 +300,7 @@ def test_midpoint_certify_detects_counterexample():
     # endpoints are fixed, but an interior vertex has a large orbit
     ctx = _RiggedContext(11)
     subgroup = [{}, {5: 8, 8: 5}]
-    cert = midpoint_certify(ctx, subgroup, 0, 10, Fraction(0))
+    cert = midpoint_certify(ctx, almost_fixed_set(ctx, subgroup, 0), 0, 10, Fraction(0))
     assert not cert.ok
     assert any(z == 5 and diam >= 3 for z, diam in cert.counterexamples)
     # vertices off the swapped pair still certify
