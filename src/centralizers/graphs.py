@@ -20,7 +20,8 @@ import numpy as np
 from .errors import BudgetError, GraphError, InputError
 
 # bytes the delta scan may hold in its n^2-or-larger arrays: the distance
-# matrix, and in exhaustive mode also the pair index and the ``far`` rows
+# matrix, and in exhaustive mode also the pair index, the ``far`` rows, the
+# interval index and the rows of one target's pass
 DELTA_MEMORY_BUDGET = 256 * 2**20
 
 
@@ -215,54 +216,71 @@ def _triangle_thinness(sides) -> int:
     return worst
 
 
-def _exhaustive_scan(graph, dmat, ok) -> DeltaEstimate:
-    """Every valid triangle x < y < z, all z of a pair (x, y) in one pass.
+def _target_rows(dmat, ok):
+    """``pid``, ``far`` rows and intervals of the valid pairs p < q, by target q:
+    ``_PairData``'s recursion reads only neighbours one step closer to q, which
+    stay in I(p, q), so one pass over q's intervals gives far(p, q) = best[p]."""
+    n = len(dmat)
+    qs, ps = np.nonzero(np.tril(ok, -1))  # grouped by target q
+    bounds = np.searchsorted(qs, np.arange(n + 1))
+    targets = [(q, ps[bounds[q]:bounds[q + 1]]) for q in np.flatnonzero(np.diff(bounds)).tolist()]
+    src, dst = np.nonzero(dmat == 1)  # every edge, both ways round
+    # far values are window distances or -1, so the narrowest signed type
+    # that holds -max - 1 never wraps; vertex ids take the narrowest unsigned
+    dtype, vtype = np.min_scalar_type(-int(dmat.max()) - 1), np.min_scalar_type(n - 1)
+    # rows: one per pair, one per vertex for q's pass, and one per edge that
+    # a level gathers (an edge is "closer" one way at most)
+    need = dmat.nbytes + 8 * n * n + (len(ps) + n + len(src) // 2) * n * dtype.itemsize
+    _check_budget(need, what := f"the exhaustive scan of {len(ps)} pairs")
+    # pair i's interval is verts[start[i]:start[i + 1]], ascending
+    start = np.cumsum(np.concatenate([[0]] + [np.count_nonzero(
+        dmat[P] + dmat[q] == dmat[P, q, None], axis=1) for q, P in targets]))
+    _check_budget(need + start.nbytes + int(start[-1]) * vtype.itemsize, what)
+    pid = np.full((n, n), -1, dtype=np.int64)
+    pid[ps, qs] = pid[qs, ps] = np.arange(len(ps))
+    far, best = np.empty((len(ps), n), dtype=dtype), np.empty((n, n), dtype=dtype)
+    verts = np.empty(int(start[-1]), dtype=vtype)
+    for q, P in targets:
+        on = dmat[P] + dmat[q] == dmat[P, q, None]
+        verts[start[bounds[q]]:start[bounds[q + 1]]] = np.nonzero(on)[1]
+        dq = best[q] = dmat[q]
+        e = np.flatnonzero(on.any(axis=0)[src] & (dq[dst] == dq[src] - 1))  # closer edges
+        ws, ss, lv = src[e], dst[e], dq[src[e]]
+        for level in range(1, int(dq[P].max()) + 1):  # the edges of a level, by w
+            w, s = ws[lv == level], ss[lv == level]
+            heads = np.flatnonzero(np.concatenate(([True], w[1:] != w[:-1])))
+            best[w[heads]] = np.minimum(dmat[w[heads]], np.maximum.reduceat(best[s], heads))
+        far[bounds[q]:bounds[q + 1]] = best[P]
+    return pid, far, verts, start
 
-    Each valid pair p < q gets one row of ``far`` (see ``_PairData``), and
-    ``pid`` maps a pair either way round to its row.  For a pair (x, y) and
-    all valid z > y at once, a side's score is the max over its geodesic
-    interval of min(far of the other two sides), as in
-    ``_triangle_thinness``; the intervals of xz and yz are masks read off
-    ``dmat``.  The witness is the first triangle in (x, y, z) order that
-    reaches the final delta.
-    """
-    n = graph.n
-    ps, qs = np.nonzero(np.triu(ok, 1))  # row-major, so (x, y) in lexicographic order
-    # far values are window distances (or -1), so the narrowest type that
-    # holds the largest one never wraps
-    top = int(dmat.max())
-    dtype = next(t for t in (np.int8, np.int16, np.int32) if top <= np.iinfo(t).max)
-    _check_budget(dmat.nbytes + 4 * n * n + len(ps) * n * np.dtype(dtype).itemsize,
-                  f"the exhaustive scan of {len(ps)} pairs")
-    pid = np.full((n, n), -1, dtype=np.int32)
-    pid[ps, qs] = pid[qs, ps] = np.arange(len(ps), dtype=np.int32)
-    far = np.empty((len(ps), n), dtype=dtype)
-    for i, (p, q) in enumerate(zip(ps.tolist(), qs.tolist())):
-        far[i] = _PairData(graph, dmat, p, q).far
 
-    best = 0
-    witness = None
-    count = 0
-    for i, (x, y) in enumerate(zip(ps.tolist(), qs.tolist())):
-        zs = np.flatnonzero(ok[x, y + 1:] & ok[y, y + 1:]) + (y + 1)
-        if not zs.size:
-            continue
-        f_xy, f_xz, f_yz = far[i], far[pid[x, zs]], far[pid[y, zs]]
-        on_xy = dmat[x] + dmat[y] == dmat[x, y]
-        d_z = dmat[zs]
-        on_xz = dmat[x] + d_z == dmat[x, zs, None]
-        on_yz = dmat[y] + d_z == dmat[y, zs, None]
-        # every score is >= 0 on its interval, so 0 off it changes no max
-        thin = np.maximum.reduce([
-            np.minimum(f_xz[:, on_xy], f_yz[:, on_xy]).max(axis=1),
-            np.where(on_xz, np.minimum(f_xy, f_yz), 0).max(axis=1),
-            np.where(on_yz, np.minimum(f_xy, f_xz), 0).max(axis=1),
-        ])
-        j = int(thin.argmax())
-        count += zs.size
-        if thin[j] > best:
-            best = int(thin[j])
-            witness = (x, y, int(zs[j]))
+def _exhaustive_scan(dmat, ok) -> DeltaEstimate:
+    """Every valid triangle x < y < z, all (y, z) of an x in a few passes, each
+    side read only on its interval; the witness is the first triangle in
+    (x, y, z) order that reaches the final delta."""
+    n = len(dmat)
+    pid, far, verts, start = _target_rows(dmat, ok)
+    flat, size = far.ravel(), np.diff(start)
+    # 3 * block sides of <= max(size) vertices: index arrays of <= n^2 entries
+    block = max(1, n * n // (3 * int(size.max(initial=1))))
+    best, witness, count = 0, None, 0
+    for x in range(n):
+        ys = np.flatnonzero(ok[x, x + 1:]) + (x + 1)
+        iy, iz = np.nonzero(np.triu(ok[np.ix_(ys, ys)], 1))  # (y, z) in order
+        count += iy.size
+        for a in range(0, iy.size, block):
+            y, z = ys[iy[a:a + block]], ys[iz[a:a + block]]
+            xy, xz, yz = pid[x, y], pid[x, z], pid[y, z]
+            # as in _triangle_thinness: max over a side of min(far of the others)
+            side, f, g = (np.concatenate(t) for t in ((xy, xz, yz), (xz, xy, xy), (yz, yz, xz)))
+            m = size[side]
+            seg = np.cumsum(m) - m
+            v = verts[np.repeat(start[side] - seg, m) + np.arange(seg[-1] + m[-1])]
+            low = np.minimum(flat[np.repeat(f * n, m) + v], flat[np.repeat(g * n, m) + v])
+            thin = np.maximum.reduceat(low, seg).reshape(3, -1).max(axis=0)
+            j = int(thin.argmax())
+            if thin[j] > best:
+                best, witness = int(thin[j]), (x, int(y[j]), int(z[j]))
     return DeltaEstimate(best, count, True, witness, "exhaustive")
 
 
@@ -281,10 +299,12 @@ def estimate_delta(graph: FiniteMetricGraph, mode: str = "exhaustive",
         raise InputError("empty window")
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown delta mode {mode!r}")
+    if samples < 0:
+        raise InputError(f"samples must be >= 0, got {samples}")
     dmat = distance_matrix(graph)
     ok = graph.valid_pairs(dmat)
     if mode == "exhaustive":
-        return _exhaustive_scan(graph, dmat, ok)
+        return _exhaustive_scan(dmat, ok)
 
     # a sampled pair is rarely met again, so its data is built on demand
     rng = random.Random(seed)

@@ -4,6 +4,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centralizers import extraction
 from centralizers.cli import (
@@ -15,6 +17,7 @@ from centralizers.cli import (
     load_config_file,
     run,
 )
+from centralizers.groupfile import BUILTIN_NAMES
 
 
 def invoke(argv):
@@ -120,6 +123,47 @@ def test_error_exit_codes(tmp_path):
     assert invoke(["afp", "--family", "F2", "--subgroup", "t", "--delta", "0"])[0] == EXIT_INPUT
     assert invoke(["ball", "--family", "F2", "--radius", "9", "--budget", "50"])[0] == EXIT_BUDGET
     assert invoke(["delta", "--family", "F2"] )[0] == EXIT_OK
+
+
+def test_negative_sample_counts_exit_2():
+    # a negative count used to scan 0 triangles and report delta >= 0, which
+    # then set the farey almost-fixed threshold to 6 * 0
+    for argv in (["farey", "--depth", "3", "--delta-mode", "sampled", "--delta-samples", "-5"],
+                 ["delta", "--family", "F2", "--radius", "1", "--mode", "sampled",
+                  "--samples", "-1"]):
+        code, out, err = invoke(argv)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("input error: samples must be >= 0")
+
+
+@st.composite
+def delta_layer_argv(draw):
+    """``delta`` and ``farey`` runs with small windows, either delta mode and
+    sample counts that may be negative."""
+    counts = st.integers(-5, 60)
+    modes = st.sampled_from(["exhaustive", "sampled"])
+    if draw(st.booleans()):
+        argv = ["delta", "--family", draw(st.sampled_from(BUILTIN_NAMES)),
+                "--radius", str(draw(st.integers(-1, 3))), "--mode", draw(modes),
+                "--samples", str(draw(counts))]
+        if draw(st.booleans()):
+            argv += ["--budget", str(draw(st.integers(0, 50)))]
+    else:
+        argv = ["farey", "--depth", str(draw(st.integers(-1, 5))),
+                "--subgroup-name", draw(st.sampled_from(["S4", "ST6", "center2"])),
+                "--delta-mode", draw(modes), "--delta-samples", str(draw(counts))]
+        if draw(st.booleans()):
+            argv += ["--delta-depth", str(draw(st.integers(-1, 5)))]
+    return argv + ["--seed", str(draw(st.integers(0, 3)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(delta_layer_argv())
+def test_delta_layer_exits_with_documented_codes(argv):
+    code, out, err = invoke(argv)
+    assert code in (EXIT_OK, EXIT_NONE_FOUND, EXIT_INPUT, EXIT_BUDGET, EXIT_INVARIANT)
+    assert "Traceback" not in err
+    assert (out == "") == (code != EXIT_OK)
 
 
 def test_out_file_and_summary_split(tmp_path):

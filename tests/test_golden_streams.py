@@ -2,10 +2,11 @@
 
 The calls are the four criterion-9 configurations, the README's
 ``afp ... --radius 4 --certify`` example, the README's exhaustive
-``farey --depth 6`` example and the three calls of the benchmark's
-``cayley`` workload at ``--seed 1``.  A change that is meant to leave the
-reports alone must leave these digests alone; a change that alters a stream on
-purpose updates its digest here and says why in CHANGES.md.
+``farey --depth 6`` example, the three calls of the benchmark's ``cayley``
+workload at ``--seed 1`` and two exhaustive ``delta`` scans of Cayley balls.
+A change that is meant to leave the reports alone must leave these digests
+alone; a change that alters a stream on purpose updates its digest here and
+says why in CHANGES.md.
 """
 
 import hashlib
@@ -61,6 +62,18 @@ CAYLEY_WORKLOAD = [
 ]
 
 
+# the README's exhaustive `delta` example and the F2xZ2 ball of radius 3,
+# whose 4-cycles make delta 1; kept apart from GOLDEN so that its ids stay
+EXHAUSTIVE_CAYLEY = [
+    (["delta", "--family", "Z2*Z3", "--radius", "6"],
+     "904d87838341cec06d34c5dd34a955ab0058ce77b36885502cb024a884a10ad0",
+     "3e543574deae4916232646e2591eb5d40e9a04ba58b1b542f75c01068c5f2219"),
+    (["delta", "--family", "F2xZ2", "--radius", "3"],
+     "08e3e723fe86775ede778b665841caa9b7d81d08611dc1c639df14b0b6464088",
+     "267034c6b9904bb49868346492224a8465e9fdfbc8d54e631a1958cd620cb65c"),
+]
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -81,4 +94,10 @@ def test_golden_stream(argv, stdout_sha, stderr_sha):
 @pytest.mark.parametrize("argv,stdout_sha,stderr_sha", CAYLEY_WORKLOAD,
                          ids=[" ".join(argv[:3]) for argv, _, _ in CAYLEY_WORKLOAD])
 def test_cayley_workload_stream(argv, stdout_sha, stderr_sha):
+    _check_stream(argv, stdout_sha, stderr_sha)
+
+
+@pytest.mark.parametrize("argv,stdout_sha,stderr_sha", EXHAUSTIVE_CAYLEY,
+                         ids=[" ".join(argv[:3]) for argv, _, _ in EXHAUSTIVE_CAYLEY])
+def test_exhaustive_cayley_stream(argv, stdout_sha, stderr_sha):
     _check_stream(argv, stdout_sha, stderr_sha)

@@ -25,7 +25,7 @@ from centralizers import (
 )
 from centralizers import graphs
 from centralizers.cli import EXIT_BUDGET, run as cli_run
-from centralizers.graphs import _PairData, _triangle_thinness, distance_matrix
+from centralizers.graphs import _PairData, _target_rows, _triangle_thinness, distance_matrix
 
 
 def cycle_graph(n):
@@ -200,10 +200,12 @@ def test_delta_exact_beyond_64_geodesics():
     g = grid_graph(5)
     assert len(all_geodesics(g, 0, 24, cap=10**6)[0]) == 70
     dmat = distance_matrix(g)
+    pid, far, _, _ = _target_rows(dmat, g.valid_pairs(dmat))
     for p, q in itertools.combinations(range(g.n), 2):
         paths, _ = all_geodesics(g, p, q, cap=10**6)
         worst = np.max([dmat[:, list(path)].min(axis=1) for path in paths], axis=0)
         assert np.array_equal(_PairData(g, dmat, p, q).far, worst)
+        assert np.array_equal(far[pid[p, q]], worst)
     est = estimate_delta(g)
     assert est.delta == 4
     assert est.to_record()["geodesics_capped"] is False
@@ -284,23 +286,98 @@ def test_batched_scan_on_cayley_windows(family, radius):
     assert_scan_matches_reference(build_ball(builtin_group(family), radius))
 
 
-def test_batched_scan_past_int8_distances():
-    # a 4-cycle a-b-c-d with a 128-vertex path hanging off c: distances reach
-    # 130, so the far rows are int16.  Only the triangles through the path's
-    # last two vertices are valid (their base length is 0, every other
-    # vertex's is out of reach).  On (a, p127, p128), b and d are 1 from a
-    # geodesic of side a-p127 and 128 from side p127-p128: a store that
-    # wrapped 128 to -128 would score this, the only 1-thin triangle, 0.
+# one graph per side of the witness triangle: a scan that read the side's
+# own far row in place of one of the other two sides' rows, on side xy, xz
+# or yz in turn, gets another result on that side's graph
+ONE_SIDE_GRAPHS = {
+    "xy": (11, [(0, 1), (0, 3), (0, 4), (0, 9), (1, 2), (2, 3), (2, 5), (3, 6), (3, 7),
+                (3, 9), (4, 9), (5, 8), (6, 8), (7, 8), (9, 10)], (2, 165, (4, 5, 6))),
+    "xz": (10, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 7), (0, 9), (1, 9), (2, 7), (3, 5),
+                (4, 8), (4, 9), (5, 6), (6, 8), (7, 8)], (2, 120, (1, 4, 6))),
+    "yz": (11, [(0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (2, 7), (2, 9), (2, 10),
+                (3, 9), (4, 5), (4, 6), (5, 6), (5, 7), (5, 8), (7, 8), (7, 9), (9, 10)],
+           (2, 165, (5, 6, 10))),
+}
+
+
+@pytest.mark.parametrize("side", ONE_SIDE_GRAPHS)
+def test_batched_scan_reads_the_other_two_sides(side):
+    n, edges, expected = ONE_SIDE_GRAPHS[side]
+    graph = graph_from_edges(n, edges)
+    assert per_triangle_delta(graph) == expected
+    assert_scan_matches_reference(graph)
+
+
+def int8_tail_graph():
+    """A 4-cycle a-b-c-d with a 128-vertex path hanging off c.
+
+    Distances reach 130, so the far rows are int16.  Only the triangles
+    through the path's last two vertices p127 = 0 and p128 = 1 are valid
+    (their base length is 0, every other vertex's is out of reach).
+    """
     n = 132
     p127, p128, a, b, c, d = 0, 1, 2, 3, 4, 5
     path = [c] + list(range(6, n)) + [p127, p128]
     edges = [(a, b), (b, c), (c, d), (d, a)] + list(zip(path, path[1:]))
     lengths = tuple(0 if v in (p127, p128) else 10**6 for v in range(n))
-    graph = graph_from_edges(n, edges, lengths, radius=131)
+    return graph_from_edges(n, edges, lengths, radius=131)
+
+
+def test_batched_scan_past_int8_distances():
+    # On (a, p127, p128) = (2, 0, 1), b and d are 1 from a geodesic of side
+    # a-p127 and 128 from side p127-p128: a store that wrapped 128 to -128
+    # would score this, the only 1-thin triangle, 0.
+    graph = int8_tail_graph()
     assert distance_matrix(graph).max() == 130
     est = estimate_delta(graph)
     assert (est.delta, est.triangles, est.witness) == per_triangle_delta(graph)
-    assert (est.delta, est.triangles, est.witness) == (1, n - 2, (p127, p128, a))
+    assert (est.delta, est.triangles, est.witness) == (1, graph.n - 2, (0, 1, 2))
+
+
+# --- far rows by target against the per-pair rows -----------------------------
+
+def assert_target_rows_match_pair_data(graph):
+    """Every valid pair's row and interval equal ``_PairData``'s; no other pair has one."""
+    dmat = distance_matrix(graph)
+    ok = graph.valid_pairs(dmat)
+    pid, far, verts, start = _target_rows(dmat, ok)
+    assert np.array_equal(pid >= 0, ok & ~np.eye(graph.n, dtype=bool))
+    assert np.array_equal(pid, pid.T) and len(far) == len(start) - 1 == np.triu(ok, 1).sum()
+    for p, q in zip(*np.nonzero(np.triu(ok, 1))):
+        ref = _PairData(graph, dmat, int(p), int(q))
+        i = pid[p, q]
+        assert np.array_equal(far[i], ref.far)
+        assert np.array_equal(verts[start[i]:start[i + 1]], ref.verts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_cases())
+def test_target_rows_match_pair_data(graph):
+    assert_target_rows_match_pair_data(graph)
+
+
+@pytest.mark.parametrize("depth", range(7))
+def test_target_rows_on_farey_windows(depth):
+    assert_target_rows_match_pair_data(build_window(depth))
+
+
+@pytest.mark.parametrize("family,radius", [("F2xZ2", 3), ("F2xZ3", 2), ("Z2*Z3", 5),
+                                           ("Z2*Z2", 6)])
+def test_target_rows_on_cayley_windows(family, radius):
+    assert_target_rows_match_pair_data(build_ball(builtin_group(family), radius))
+
+
+def test_target_rows_past_int8_distances():
+    graph = int8_tail_graph()
+    dmat = distance_matrix(graph)
+    assert _target_rows(dmat, graph.valid_pairs(dmat))[1].dtype == np.int16
+    assert_target_rows_match_pair_data(graph)
+
+
+def test_exhaustive_scan_on_depth_7_farey_window():
+    # 256 slopes, 32,640 pairs; the value the per-pair scan gave
+    est = estimate_delta(build_window(7))
+    assert (est.delta, est.triangles, est.witness) == (1, 2763520, (0, 1, 3))
 
 
 def test_delta_budget_checked_before_allocation():
@@ -320,13 +397,30 @@ def test_delta_budget_checked_before_allocation():
 
 def test_delta_budget_covers_far_rows(monkeypatch):
     graph = cycle_graph(40)  # 780 valid pairs of 40 int8 far values each
-    fixed = 2 * 4 * 40 * 40  # distance matrix and pair index
-    monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", fixed + 780 * 40 - 1)
+    fixed = (4 + 8) * 40 * 40  # int32 distance matrix and int64 pair index
+    # int8 rows: one per pair, one per vertex for a target's pass, one per edge
+    rows = (780 + 40 + 40) * 40
+    # interval index: int64 offsets and uint8 vertex ids; a pair at distance
+    # d < 20 has d + 1 interval vertices, each of the 20 antipodal pairs all 40
+    intervals = 8 * 781 + 40 * sum(d + 1 for d in range(1, 20)) + 20 * 40
+    need = fixed + rows + intervals
+    monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", need - 1)
     with pytest.raises(BudgetError):
         estimate_delta(graph)
     assert estimate_delta(graph, mode="sampled", samples=10).triangles == 10
-    monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", fixed + 780 * 40)
+    monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", need)
     assert estimate_delta(graph).triangles == 40 * 39 * 38 // 6
+    # without the interval index the rows alone fit, so the second check raises
+    monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", fixed + rows)
+    with pytest.raises(BudgetError):
+        estimate_delta(graph)
+
+
+def test_negative_sample_counts_are_input_errors():
+    for mode in ("exhaustive", "sampled"):
+        with pytest.raises(InputError):
+            estimate_delta(cycle_graph(5), mode=mode, samples=-1)
+    assert estimate_delta(cycle_graph(5), mode="sampled", samples=0).triangles == 0
 
 
 def test_farey_depth_10_exceeds_delta_budget():
