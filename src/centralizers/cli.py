@@ -12,6 +12,7 @@ Exit codes: 0 ok / certificates found, 1 extraction found none,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -403,8 +404,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        with contextlib.redirect_stderr(stderr):  # argparse's usage errors
+            args = parser.parse_args(argv)
         if args.config:
             args = _apply_config(parser, args, argv)
         inputs = {
@@ -413,6 +415,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         }
         report = Report(getattr(args, "seed", 0), inputs)
         code = _COMMANDS[args.subcommand](args, report)
+    except SystemExit as exc:  # argparse exits 2 on a bad command line
+        return exc.code
     except OSError as exc:
         print(f"file error: {exc}", file=stderr)
         return EXIT_INPUT

@@ -20,8 +20,8 @@ import numpy as np
 from .errors import BudgetError, GraphError, InputError
 
 # bytes the delta scan may hold in its n^2-or-larger arrays: the distance
-# matrix, and in exhaustive mode also the pair index, the ``far`` rows, the
-# interval index and the rows of one target's pass
+# matrix, the rows of one target's pass and the interval index, and also the
+# pair index and ``far`` rows when exhaustive, the sample's arrays when sampled
 DELTA_MEMORY_BUDGET = 256 * 2**20
 
 
@@ -176,81 +176,81 @@ class DeltaEstimate:
         }
 
 
-class _PairData:
-    """Per-pair geodesic data for the thin-triangle scan.
+def _ragged(starts, lengths):
+    """The ranges starts[i] : starts[i] + lengths[i], one after another."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum(), dtype=ends.dtype)
 
-    For a pair (p, q): ``verts`` is the geodesic interval of the pair, the
-    vertices lying on some geodesic, and ``far`` maps every vertex v to the
-    worst-case distance from v to a geodesic, max over geodesics g of d(v, g).
-    ``far`` is a max-min recursion over the interval from q back to p:
-    best[q] = d(., q), best[w] = min(d(., w), max of best over w's successors).
+
+def _target_passes(dmat, ps, bounds, need, what, rows=0, uses=0):
+    """The target passes over the pairs (ps[i], q), bounds[q] <= i < bounds[q + 1].
+
+    First yields the pairs' intervals, pair i's verts[start[i]:start[i + 1]]
+    in ascending order, and the dtype of far values.  Before storing them it
+    holds to the budget ``need`` bytes, ``rows`` far rows, the passes' rows
+    (one per vertex, one per edge a level gathers), the intervals and
+    ``uses[i]`` far values per vertex of pair i's interval.  Then yields, per
+    target q in ascending order, q once ``best[p]`` is far(p, q) for each of
+    its pairs: the worst case over p-q geodesics g of d(., g).  The max-min
+    recursion best[q] = d(., q), best[w] = min(d(., w), max of best over w's
+    neighbours one step closer to q) stays in I(p, q), so one pass over q's
+    BFS levels serves every p.
     """
+    n, (src, dst) = len(dmat), np.nonzero(dmat == 1)  # every edge, both ways round
+    # far values are distances or -1: the narrowest type that holds -max - 1
+    dtype, vtype = np.min_scalar_type(-int(dmat.max()) - 1), np.min_scalar_type(n - 1)
+    need += (rows + n + len(src) // 2) * n * dtype.itemsize
+    _check_budget(need, what)
 
-    __slots__ = ("verts", "far")
+    def on(q):
+        P = ps[bounds[q]:bounds[q + 1]]
+        return dmat[P] + dmat[q] == dmat[P, q, None]
 
-    def __init__(self, graph, dmat, p, q):
-        layers = geodesic_layers(graph, p, q, dmat[q].tolist())
-        self.verts = np.array(sorted(w for layer in layers for w in layer), dtype=np.int64)
-        best = {q: dmat[q]}
-        for layer in reversed(layers[:-1]):
-            above = best
-            best = {}
-            for w in layer:
-                succ = [above[s] for s in graph.adjacency[w] if s in above]
-                best[w] = np.minimum(dmat[w], succ[0] if len(succ) == 1
-                                     else np.maximum.reduce(succ))
-        self.far = best[p]
-
-
-def _triangle_thinness(sides) -> int:
-    # worst case over independent geodesic choices for the three sides:
-    # for a vertex v on a geodesic of one side, the adversarial distance to
-    # the union of the other two sides is min(far_1[v], far_2[v]).
-    worst = 0
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        v = sides[a].verts
-        val = int(np.minimum(sides[b].far[v], sides[c].far[v]).max())
-        if val > worst:
-            worst = val
-    return worst
+    targets = np.flatnonzero(np.diff(bounds)).tolist()
+    start = np.cumsum(np.concatenate([[0]] + [np.count_nonzero(on(q), axis=1) for q in targets]))
+    _check_budget(need + start.nbytes + int(start[-1]) * vtype.itemsize
+                  + int((np.diff(start) * uses).sum()) * dtype.itemsize, what)
+    del uses  # a per-pair count the caller need not keep
+    verts = np.empty(int(start[-1]), dtype=vtype)
+    for q in targets:
+        verts[start[bounds[q]]:start[bounds[q + 1]]] = np.nonzero(on(q))[1]
+    yield verts, start, dtype
+    best, inside = np.empty((n, n), dtype=dtype), np.zeros(n, dtype=bool)
+    for q in targets:
+        lo, hi = bounds[q], bounds[q + 1]
+        inside[:] = False
+        inside[verts[start[lo]:start[hi]]] = True
+        dq = best[q] = dmat[q]
+        e = np.flatnonzero(inside[src] & (dq[dst] == dq[src] - 1))  # closer edges
+        e = e[np.argsort(dq[src[e]], kind="stable")]  # by level, then by w
+        ws, ss = src[e], dst[e]
+        bound = np.flatnonzero(np.concatenate(([True], ws[1:] != ws[:-1], [True])))
+        heads, many = bound[:-1], np.diff(bound)  # each w once, by level
+        cut = np.searchsorted(dq[ws[heads]], np.arange(1, int(dq[ps[lo:hi]].max()) + 2))
+        for a, b in zip(cut[:-1].tolist(), cut[1:].tolist()):  # a level's w's
+            h, k = heads[a:b], many[a:b]
+            far = best[ss[h]]
+            for r in range(1, int(k.max())):  # the r-th closer neighbour, where w has one
+                i = np.flatnonzero(k > r)
+                far[i] = np.maximum(far[i], best[ss[h[i] + r]])
+            best[ws[h]] = np.minimum(far, dmat[ws[h]], out=far, casting="unsafe")
+        yield q, best
 
 
 def _target_rows(dmat, ok):
-    """``pid``, ``far`` rows and intervals of the valid pairs p < q, by target q:
-    ``_PairData``'s recursion reads only neighbours one step closer to q, which
-    stay in I(p, q), so one pass over q's intervals gives far(p, q) = best[p]."""
+    """``pid``, ``far`` rows and intervals of the valid pairs p < q."""
     n = len(dmat)
     qs, ps = np.nonzero(np.tril(ok, -1))  # grouped by target q
     bounds = np.searchsorted(qs, np.arange(n + 1))
-    targets = [(q, ps[bounds[q]:bounds[q + 1]]) for q in np.flatnonzero(np.diff(bounds)).tolist()]
-    src, dst = np.nonzero(dmat == 1)  # every edge, both ways round
-    # far values are window distances or -1, so the narrowest signed type
-    # that holds -max - 1 never wraps; vertex ids take the narrowest unsigned
-    dtype, vtype = np.min_scalar_type(-int(dmat.max()) - 1), np.min_scalar_type(n - 1)
-    # rows: one per pair, one per vertex for q's pass, and one per edge that
-    # a level gathers (an edge is "closer" one way at most)
-    need = dmat.nbytes + 8 * n * n + (len(ps) + n + len(src) // 2) * n * dtype.itemsize
-    _check_budget(need, what := f"the exhaustive scan of {len(ps)} pairs")
-    # pair i's interval is verts[start[i]:start[i + 1]], ascending
-    start = np.cumsum(np.concatenate([[0]] + [np.count_nonzero(
-        dmat[P] + dmat[q] == dmat[P, q, None], axis=1) for q, P in targets]))
-    _check_budget(need + start.nbytes + int(start[-1]) * vtype.itemsize, what)
+    # besides the passes: the int64 pair index and one far row per pair
+    passes = _target_passes(dmat, ps, bounds, dmat.nbytes + 8 * n * n,
+                            f"the exhaustive scan of {len(ps)} pairs", rows=len(ps))
+    verts, start, dtype = next(passes)
     pid = np.full((n, n), -1, dtype=np.int64)
     pid[ps, qs] = pid[qs, ps] = np.arange(len(ps))
-    far, best = np.empty((len(ps), n), dtype=dtype), np.empty((n, n), dtype=dtype)
-    verts = np.empty(int(start[-1]), dtype=vtype)
-    for q, P in targets:
-        on = dmat[P] + dmat[q] == dmat[P, q, None]
-        verts[start[bounds[q]]:start[bounds[q + 1]]] = np.nonzero(on)[1]
-        dq = best[q] = dmat[q]
-        e = np.flatnonzero(on.any(axis=0)[src] & (dq[dst] == dq[src] - 1))  # closer edges
-        ws, ss, lv = src[e], dst[e], dq[src[e]]
-        for level in range(1, int(dq[P].max()) + 1):  # the edges of a level, by w
-            w, s = ws[lv == level], ss[lv == level]
-            heads = np.flatnonzero(np.concatenate(([True], w[1:] != w[:-1])))
-            best[w[heads]] = np.minimum(dmat[w[heads]], np.maximum.reduceat(best[s], heads))
-        far[bounds[q]:bounds[q + 1]] = best[P]
+    far = np.empty((len(ps), n), dtype=dtype)
+    for q, best in passes:
+        far[bounds[q]:bounds[q + 1]] = best[ps[bounds[q]:bounds[q + 1]]]
     return pid, far, verts, start
 
 
@@ -271,17 +271,73 @@ def _exhaustive_scan(dmat, ok) -> DeltaEstimate:
         for a in range(0, iy.size, block):
             y, z = ys[iy[a:a + block]], ys[iz[a:a + block]]
             xy, xz, yz = pid[x, y], pid[x, z], pid[y, z]
-            # as in _triangle_thinness: max over a side of min(far of the others)
+            # a side's thinness: max over its interval of min(far of the others)
             side, f, g = (np.concatenate(t) for t in ((xy, xz, yz), (xz, xy, xy), (yz, yz, xz)))
             m = size[side]
-            seg = np.cumsum(m) - m
-            v = verts[np.repeat(start[side] - seg, m) + np.arange(seg[-1] + m[-1])]
+            v = verts[_ragged(start[side], m)]
             low = np.minimum(flat[np.repeat(f * n, m) + v], flat[np.repeat(g * n, m) + v])
-            thin = np.maximum.reduceat(low, seg).reshape(3, -1).max(axis=0)
+            thin = np.maximum.reduceat(low, np.cumsum(m) - m).reshape(3, -1).max(axis=0)
             j = int(thin.argmax())
             if thin[j] > best:
                 best, witness = int(thin[j]), (x, int(y[j]), int(z[j]))
     return DeltaEstimate(best, count, True, witness, "exhaustive")
+
+
+def _sampled_scan(dmat, ok, samples, seed) -> DeltaEstimate:
+    """Up to ``samples`` distinct valid triangles x < y < z drawn at random,
+    each side scored as in ``_exhaustive_scan`` from far rows gathered during
+    the target passes of the sampled pairs; the witness is the first triangle
+    in draw order that reaches the final delta."""
+    n = len(dmat)
+    total = n * (n - 1) * (n - 2) // 6
+    # per triangle: its int64 draw key and, per side, its int32 pair id,
+    # interval length and score offset, and the int32 pair ids and pass-order
+    # places of the two sides that score it
+    need = dmat.nbytes + (8 + 4 * 3 * 7) * min(samples, total)
+    _check_budget(need, what := f"a sample of {min(samples, total)} triangles")
+    rng, seen, drawn, attempts = random.Random(seed), set(), [], 0
+    # a triangle is met at most once, so the draw ends once every one has been
+    while len(drawn) < samples and attempts < samples * 20 and len(seen) < total:
+        attempts += 1
+        x, y, z = sorted(rng.sample(range(n), 3))
+        key = (x * n + y) * n + z
+        if key not in seen:
+            seen.add(key)
+            if ok[x, y] and ok[x, z] and ok[y, z]:
+                drawn.append(key)
+    if not drawn:
+        return DeltaEstimate(0, 0, False, None, "sampled", seed)
+    tri = np.array(drawn)
+    del seen, ok, drawn
+    x, y, z = np.unravel_index(tri, (n, n, n))
+    # entry 3t + a is side a (xy, xz or yz) of triangle t; a pair keyed by
+    # target first, the sorted pairs come grouped by target
+    pairs, side = np.unique(np.stack([y * n + x, z * n + x, z * n + y], axis=1),
+                            return_inverse=True)
+    del x, y, z
+    qs, ps = (v.astype(np.int32) for v in np.divmod(pairs, n))
+    side = side.ravel().astype(np.int32)
+    passes = _target_passes(dmat, ps, np.searchsorted(qs, np.arange(n + 1)), need, what,
+                            uses=np.bincount(side, minlength=len(ps)))
+    verts, start, dtype = next(passes)
+    size = np.diff(start).astype(np.int32)[side]
+    off = np.concatenate(([0], np.cumsum(size, dtype=np.int32)))
+    # an entry scores the min of its two other sides' far rows on its interval:
+    # item 2e + b reads the b-th of them, at the target pass of its pair
+    other = side.reshape(-1, 3)[:, [1, 2, 0, 2, 0, 1]].ravel()
+    order = np.argsort(qs[other]).astype(np.int32)
+    at = np.searchsorted(qs[other[order]], np.arange(n + 1))
+    low = np.full(int(off[-1]), np.iinfo(dtype).max, dtype=dtype)
+    for q, best in passes:
+        i = order[at[q]:at[q + 1]]
+        e = i // 2
+        k = size[e]
+        got = best[np.repeat(ps[other[i]], k), verts[_ragged(start[side[e]], k)]]
+        np.minimum.at(low, _ragged(off[e], k), got)
+    thin = np.maximum.reduceat(low, off[:-1]).reshape(-1, 3).max(axis=1)
+    j = int(thin.argmax())
+    witness = tuple(map(int, np.unravel_index(tri[j], (n, n, n)))) if thin[j] > 0 else None
+    return DeltaEstimate(int(thin[j]), len(thin), False, witness, "sampled", seed)
 
 
 def estimate_delta(graph: FiniteMetricGraph, mode: str = "exhaustive",
@@ -294,39 +350,13 @@ def estimate_delta(graph: FiniteMetricGraph, mode: str = "exhaustive",
     window means exact for that window.  The arrays of the scan are held to
     ``DELTA_MEMORY_BUDGET`` bytes; a window over it raises ``BudgetError``.
     """
-    n = graph.n
-    if n == 0:
+    if graph.n == 0:
         raise InputError("empty window")
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown delta mode {mode!r}")
     if samples < 0:
         raise InputError(f"samples must be >= 0, got {samples}")
     dmat = distance_matrix(graph)
-    ok = graph.valid_pairs(dmat)
     if mode == "exhaustive":
-        return _exhaustive_scan(dmat, ok)
-
-    # a sampled pair is rarely met again, so its data is built on demand
-    rng = random.Random(seed)
-    best = 0
-    witness = None
-    count = 0
-    seen = set()
-    attempts = 0
-    while count < samples and attempts < samples * 20:
-        attempts += 1
-        if n < 3:
-            break
-        tri = tuple(sorted(rng.sample(range(n), 3)))
-        if tri in seen:
-            continue
-        seen.add(tri)
-        x, y, z = tri
-        if ok[x, y] and ok[x, z] and ok[y, z]:
-            val = _triangle_thinness(tuple(
-                _PairData(graph, dmat, p, q) for p, q in ((x, y), (x, z), (y, z))))
-            count += 1
-            if val > best:
-                best = val
-                witness = tri
-    return DeltaEstimate(best, count, False, witness, "sampled", seed)
+        return _exhaustive_scan(dmat, graph.valid_pairs(dmat))
+    return _sampled_scan(dmat, graph.valid_pairs(dmat), samples, seed)

@@ -136,25 +136,34 @@ def test_negative_sample_counts_exit_2():
         assert err.startswith("input error: samples must be >= 0")
 
 
+# values argparse rejects for an int or a choice flag
+ILL_TYPED = ["abc", "1.5", "", "0x3", "-", "--", "both"]
+
+
 @st.composite
 def delta_layer_argv(draw):
     """``delta`` and ``farey`` runs with small windows, either delta mode and
-    sample counts that may be negative."""
+    sample counts that may be negative; now and then a flag value is ill-typed."""
+    def value(options):
+        if draw(st.integers(0, 9)) == 0:
+            return draw(st.sampled_from(ILL_TYPED))
+        return str(draw(options))
+
     counts = st.integers(-5, 60)
     modes = st.sampled_from(["exhaustive", "sampled"])
     if draw(st.booleans()):
         argv = ["delta", "--family", draw(st.sampled_from(BUILTIN_NAMES)),
-                "--radius", str(draw(st.integers(-1, 3))), "--mode", draw(modes),
-                "--samples", str(draw(counts))]
+                "--radius", value(st.integers(-1, 3)), "--mode", value(modes),
+                "--samples", value(counts)]
         if draw(st.booleans()):
-            argv += ["--budget", str(draw(st.integers(0, 50)))]
+            argv += ["--budget", value(st.integers(0, 50))]
     else:
-        argv = ["farey", "--depth", str(draw(st.integers(-1, 5))),
-                "--subgroup-name", draw(st.sampled_from(["S4", "ST6", "center2"])),
-                "--delta-mode", draw(modes), "--delta-samples", str(draw(counts))]
+        argv = ["farey", "--depth", value(st.integers(-1, 5)),
+                "--subgroup-name", value(st.sampled_from(["S4", "ST6", "center2"])),
+                "--delta-mode", value(modes), "--delta-samples", value(counts)]
         if draw(st.booleans()):
-            argv += ["--delta-depth", str(draw(st.integers(-1, 5)))]
-    return argv + ["--seed", str(draw(st.integers(0, 3)))]
+            argv += ["--delta-depth", value(st.integers(-1, 5))]
+    return argv + ["--seed", value(st.integers(0, 3))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,6 +173,19 @@ def test_delta_layer_exits_with_documented_codes(argv):
     assert code in (EXIT_OK, EXIT_NONE_FOUND, EXIT_INPUT, EXIT_BUDGET, EXIT_INVARIANT)
     assert "Traceback" not in err
     assert (out == "") == (code != EXIT_OK)
+    if any(v in ILL_TYPED for v in argv[2::2]):  # every flag value
+        assert code == EXIT_INPUT and ": error: argument --" in err
+
+
+def test_ill_typed_flag_value_exits_2_with_usage_on_given_stderr(capsys):
+    # argparse's own message goes to the stream given to ``run``, not to sys.stderr
+    code, out, err = invoke(["delta", "--family", "F2", "--radius", "abc"])
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("usage: centralizers delta")
+    assert err.endswith("centralizers delta: error: argument --radius: invalid int value: 'abc'\n")
+    assert capsys.readouterr() == ("", "")
+    code, _, err = invoke(["nope"])
+    assert code == EXIT_INPUT and "invalid choice: 'nope'" in err
 
 
 def test_out_file_and_summary_split(tmp_path):

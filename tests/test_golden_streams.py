@@ -3,7 +3,8 @@
 The calls are the four criterion-9 configurations, the README's
 ``afp ... --radius 4 --certify`` example, the README's exhaustive
 ``farey --depth 6`` example, the three calls of the benchmark's ``cayley``
-workload at ``--seed 1`` and two exhaustive ``delta`` scans of Cayley balls.
+workload at ``--seed 1``, the two calls of its ``farey`` workload at
+``--seed 1`` and two exhaustive ``delta`` scans of Cayley balls.
 A change that is meant to leave the reports alone must leave these digests
 alone; a change that alters a stream on purpose updates its digest here and
 says why in CHANGES.md.
@@ -62,6 +63,19 @@ CAYLEY_WORKLOAD = [
 ]
 
 
+# the benchmark's `farey` workload at --seed 1: every triangle of the depth-6
+# window, then 5,000 sampled triangles of the depth-8 one
+FAREY_WORKLOAD = [
+    (["farey", "--depth", "6", "--seed", "1"],
+     "0163549afc4074f836004e9ced76a09c36a8673e13a4a5b279e9075043de1d2b",
+     "3529b106dc0194b0822ee4db898596cd67844d8c8f5d7352a45452283f1548fc"),
+    (["farey", "--depth", "8", "--delta-mode", "sampled", "--delta-samples", "5000",
+      "--seed", "1"],
+     "779ae0eae683ec01281e4355876669eacf461e9abbebe00e2f08104ad441fab7",
+     "d768f4d29b40675406ff0fa5fceb3201eaca19b789734a6ce7d77d298126f18a"),
+]
+
+
 # the README's exhaustive `delta` example and the F2xZ2 ball of radius 3,
 # whose 4-cycles make delta 1; kept apart from GOLDEN so that its ids stay
 EXHAUSTIVE_CAYLEY = [
@@ -94,6 +108,12 @@ def test_golden_stream(argv, stdout_sha, stderr_sha):
 @pytest.mark.parametrize("argv,stdout_sha,stderr_sha", CAYLEY_WORKLOAD,
                          ids=[" ".join(argv[:3]) for argv, _, _ in CAYLEY_WORKLOAD])
 def test_cayley_workload_stream(argv, stdout_sha, stderr_sha):
+    _check_stream(argv, stdout_sha, stderr_sha)
+
+
+@pytest.mark.parametrize("argv,stdout_sha,stderr_sha", FAREY_WORKLOAD,
+                         ids=[" ".join(argv[:3]) for argv, _, _ in FAREY_WORKLOAD])
+def test_farey_workload_stream(argv, stdout_sha, stderr_sha):
     _check_stream(argv, stdout_sha, stderr_sha)
 
 

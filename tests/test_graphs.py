@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from centralizers import (
 )
 from centralizers import graphs
 from centralizers.cli import EXIT_BUDGET, run as cli_run
-from centralizers.graphs import _PairData, _target_rows, _triangle_thinness, distance_matrix
+from centralizers.graphs import _target_rows, distance_matrix
 
 
 def cycle_graph(n):
@@ -204,17 +205,55 @@ def test_delta_exact_beyond_64_geodesics():
     for p, q in itertools.combinations(range(g.n), 2):
         paths, _ = all_geodesics(g, p, q, cap=10**6)
         worst = np.max([dmat[:, list(path)].min(axis=1) for path in paths], axis=0)
-        assert np.array_equal(_PairData(g, dmat, p, q).far, worst)
+        assert np.array_equal(PairData(g, dmat, p, q).far, worst)
         assert np.array_equal(far[pid[p, q]], worst)
     est = estimate_delta(g)
     assert est.delta == 4
     assert est.to_record()["geodesics_capped"] is False
 
 
-# --- the batched exhaustive scan against the per-triangle scan ----------------
+# --- the batched scans against the per-triangle scan --------------------------
+
+class PairData:
+    """Reference per-pair geodesic data for the thin-triangle scan.
+
+    For a pair (p, q): ``verts`` is the geodesic interval of the pair, the
+    vertices lying on some geodesic, and ``far`` maps every vertex v to the
+    worst-case distance from v to a geodesic, max over geodesics g of d(v, g).
+    ``far`` is a max-min recursion over the interval from q back to p:
+    best[q] = d(., q), best[w] = min(d(., w), max of best over w's successors).
+    """
+
+    def __init__(self, graph, dmat, p, q):
+        layers = geodesic_layers(graph, p, q, dmat[q].tolist())
+        self.verts = np.array(sorted(w for layer in layers for w in layer), dtype=np.int64)
+        best = {q: dmat[q]}
+        for layer in reversed(layers[:-1]):
+            above = best
+            best = {}
+            for w in layer:
+                succ = [above[s] for s in graph.adjacency[w] if s in above]
+                best[w] = np.minimum(dmat[w], succ[0] if len(succ) == 1
+                                     else np.maximum.reduce(succ))
+        self.far = best[p]
+
+
+def triangle_thinness(sides) -> int:
+    """Worst case over independent geodesic choices for the three sides: for
+    a vertex v on a geodesic of one side, the adversarial distance to the
+    union of the other two sides is min(far_1[v], far_2[v])."""
+    worst = 0
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        v = sides[a].verts
+        val = int(np.minimum(sides[b].far[v], sides[c].far[v]).max())
+        if val > worst:
+            worst = val
+    return worst
+
 
 def per_triangle_delta(graph):
-    """Reference: every valid x < y < z in order, one ``_triangle_thinness`` each."""
+    """Reference: every valid x < y < z in order, one ``triangle_thinness`` each."""
     dmat = distance_matrix(graph)
 
     def valid(u, v):
@@ -223,8 +262,8 @@ def per_triangle_delta(graph):
     best, witness, count = 0, None, 0
     for x, y, z in itertools.combinations(range(graph.n), 3):
         if valid(x, y) and valid(x, z) and valid(y, z):
-            val = _triangle_thinness(tuple(
-                _PairData(graph, dmat, p, q) for p, q in ((x, y), (x, z), (y, z))))
+            val = triangle_thinness(tuple(
+                PairData(graph, dmat, p, q) for p, q in ((x, y), (x, z), (y, z))))
             count += 1
             if val > best:
                 best, witness = val, (x, y, z)
@@ -334,17 +373,143 @@ def test_batched_scan_past_int8_distances():
     assert (est.delta, est.triangles, est.witness) == (1, graph.n - 2, (0, 1, 2))
 
 
+# --- the batched sampled scan against the per-triangle scan -------------------
+
+def sampled_thinness(graph, samples, seed):
+    """Reference draw: the valid triangles of a seeded sample in draw order,
+    each with its ``triangle_thinness``.  It stops only on the sample count or
+    on 20 * samples attempts, never on having met every triangle."""
+    dmat = distance_matrix(graph)
+    ok = graph.valid_pairs(dmat)
+    rng = random.Random(seed)
+    out, seen, attempts = [], set(), 0
+    while len(out) < samples and attempts < samples * 20:
+        attempts += 1
+        if graph.n < 3:
+            break
+        tri = tuple(sorted(rng.sample(range(graph.n), 3)))
+        if tri in seen:
+            continue
+        seen.add(tri)
+        x, y, z = tri
+        if ok[x, y] and ok[x, z] and ok[y, z]:
+            out.append((tri, triangle_thinness(tuple(
+                PairData(graph, dmat, p, q) for p, q in ((x, y), (x, z), (y, z))))))
+    return out
+
+
+def per_triangle_sampled_delta(graph, samples, seed):
+    best, witness = 0, None
+    drawn = sampled_thinness(graph, samples, seed)
+    for tri, val in drawn:
+        if val > best:
+            best, witness = val, tri
+    return best, len(drawn), witness
+
+
+def assert_sampled_scan_matches_reference(graph, samples, seed):
+    est = estimate_delta(graph, mode="sampled", samples=samples, seed=seed)
+    assert not est.exhaustive and est.seed == seed
+    assert (est.delta, est.triangles, est.witness) == \
+        per_triangle_sampled_delta(graph, samples, seed)
+
+
+@st.composite
+def sampled_cases(draw):
+    kind = draw(st.sampled_from(["scan", "scan", "scan", "tiny", "int16"]))
+    if kind == "tiny":  # fewer than three vertices: nothing to draw
+        graph = path_graph(draw(st.integers(1, 2)))
+    elif kind == "int16":
+        graph = int8_tail_graph()
+    else:
+        graph = draw(scan_cases())
+    return graph, draw(st.integers(0, 60)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_cases())
+def test_sampled_scan_matches_per_triangle_scan(case):
+    assert_sampled_scan_matches_reference(*case)
+
+
+@pytest.mark.parametrize("family,radius,samples", [("F2xZ2", 3, 300), ("F2xZ3", 2, 200),
+                                                   ("Z2*Z3", 5, 400), ("F2", 3, 100)])
+def test_sampled_scan_on_cayley_windows(family, radius, samples):
+    assert_sampled_scan_matches_reference(
+        build_ball(builtin_group(family), radius), samples, seed=samples)
+
+
+def test_sampled_scan_past_int8_distances():
+    # the only valid triangles run through the tail's last two vertices:
+    # about 1 draw in 2,900, so 60,000 attempts find some
+    graph = int8_tail_graph()
+    est = estimate_delta(graph, mode="sampled", samples=3000, seed=2)
+    assert est.triangles > 0
+    assert_sampled_scan_matches_reference(graph, 3000, seed=2)
+
+
+def test_sampled_witness_is_the_first_maximum_in_draw_order():
+    # every triangle of the 8-cycle is drawn, and several are 1-thin: the
+    # witness is the first of those drawn, not the least in vertex order
+    graph, samples = cycle_graph(8), 56
+    drawn = sampled_thinness(graph, samples, seed=4)
+    values = [val for _, val in drawn]
+    first = values.index(max(values))
+    assert len(drawn) == samples and values.count(max(values)) > 1
+    assert drawn[first][0] != min(tri for tri, val in drawn if val == max(values))
+    est = estimate_delta(graph, mode="sampled", samples=samples, seed=4)
+    assert (est.delta, est.triangles, est.witness) == (max(values), samples, drawn[first][0])
+
+
+@pytest.mark.parametrize("graph", [cycle_graph(5), graph_from_edges(5, [(0, 1), (1, 2), (2, 0),
+                                                                        (3, 4)])],
+                         ids=["cycle", "triangle-and-edge"])
+def test_sampled_draw_ends_once_every_triangle_is_drawn(graph):
+    # 10**9 samples would allow 2 * 10**10 attempts; there are only C(5, 3) = 10
+    est = estimate_delta(graph, mode="sampled", samples=10**9, seed=0)
+    full = estimate_delta(graph)
+    assert (est.delta, est.triangles) == (full.delta, full.triangles)
+
+
+def test_sampled_budget_covers_the_sample(monkeypatch):
+    # every one of the 10-cycle's C(10, 3) = 120 triangles is drawn
+    graph, n, triangles = cycle_graph(10), 10, 120
+    dmat = distance_matrix(graph)
+    # before the draw: int32 distances and 92 bytes a triangle
+    before = 4 * n * n + 92 * triangles
+    # the passes' int8 rows, one per vertex and one per edge
+    rows = (n + n) * n
+    # interval index over all 45 pairs: int64 offsets and uint8 vertex ids;
+    # a pair at distance d < 5 has d + 1 interval vertices, an antipodal one all 10
+    intervals = 8 * 46 + 10 * (2 + 3 + 4 + 5) + 5 * 10
+    # one int8 score per triangle side and vertex of its interval
+    size = {d: d + 1 for d in range(5)} | {5: 10}
+    scores = sum(size[dmat[p, q]] for tri in itertools.combinations(range(n), 3)
+                 for p, q in itertools.combinations(tri, 2))
+    need = before + rows + intervals + scores
+    monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", need)
+    assert estimate_delta(graph, mode="sampled", samples=10**9).triangles == triangles
+    monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", need - 1)
+    with pytest.raises(BudgetError):
+        estimate_delta(graph, mode="sampled", samples=10**9)
+    # the draw itself is sized from min(samples, C(n, 3)) before it starts
+    monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", before - 1)
+    with pytest.raises(BudgetError, match="a sample of 120 triangles"):
+        estimate_delta(graph, mode="sampled", samples=10**9)
+    assert estimate_delta(graph, mode="sampled", samples=3).triangles == 3
+
+
 # --- far rows by target against the per-pair rows -----------------------------
 
 def assert_target_rows_match_pair_data(graph):
-    """Every valid pair's row and interval equal ``_PairData``'s; no other pair has one."""
+    """Every valid pair's row and interval equal ``PairData``'s; no other pair has one."""
     dmat = distance_matrix(graph)
     ok = graph.valid_pairs(dmat)
     pid, far, verts, start = _target_rows(dmat, ok)
     assert np.array_equal(pid >= 0, ok & ~np.eye(graph.n, dtype=bool))
     assert np.array_equal(pid, pid.T) and len(far) == len(start) - 1 == np.triu(ok, 1).sum()
     for p, q in zip(*np.nonzero(np.triu(ok, 1))):
-        ref = _PairData(graph, dmat, int(p), int(q))
+        ref = PairData(graph, dmat, int(p), int(q))
         i = pid[p, q]
         assert np.array_equal(far[i], ref.far)
         assert np.array_equal(verts[start[i]:start[i + 1]], ref.verts)
