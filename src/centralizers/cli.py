@@ -25,7 +25,7 @@ from .errors import (
 from .extraction import compute_constants, extract_centralizers, measure_constants
 from .fixpoints import CayleyContext, almost_fixed_set, far_pairs, midpoint_certify
 from .graphs import estimate_delta
-from .groupfile import BUILTIN_NAMES, builtin_group, load_group
+from .groupfile import BUILTIN_NAMES, builtin_group, load_group, read_text
 from .groups import build_ball, verify_subgroup
 
 EXIT_OK = 0
@@ -46,15 +46,16 @@ def _parse_fraction(text: str) -> Fraction:
 def load_config_file(path: str) -> dict:
     """Simple ``key = value`` lines; '#' starts a comment."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key = value, got {line!r}", line=lineno)
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected key = value, got {line!r}", line=lineno)
+        if "\0" in line:  # no path or flag value holds one
+            raise ParseError("NUL byte in a config line", line=lineno)
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -126,9 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_oracle(args):
-    if getattr(args, "group_file", None):
+    if args.group_file:
         return load_group(args.group_file), {"group_file": args.group_file}
-    if getattr(args, "family", None):
+    if args.family:
         return builtin_group(args.family), {"family": args.family}
     raise InputError("one of --family / --group-file is required")
 
@@ -190,11 +191,11 @@ def _cmd_delta(args, report):
 
 
 def _afp_threshold(args) -> tuple[Fraction, Fraction]:
-    if getattr(args, "threshold_a", None) is not None:
+    if args.threshold_a is not None:
         a = _parse_fraction(args.threshold_a)
-        delta = _parse_fraction(args.delta) if getattr(args, "delta", None) else Fraction(0)
+        delta = _parse_fraction(args.delta) if args.delta else Fraction(0)
         return a, delta
-    if getattr(args, "delta", None) is not None:
+    if args.delta is not None:
         delta = _parse_fraction(args.delta)
         return 6 * delta, delta
     raise InputError("one of --threshold-a / --delta is required")
@@ -325,8 +326,7 @@ _BUILTIN_ACTIONS = {
 
 def _cmd_multitwist(args, report):
     if args.action_file:
-        with open(args.action_file, "r", encoding="utf-8") as fh:
-            action = mt.parse_action(fh.read())
+        action = mt.parse_action(read_text(args.action_file))
     elif args.builtin_action:
         action = _BUILTIN_ACTIONS[args.builtin_action]()
     else:
@@ -355,101 +355,84 @@ _FLAG_WORDS = {"1": True, "true": True, "yes": True,
                "0": False, "false": False, "no": False}
 
 
-def _config_value(action: argparse.Action, text: str):
-    """Coerce a config-file string as the command line would coerce it."""
-    if isinstance(action, argparse._StoreTrueAction):
-        try:
-            return _FLAG_WORDS[text.lower()]
-        except KeyError:
-            raise InputError(
-                f"config key {action.dest}: expected true/false, got {text!r}"
-            ) from None
-    value = text
-    if action.type is not None:
-        try:
-            value = action.type(text)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"config key {action.dest}: cannot parse {text!r}") from exc
-    if action.choices is not None and value not in action.choices:
-        raise InputError(
-            f"config key {action.dest}: {value!r} is not one of {list(action.choices)}"
-        )
-    return value
+def _config_flags(config: dict) -> list[str]:
+    """A config file's ``key = value`` pairs as ``--key=value`` flags.
 
-
-def _apply_config(parser: argparse.ArgumentParser, args, argv) -> argparse.Namespace:
-    """Parse argv again over the --config file's values; explicit flags win.
-
-    The coerced values become the subcommand's defaults, so argparse itself
-    decides which options argv sets, abbreviations included.  Keys are the
-    subcommand's option dests, except ``help`` and ``config``: a config file
-    can neither ask for help nor name another config file.
+    argparse then coerces, checks and expands them exactly as typed flags.
+    ``certify = <true/false word>`` becomes ``--certify`` or nothing (any
+    other word is left for argparse to reject).  A config file can neither
+    ask for help nor name another config file.
     """
-    defaults = load_config_file(args.config)
-    subparsers = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    subparser = subparsers.choices[args.subcommand]
-    actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
-    bad = set(defaults) - set(actions)
-    if bad:
-        raise InputError(f"unknown config keys: {sorted(bad)}")
-    subparser.set_defaults(
-        **{key: _config_value(actions[key], text) for key, text in defaults.items()}
-    )
-    return parser.parse_args(argv)
+    flags = []
+    for key, text in config.items():
+        if any(name.startswith(key) for name in ("help", "config")):
+            raise InputError(f"config key {key!r} is not allowed")
+        if key == "certify" and text.lower() in _FLAG_WORDS:
+            if _FLAG_WORDS[text.lower()]:
+                flags.append("--certify")
+        else:
+            flags.append(f"--{key.replace('_', '-')}={text}")
+    return flags
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv once, with the ``--config`` file's flags spliced in right
+    after the subcommand, so that the flags typed after it win."""
+    find = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    find.add_argument("--config")
+    try:
+        path = find.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # a bare --config: the real parse reports it
+        path = None
+    if path:
+        at = next((i + 1 for i, arg in enumerate(argv) if not arg.startswith("-")), 0)
+        argv = argv[:at] + _config_flags(load_config_file(path)) + argv[at:]
+    return build_parser().parse_args(argv)
+
+
+# failure -> summary label and exit code; the first matching kind wins
+_FAILURES = (
+    (OSError, "file error", EXIT_INPUT),
+    (ParseError, "parse error", EXIT_INPUT),
+    (InputError, "input error", EXIT_INPUT),
+    (BudgetError, "budget error", EXIT_BUDGET),
+    (WindowError, "window error", EXIT_WINDOW),
+    (InvariantError, "internal error", EXIT_INVARIANT),
+    (ToolkitError, "error", EXIT_INPUT),
+)
 
 
 def run(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        with contextlib.redirect_stderr(stderr):  # argparse's usage errors
-            args = parser.parse_args(argv)
-        if args.config:
-            args = _apply_config(parser, args, argv)
+        # argparse prints its help and its usage errors, then exits
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = _parse_args(argv)
         inputs = {
             k: v for k, v in sorted(vars(args).items())
             if k not in ("config", "out") and v is not None
         }
-        report = Report(getattr(args, "seed", 0), inputs)
+        report = Report(args.seed, inputs)
         code = _COMMANDS[args.subcommand](args, report)
-    except SystemExit as exc:  # argparse exits 2 on a bad command line
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report.stream())
+            summary = stdout
+        else:
+            stdout.write(report.stream())
+            summary = stderr
+        for line in report.summary:
+            print(line, file=summary)
+        return code
+    except SystemExit as exc:
         return exc.code
-    except OSError as exc:
-        print(f"file error: {exc}", file=stderr)
-        return EXIT_INPUT
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=stderr)
-        return EXIT_INPUT
-    except InputError as exc:
-        print(f"input error: {exc}", file=stderr)
-        return EXIT_INPUT
-    except BudgetError as exc:
-        print(f"budget error: {exc}", file=stderr)
-        return EXIT_BUDGET
-    except WindowError as exc:
-        print(f"window error: {exc}", file=stderr)
-        return EXIT_WINDOW
-    except InvariantError as exc:
-        print(f"internal error: {exc}", file=stderr)
-        return EXIT_INVARIANT
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=stderr)
-        return EXIT_INPUT
-
-    stream = report.stream()
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(stream)
-        for line in report.summary:
-            print(line, file=stdout)
-    else:
-        stdout.write(stream)
-        for line in report.summary:
-            print(line, file=stderr)
-    return code
+    except (OSError, ToolkitError) as exc:
+        label, code = next((label, code) for kind, label, code in _FAILURES
+                           if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=stderr)
+        return code
 
 
 def main() -> None:

@@ -15,11 +15,15 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional
 
-from .errors import InputError, InvariantError, WindowError
+from .errors import BudgetError, InputError, InvariantError, WindowError
 from .fixpoints import ActionContext, AlmostFixedSet, almost_fixed_set
 from .graphs import FiniteMetricGraph
 
 INFINITY_SLOPE: "Slope"
+
+# slopes a window may hold: a depth-d window has 2^(d+1), so depth 16 (about
+# 4 s and 116 MB to build on a 2-core machine) is the deepest allowed
+WINDOW_SLOPE_BUDGET = 2**17
 
 
 @dataclass(frozen=True, order=True)
@@ -275,10 +279,14 @@ def build_window(depth: int) -> FareyWindow:
     Each round adds, for every tessellation edge (u, v) found so far, the two
     slopes adjacent to both endpoints (their mediant and co-mediant).  The
     window is an ideal polygon triangulated by the edges found, so they are
-    all of its Farey edges and give its adjacency.
+    all of its Farey edges and give its adjacency.  A window of more than
+    ``WINDOW_SLOPE_BUDGET`` slopes raises ``BudgetError`` before it is built.
     """
     if depth < 0:
         raise InputError("depth must be >= 0")
+    if depth + 1 >= WINDOW_SLOPE_BUDGET.bit_length():  # 2^(depth+1) > budget
+        raise BudgetError(f"a depth-{depth} window has 2^{depth + 1} slopes, over the "
+                          f"{WINDOW_SLOPE_BUDGET}-slope budget")
     slopes = {ZERO_SLOPE, INFINITY_SLOPE}
     edges = {(ZERO_SLOPE, INFINITY_SLOPE)}
     for _ in range(depth):

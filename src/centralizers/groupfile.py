@@ -43,7 +43,7 @@ unique across factors (they become generator symbols).
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .groups import (
     DirectProductOracle,
     FiniteGroupOracle,
@@ -105,7 +105,7 @@ def parse_group(text: str) -> GroupOracle:
             rows = lines.table()
             try:
                 tables.append(MultiplicationTable(pending_elements, rows))
-            except Exception as exc:
+            except InputError as exc:
                 raise ParseError(str(exc), line=lines.line)
             pending_elements = None
         else:
@@ -132,14 +132,22 @@ def parse_group(text: str) -> GroupOracle:
             return DirectProductOracle(generators, tables[0])
     except ParseError:
         raise
-    except Exception as exc:
+    except InputError as exc:
         raise ParseError(str(exc))
     raise ParseError(f"unknown family {family!r}")
 
 
+def read_text(path: str) -> str:
+    """A file's UTF-8 text; undecodable bytes raise ``InputError`` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_group(path: str) -> GroupOracle:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_group(fh.read())
+    return parse_group(read_text(path))
 
 
 def builtin_group(name: str) -> GroupOracle:

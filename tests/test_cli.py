@@ -2,18 +2,21 @@
 
 import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centralizers import extraction
+from centralizers import extraction, farey
 from centralizers.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
     EXIT_INVARIANT,
     EXIT_NONE_FOUND,
     EXIT_OK,
+    EXIT_WINDOW,
     load_config_file,
     run,
 )
@@ -244,3 +247,183 @@ def test_identical_runs_are_byte_identical():
     argv = ["delta", "--family", "Z2*Z3", "--radius", "5", "--mode", "sampled",
             "--samples", "300", "--seed", "11"]
     assert invoke(argv)[1] == invoke(argv)[1]
+
+
+def test_config_file_supplies_required_flags(tmp_path):
+    cfg = tmp_path / "extract.cfg"
+    cfg.write_text("family = Z2*Z3\nsubgroup = r\nthreshold-a = 1\nc0 = 2\nradius = 6\n")
+    code, out, _ = invoke(["extract", "--config", str(cfg)])
+    assert code == EXIT_OK
+    assert out == invoke(["extract", "--family", "Z2*Z3", "--subgroup", "r",
+                          "--threshold-a", "1", "--c0", "2", "--radius", "6"])[1]
+    # a bare --config gets the subcommand's own usage error
+    code, _, err = invoke(["extract", "--config"])
+    assert code == EXIT_INPUT
+    assert err.startswith("usage: centralizers extract")
+    assert err.endswith("error: argument --config: expected one argument\n")
+
+
+def test_help_goes_to_the_given_stdout(capsys):
+    code, out, err = invoke(["delta", "--help"])
+    assert code == EXIT_OK and err == ""
+    assert out.startswith("usage: centralizers delta") and "--samples" in out
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ball", "--family", "F2", "--config", "{}"],
+    ["ball", "--group-file", "{}"],
+    ["multitwist", "--action-file", "{}"],
+])
+def test_undecodable_input_file_exits_2_naming_it(tmp_path, argv):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfef\x00a\x00m\x00")
+    code, out, err = invoke([a.format(path) for a in argv])
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith(f"input error: {path}: not UTF-8 text")
+
+
+def test_unwritable_out_exits_2(tmp_path):
+    for argv in (["ball", "--family", "F2", "--radius", "1",
+                  "--out", str(tmp_path / "missing" / "x")],
+                 ["farey", "--depth", "3", "--out", str(tmp_path)]):
+        code, out, err = invoke(argv)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("file error: ") and "Traceback" not in err
+
+
+def test_nul_byte_in_config_exits_2(tmp_path):
+    # a path with a NUL byte makes open() raise ValueError
+    cfg = tmp_path / "nul.cfg"
+    cfg.write_text("out = a\x00b\n")
+    code, out, err = invoke(["ball", "--family", "F2", "--radius", "1", "--config", str(cfg)])
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("parse error: line 1: ")
+
+
+def test_farey_window_budget_exits_3_before_the_build(monkeypatch):
+    monkeypatch.setattr(farey, "WINDOW_SLOPE_BUDGET", 63)  # depth 4: 32 slopes, 5: 64
+    assert invoke(["farey", "--depth", "4"])[0] == EXIT_OK
+    for argv in (["farey", "--depth", "5"], ["farey", "--depth", "4", "--delta-depth", "5"]):
+        code, out, err = invoke(argv)
+        assert code == EXIT_BUDGET and out == ""
+        assert err == "budget error: a depth-5 window has 2^6 slopes, over the 63-slope budget\n"
+
+
+# lines from which the fuzz draws group, action and config file texts
+# (a multi-line entry is a whole valid file)
+GROUP_LINES = ["family free", "family finite", "family free_product", "family direct_product",
+               "family other", "generators a b", "generators", "factor", "elements 1 r",
+               "elements 1 s s2", "elements", "table", "end", "1 r", "r 1", "1 s s2",
+               "s s2 1", "s2 1 s", "r r", "# comment",
+               "family free\ngenerators a", "family direct_product\ngenerators a\n"
+               "elements 1 r\ntable\n1 r\nr 1\nend",
+               "family free_product\nfactor\nelements 1 r\ntable\n1 r\nr 1\nend\n"
+               "factor\nelements 1 s s2\ntable\n1 s s2\ns s2 1\ns2 1 s\nend"]
+ACTION_LINES = ["labels x y", "labels x y z w", "labels", "elements 1 g", "elements 1 g g2",
+                "table", "end", "1 g", "g 1", "1 g g2", "g g2 1", "g2 1 g",
+                "perm g x->y y->x", "perm g x->y y->z z->x", "perm g2 x->z", "perm g x",
+                "perm", "# comment",
+                "labels x y z w\nelements 1 g\ntable\n1 g\ng 1\nend\nperm g x->y y->x"]
+CONFIG_KEYS = ["family", "group-file", "radius", "budget", "seed", "out", "mode", "samples",
+               "subgroup", "delta", "threshold_a", "certify", "c0", "order-bound", "formula",
+               "depth", "subgroup-name", "delta-mode", "delta-samples", "delta-depth",
+               "action-file", "builtin-action", "rad", "help", "config", "nope", ""]
+CONFIG_VALUES = ["0", "1", "2", "3", "-1", "abc", "", "true", "no", "maybe", "1/6", "t",
+                 "r", "u,u*u", "F2", "F2xZ2", "Z2*Z3", "S4", "sampled", "surface", "s3",
+                 "grp", "act", "cfg", "report", ".", "missing/x", "a\0b"]
+
+
+def _file_contents(lines):
+    """A definition file: lines drawn from a vocabulary, free text, or raw bytes."""
+    text = st.one_of(st.lists(st.sampled_from(lines), max_size=12).map("\n".join),
+                     st.text(max_size=40))
+    return st.one_of(text.map(lambda t: t.encode("utf-8")), st.binary(max_size=24))
+
+
+@st.composite
+def cli_run_inputs(draw):
+    """argv for any of the six subcommands, with small sizes, plus the contents
+    of the ``grp``, ``act`` and ``cfg`` files it may name, in the working directory."""
+    small = st.integers(-1, 3).map(str)
+    command = draw(st.sampled_from(["ball", "delta", "afp", "extract", "farey", "multitwist"]))
+    argv = [command]
+    family = draw(st.sampled_from(BUILTIN_NAMES + ("Nope",)))
+    if command in ("ball", "delta", "afp", "extract"):
+        source = draw(st.sampled_from(["family"] * 3 + ["group-file", "both", "neither"]))
+        if source in ("family", "both"):
+            argv += ["--family", family]
+        if source in ("group-file", "both"):
+            argv += ["--group-file", "grp"]
+        argv += ["--radius", draw(small), "--budget", str(draw(st.integers(0, 1000)))]
+    if command == "delta":
+        argv += ["--mode", draw(st.sampled_from(["exhaustive", "sampled"])),
+                 "--samples", str(draw(st.integers(-1, 40)))]
+    if command in ("afp", "extract"):
+        subgroups = ["t", "u,u*u", "r", "s,s*s", "", "a", "r*s"]
+        matching = {"F2xZ2": "t", "F2xZ3": "u,u*u", "Z2*Z2": "r", "Z2*Z3": "s,s*s"}
+        argv += ["--subgroup", matching.get(family, "") if draw(st.booleans())
+                 else draw(st.sampled_from(subgroups))]
+        thresholds = st.sampled_from(["0", "1", "2", "1/2", "-1", "x", "1/0"])
+        if command == "extract" or draw(st.booleans()):
+            argv += ["--threshold-a", draw(thresholds)]
+        if draw(st.booleans()):
+            argv += ["--delta", draw(st.sampled_from(["0", "1/6", "1", "-1/6", "y"]))]
+    if command == "afp" and draw(st.booleans()):
+        argv += ["--certify"]
+    if command == "extract":
+        argv += ["--c0", str(draw(st.integers(0, 3))),
+                 "--order-bound", str(draw(st.integers(0, 8))),
+                 "--formula", draw(st.sampled_from(["cayley", "surface"]))]
+    if command == "farey":
+        argv += ["--depth", draw(small),
+                 "--subgroup-name", draw(st.sampled_from(["S4", "ST6", "center2"])),
+                 "--delta-mode", draw(st.sampled_from(["exhaustive", "sampled"])),
+                 "--delta-samples", str(draw(st.integers(-1, 40)))]
+        if draw(st.booleans()):
+            argv += ["--delta-depth", draw(small)]
+        if draw(st.booleans()):
+            argv += ["--threshold-a", draw(st.sampled_from(["0", "1", "5/2", "z"]))]
+    if command == "multitwist":
+        source = draw(st.sampled_from(["file", "builtin", "neither"]))
+        if source == "file":
+            argv += ["--action-file", "act"]
+        elif source == "builtin":
+            argv += ["--builtin-action", draw(st.sampled_from(["z3-cycle", "s3", "swap"]))]
+    if draw(st.integers(0, 2)) == 0:
+        argv += ["--config", "cfg"]
+    out = draw(st.sampled_from([None] * 3 + ["report.jsonl", "missing/report.jsonl", "."]))
+    if out is not None:
+        argv += ["--out", out]
+    argv += ["--seed", draw(small)]
+    config = st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), st.sampled_from(CONFIG_VALUES)),
+                      max_size=4)
+    files = {
+        "grp": draw(_file_contents(GROUP_LINES)),
+        "act": draw(_file_contents(ACTION_LINES)),
+        "cfg": draw(st.one_of(
+            config.map(lambda kv: "".join(f"{k} = {v}\n" for k, v in kv).encode("utf-8")),
+            _file_contents(CONFIG_KEYS))),
+    }
+    return argv, files
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_run_inputs())
+def test_every_subcommand_exits_with_documented_codes(inputs):
+    argv, files = inputs
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)  # where the files live, and where a config's `out` lands
+        try:
+            for name, data in files.items():
+                with open(name, "wb") as fh:
+                    fh.write(data)
+            code, out, err = invoke(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (EXIT_OK, EXIT_NONE_FOUND, EXIT_INPUT, EXIT_BUDGET, EXIT_WINDOW,
+                    EXIT_INVARIANT)
+    assert "Traceback" not in err
+    if code not in (EXIT_OK, EXIT_NONE_FOUND):
+        assert out == ""

@@ -121,3 +121,22 @@ def test_farey_workload_stream(argv, stdout_sha, stderr_sha):
                          ids=[" ".join(argv[:3]) for argv, _, _ in EXHAUSTIVE_CAYLEY])
 def test_exhaustive_cayley_stream(argv, stdout_sha, stderr_sha):
     _check_stream(argv, stdout_sha, stderr_sha)
+
+
+def _as_config(argv) -> str:
+    """The flags of argv as config lines: ``--key value`` -> ``key = value``,
+    a bare ``--certify`` -> ``certify = true``."""
+    lines, flags = [], argv[1:]
+    while flags:
+        key = flags.pop(0).removeprefix("--")
+        value = flags.pop(0) if flags and not flags[0].startswith("--") else "true"
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("argv,stdout_sha,stderr_sha", GOLDEN,
+                         ids=[" ".join(argv[:3]) for argv, _, _ in GOLDEN])
+def test_config_file_equals_flags(tmp_path, argv, stdout_sha, stderr_sha):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_as_config(argv))
+    _check_stream([argv[0], "--config", str(cfg)], stdout_sha, stderr_sha)
