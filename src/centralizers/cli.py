@@ -128,9 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _make_oracle(args):
     if args.group_file:
-        return load_group(args.group_file), {"group_file": args.group_file}
+        return load_group(args.group_file)
     if args.family:
-        return builtin_group(args.family), {"family": args.family}
+        return builtin_group(args.family)
     raise InputError("one of --family / --group-file is required")
 
 
@@ -162,7 +162,7 @@ class Report:
 
 
 def _cmd_ball(args, report):
-    oracle, prov = _make_oracle(args)
+    oracle = _make_oracle(args)
     ball = build_ball(oracle, args.radius, budget=args.budget)
     counts = {}
     for length in ball.lengths:
@@ -179,7 +179,7 @@ def _cmd_ball(args, report):
 
 
 def _cmd_delta(args, report):
-    oracle, _ = _make_oracle(args)
+    oracle = _make_oracle(args)
     ball = build_ball(oracle, args.radius, budget=args.budget)
     est = estimate_delta(ball, mode=args.mode, samples=args.samples, seed=args.seed)
     report.emit("delta_estimate", radius=ball.radius, **est.to_record())
@@ -202,7 +202,7 @@ def _afp_threshold(args) -> tuple[Fraction, Fraction]:
 
 
 def _cmd_afp(args, report):
-    oracle, _ = _make_oracle(args)
+    oracle = _make_oracle(args)
     subgroup = _make_subgroup(oracle, args.subgroup)
     ball = build_ball(oracle, args.radius, budget=args.budget)
     ctx = CayleyContext(ball)
@@ -231,7 +231,7 @@ def _cmd_afp(args, report):
 
 
 def _cmd_extract(args, report):
-    oracle, _ = _make_oracle(args)
+    oracle = _make_oracle(args)
     subgroup = _make_subgroup(oracle, args.subgroup)
     ball = build_ball(oracle, args.radius, budget=args.budget)
     ctx = CayleyContext(ball)

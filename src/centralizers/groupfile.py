@@ -38,7 +38,8 @@ Format (``#`` starts a comment)::
 
 Table row i lists the products (row element) * (column element) as names, in
 the order of the ``elements`` line.  Non-identity element names must be
-unique across factors (they become generator symbols).
+unique across factors (they become generator symbols).  A file has at most one
+``generators`` line, and a line its family has no use for is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ def parse_group(text: str) -> GroupOracle:
     generators: list[str] = []
     tables: list[MultiplicationTable] = []
     pending_elements = None
+    first: dict[str, int] = {}  # directive -> the line of its first use
     for parts in lines:
         i = lines.line
         if parts[0] == "family":
@@ -94,6 +96,8 @@ def parse_group(text: str) -> GroupOracle:
                 raise ParseError("family needs exactly one value", line=i)
             family = parts[1]
         elif parts[0] == "generators":
+            if "generators" in first:
+                raise ParseError("duplicate generators line", line=i)
             generators = parts[1:]
         elif parts[0] == "factor":
             pending_elements = None
@@ -110,9 +114,16 @@ def parse_group(text: str) -> GroupOracle:
             pending_elements = None
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", line=i)
+        first.setdefault(parts[0], i)
 
     if family is None:
         raise ParseError("missing family line")
+    # a line the family has no use for is an error, not silently dropped
+    unused = {"free": ("factor", "elements", "table"), "finite": ("generators",),
+              "free_product": ("generators",)}.get(family, ())
+    stray = min(((first[d], d) for d in unused if d in first), default=None)
+    if stray:
+        raise ParseError(f"the {family} family takes no {stray[1]} line", line=stray[0])
     try:
         if family == "free":
             if not generators:

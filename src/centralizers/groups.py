@@ -1,14 +1,18 @@
-"""Exact group arithmetic via normal-form oracles, and finite Cayley balls.
+"""Exact group arithmetic via one normal-form oracle, and finite Cayley balls.
 
-Elements are canonical words over a fixed generator alphabet.  Each oracle
-family owns one normal-form rule:
+Every family is a special case of one group, (F_k * A_1 * ... * A_m) x B:
+a free group on named generators and finite groups A_i given by
+multiplication tables, in a free product, times a finite central factor B.
+By the normal form theorem for free products (Lyndon & Schupp,
+*Combinatorial Group Theory*, Ch. IV) an element has one canonical word,
+a sequence of letters in which no two adjacent letters lie in one finite
+factor and no free letter stands next to its inverse; one letter of B may
+follow at the end.  Each family fills in some of the parts:
 
-* free groups: free reduction;
-* free products of finite groups: alternating nontrivial syllables, each a
-  table element of its factor;
-* direct products (free x finite): reduced free word followed by the finite
-  component's table element;
-* finite groups: a single table element.
+* free (F_k): the freely reduced word;
+* finite (one A_1): a single table element;
+* free_product (A_1 * ... * A_m): alternating nontrivial syllables;
+* direct_product (F_k x B): the reduced free word, then B's element.
 
 Two raw words are equal in the group iff they normalize identically.  The
 normal-form rule is the checked entry point and the reference; products and
@@ -41,6 +45,7 @@ class GeneratorAlphabet:
 
     symbols: tuple[str, ...]
     inverse: dict[str, str] = field(compare=False)
+    index: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.symbols)) != len(self.symbols):
@@ -51,16 +56,10 @@ class GeneratorAlphabet:
                 raise InputError(f"symbol {s!r} has no inverse in the alphabet")
             if self.inverse[t] != s:
                 raise InputError(f"inverse pairing is not an involution at {s!r}")
-        object.__setattr__(
-            self, "_index", {s: i for i, s in enumerate(self.symbols)}
-        )
-
-    @property
-    def index(self) -> dict[str, int]:
-        return self._index
+        object.__setattr__(self, "index", {s: i for i, s in enumerate(self.symbols)})
 
     def __contains__(self, symbol: str) -> bool:
-        return symbol in self._index
+        return symbol in self.index
 
 
 @dataclass(frozen=True, order=False)
@@ -83,45 +82,102 @@ IDENTITY = GroupElement(())
 
 
 class GroupOracle:
-    """Base oracle: a retraction ``normalize`` onto canonical forms.
+    """(F_k * A_1 * ... * A_m) x B: free ``generators``, finite ``factors``
+    A_i and an optional finite central factor ``center`` B.
 
-    Subclasses implement ``_normal_form`` on words whose symbols are known to
-    be in the alphabet, and ``multiply`` on canonical words, which must equal
-    ``_normal_form(x.word + y.word)``.
+    The alphabet lists each generator and its inverse, then the non-identity
+    names of each factor in factor order, then B's; that order fixes the
+    vertex ids of a ball and ``key``.  ``_merge[a]`` maps each letter b that
+    a merges with to the letter a*b, or to "" when a*b = 1: the letters of
+    a's own finite factor, or only its inverse for a free letter.
     """
 
-    alphabet: GeneratorAlphabet
-    family: str
+    def __init__(self, family: str, generators: Sequence[str] = (),
+                 factors: Sequence[MultiplicationTable] = (),
+                 center: MultiplicationTable | None = None):
+        self.family = family
+        symbols: list[str] = []
+        inverse: dict[str, str] = {}
+        merge: dict[str, dict[str, str]] = {}
+        for g in generators:
+            gi = inverse_name(g)
+            symbols += (g, gi)
+            inverse[g], inverse[gi] = gi, g
+            merge[g], merge[gi] = {gi: ""}, {g: ""}
+        for t in (*factors, center) if center else factors:
+            letters = t.names[1:]
+            spelled = ("",) + letters  # table index -> letter, 1 spelled ""
+            symbols += letters
+            for i, a in enumerate(letters, 1):
+                inverse[a] = t.names[t.inverse_index[i]]
+                merge[a] = {b: spelled[t.mult(i, j)] for j, b in enumerate(letters, 1)}
+        self.alphabet = GeneratorAlphabet(tuple(symbols), inverse)
+        self._merge = merge
+        self._center = frozenset(center.names[1:] if center else ())
 
-    @property
-    def identity(self) -> GroupElement:
-        return IDENTITY
-
-    def _check_symbols(self, raw: Sequence[str]) -> None:
-        for s in raw:
-            if s not in self.alphabet:
-                raise InputError(f"unknown symbol {s!r} for {self.family} oracle")
+    identity = IDENTITY
 
     def _normal_form(self, raw: Sequence[str]) -> GroupElement:
-        raise NotImplementedError
+        # one stack pass; B's letters commute with every other letter, so
+        # they are multiplied together apart, in order, into the last letter
+        merge, center = self._merge, self._center
+        stack: list[str] = []
+        tail = ""
+        for s in raw:
+            if s in center:
+                tail = merge[tail][s] if tail else s
+            elif stack and (m := merge[stack[-1]].get(s)) is not None:
+                if m:
+                    stack[-1] = m
+                else:
+                    stack.pop()
+            else:
+                stack.append(s)
+        if tail:
+            stack.append(tail)
+        return GroupElement(tuple(stack))
 
     def normalize(self, raw: Sequence[str]) -> GroupElement:
         """Canonical form of a raw word; InputError on an unknown symbol."""
-        self._check_symbols(raw)
+        for s in raw:
+            if s not in self.alphabet:
+                raise InputError(f"unknown symbol {s!r} for {self.family} oracle")
         return self._normal_form(raw)
 
     # canonical words spell only alphabet symbols, so these skip the check
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        raise NotImplementedError
+        """x*y, merging the two words only where they meet."""
+        xw, yw, merge, center = x.word, y.word, self._merge, self._center
+        tail = ""
+        if center:
+            if xw and xw[-1] in center:
+                xw, tail = xw[:-1], xw[-1]
+            if yw and yw[-1] in center:
+                yw, b = yw[:-1], yw[-1]
+                tail = merge[tail][b] if tail else b
+        i, j, m = len(xw), 0, len(yw)
+        seam = ()
+        while i and j < m:
+            c = merge[xw[i - 1]].get(yw[j])
+            if c is None:
+                break
+            i -= 1
+            j += 1
+            if c:  # a nontrivial product within one factor ends the seam
+                seam = (c,)
+                break
+        word = xw[:i] + seam + yw[j:]
+        return GroupElement(word + (tail,) if tail else word)
 
     def invert(self, x: GroupElement) -> GroupElement:
-        # the reversed word of inverse symbols is canonical for the free,
-        # free-product and finite families; the direct product overrides this
-        inv = self.alphabet.inverse
-        return GroupElement(tuple(inv[s] for s in reversed(x.word)))
+        """The reversed word of inverse letters, with B's letter kept last."""
+        inv, w = self.alphabet.inverse, x.word
+        if w and w[-1] in self._center:
+            return GroupElement(tuple(inv[s] for s in reversed(w[:-1])) + (inv[w[-1]],))
+        return GroupElement(tuple(inv[s] for s in reversed(w)))
 
     def length(self, x: GroupElement) -> int:
-        # Canonical forms of every family spell one generator per letter.
+        # Canonical words spell one generator per letter.
         return len(x.word)
 
     def key(self, x: GroupElement):
@@ -197,186 +253,44 @@ class MultiplicationTable:
         return cls(names, rows)
 
 
-def _table_alphabet(tables: Sequence[MultiplicationTable],
-                    extra: tuple[str, ...] = ()) -> GeneratorAlphabet:
-    symbols = list(extra)
-    inverse = {}
-    for s in extra:
-        inverse[s] = inverse_name(s)
-    for t in tables:
-        for i, name in enumerate(t.names):
-            if i == 0:
-                continue
-            symbols.append(name)
-            inverse[name] = t.names[t.inverse_index[i]]
-    return GeneratorAlphabet(tuple(symbols), inverse)
-
-
 class FreeGroupOracle(GroupOracle):
     """Free group on named generators; normal form is the freely reduced word."""
-
-    family = "free"
 
     def __init__(self, generators: Sequence[str]):
         gens = tuple(generators)
         if not gens:
             raise InputError("free group needs at least one generator")
-        symbols = []
-        inverse = {}
-        for g in gens:
-            gi = inverse_name(g)
-            symbols.extend((g, gi))
-            inverse[g] = gi
-            inverse[gi] = g
-        self.generators = gens
-        self.alphabet = GeneratorAlphabet(tuple(symbols), inverse)
-
-    def _normal_form(self, raw: Sequence[str]) -> GroupElement:
-        return GroupElement(self.reduce(raw))
-
-    def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        return GroupElement(self.cancel(x.word, y.word))
-
-    def cancel(self, xw: tuple[str, ...], yw: tuple[str, ...]) -> tuple[str, ...]:
-        """Product of two reduced words: x's suffix cancels y's prefix."""
-        inv = self.alphabet.inverse
-        i, j, m = len(xw), 0, len(yw)
-        while i and j < m and xw[i - 1] == inv[yw[j]]:
-            i -= 1
-            j += 1
-        return xw[:i] + yw[j:]
-
-    def reduce(self, raw: Sequence[str]) -> tuple[str, ...]:
-        """Free reduction of a word whose symbols are already checked."""
-        inv = self.alphabet.inverse
-        stack: list[str] = []
-        for s in raw:
-            if stack and stack[-1] == inv[s]:
-                stack.pop()
-            else:
-                stack.append(s)
-        return tuple(stack)
+        super().__init__("free", generators=gens)
 
 
 class FiniteGroupOracle(GroupOracle):
     """A single finite group; the canonical word is one table element (or empty)."""
 
-    family = "finite"
-
     def __init__(self, table: MultiplicationTable):
-        self.table = table
-        self.alphabet = _table_alphabet([table])
-        self._idx = {name: i for i, name in enumerate(table.names)}
-
-    def _normal_form(self, raw: Sequence[str]) -> GroupElement:
-        acc = 0
-        for s in raw:
-            acc = self.table.mult(acc, self._idx[s])
-        return GroupElement(() if acc == 0 else (self.table.names[acc],))
-
-    def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        idx = self._idx
-        a = self.table.mult(idx[x.word[0]] if x.word else 0,
-                            idx[y.word[0]] if y.word else 0)
-        return GroupElement(() if a == 0 else (self.table.names[a],))
+        super().__init__("finite", factors=(table,))
 
 
 class FreeProductOracle(GroupOracle):
     """Free product of finite groups; alternating nontrivial syllables."""
 
-    family = "free_product"
-
     def __init__(self, tables: Sequence[MultiplicationTable]):
         if len(tables) < 2:
             raise InputError("free product needs at least two factors")
-        self.tables = tuple(tables)
-        self.alphabet = _table_alphabet(self.tables)
-        # symbol -> (factor index, element index within its table)
-        self._where: dict[str, tuple[int, int]] = {}
-        for f, t in enumerate(self.tables):
-            for i in range(1, t.order):
-                self._where[t.names[i]] = (f, i)
-
-    def _normal_form(self, raw: Sequence[str]) -> GroupElement:
-        out: list[tuple[int, int]] = []
-        for s in raw:
-            f, i = self._where[s]
-            while True:
-                if out and out[-1][0] == f:
-                    pf, pi = out.pop()
-                    i = self.tables[f].mult(pi, i)
-                    if i == 0:
-                        break
-                    # combined syllable may now merge with the new top
-                    continue
-                out.append((f, i))
-                break
-            # when i became identity nothing is appended; continue with next symbol
-        return GroupElement(tuple(self.tables[f].names[i] for f, i in out))
-
-    def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        # merge x's last syllable into y's first while both lie in one factor
-        xw, yw, where = x.word, y.word, self._where
-        i, j, m = len(xw), 0, len(yw)
-        while i and j < m:
-            f, a = where[xw[i - 1]]
-            g, b = where[yw[j]]
-            if f != g:
-                break
-            c = self.tables[f].mult(a, b)
-            if c:
-                return GroupElement(xw[:i - 1] + (self.tables[f].names[c],) + yw[j + 1:])
-            i -= 1
-            j += 1
-        return GroupElement(xw[:i] + yw[j:])
+        super().__init__("free_product", factors=tuple(tables))
 
 
 class DirectProductOracle(GroupOracle):
     """F_k x A for a finite group A; componentwise normal form (A is a direct factor)."""
 
-    family = "direct_product"
-
     def __init__(self, generators: Sequence[str], table: MultiplicationTable):
-        self.free = FreeGroupOracle(generators)
-        self.table = table
-        self.alphabet = _table_alphabet([table], extra=self.free.alphabet.symbols)
-        self._finite_idx = {name: i for i, name in enumerate(table.names)}
-        self._free_symbols = set(self.free.alphabet.symbols)
-
-    def _normal_form(self, raw: Sequence[str]) -> GroupElement:
-        free_part = [s for s in raw if s in self._free_symbols]
-        acc = 0
-        for s in raw:
-            if s not in self._free_symbols:
-                acc = self.table.mult(acc, self._finite_idx[s])
-        word = self.free.reduce(free_part)
-        if acc != 0:
-            word = word + (self.table.names[acc],)
-        return GroupElement(word)
-
-    def _split(self, w: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
-        """(free part, finite table index) of a canonical word."""
-        if w and w[-1] not in self._free_symbols:
-            return w[:-1], self._finite_idx[w[-1]]
-        return w, 0
-
-    def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        xf, a = self._split(x.word)
-        yf, b = self._split(y.word)
-        word = self.free.cancel(xf, yf)
-        c = self.table.mult(a, b)
-        return GroupElement(word + (self.table.names[c],) if c else word)
-
-    def invert(self, x: GroupElement) -> GroupElement:
-        xf, a = self._split(x.word)
-        inv = self.alphabet.inverse
-        word = tuple(inv[s] for s in reversed(xf))
-        if a:
-            word += (self.table.names[self.table.inverse_index[a]],)
-        return GroupElement(word)
+        gens = tuple(generators)
+        if not gens:
+            raise InputError("free group needs at least one generator")
+        super().__init__("direct_product", generators=gens, center=table)
 
     def free_projection(self, x: GroupElement) -> GroupElement:
-        return GroupElement(self._split(x.word)[0])
+        w = x.word
+        return GroupElement(w[:-1] if w and w[-1] in self._center else w)
 
 
 @dataclass(frozen=True, eq=False)

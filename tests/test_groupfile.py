@@ -88,6 +88,14 @@ def test_load_group(tmp_path):
         ("family finite\ntable\n1\nend\n", "table before"),
         ("family finite\nelements 1 r\ntable\n1 r\nr 1\n", "unterminated"),
         ("family finite\nelements 1 r\ntable\n1 r\nr r\nend\n", ""),
+        # a line the family has no use for is rejected, not dropped
+        (FREE_TEXT + "elements 1 r\ntable\n1 r\nr 1\nend\n",
+         "line 4: the free family takes no elements line"),
+        (FINITE_TEXT + "generators a\n", "line 8: the finite family takes no generators line"),
+        (FREE_PRODUCT_TEXT.replace("factor", "generators a\nfactor", 1),
+         "line 3: the free_product family takes no generators line"),
+        (DIRECT_PRODUCT_TEXT.replace("family", "generators c\nfamily"),
+         "line 4: duplicate generators line"),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -22,6 +22,7 @@ from centralizers import (
 )
 from centralizers.graphs import bfs_distances
 from centralizers.groupfile import BUILTIN_NAMES
+from centralizers.groups import inverse_name
 
 
 def words(oracle, max_size=8):
@@ -87,7 +88,7 @@ def _table_text(names, product):
     return "elements " + " ".join(names) + "\ntable\n" + "\n".join(rows) + "\nend\n"
 
 
-def _s3_text(prefix):
+def _s3(prefix):
     # S3 as permutations of three points, identity first; not abelian
     perms = list(itertools.permutations(range(3)))
     names = ["1"] + [f"{prefix}{i}" for i in range(1, 6)]
@@ -95,7 +96,11 @@ def _s3_text(prefix):
     def product(i, j):
         return perms.index(tuple(perms[i][perms[j][k]] for k in range(3)))
 
-    return _table_text(names, product)
+    return names, product
+
+
+def _s3_text(prefix):
+    return _table_text(*_s3(prefix))
 
 
 GROUP_FILES = {
@@ -135,6 +140,87 @@ def test_seam_arithmetic_matches_normal_form(name, data):
     assert oracle.multiply(x, oracle.invert(x)) == oracle.identity
     assert oracle.multiply(x, oracle.identity) == x == oracle.multiply(oracle.identity, x)
     assert oracle.invert(oracle.identity) == oracle.identity
+
+
+# --- normalize against a naive rewrite ---------------------------------------
+
+def _s3_table(prefix):
+    names, product = _s3(prefix)
+    return MultiplicationTable(names, [[names[product(i, j)] for j in range(6)]
+                                       for i in range(6)])
+
+
+# each family as (F_k * A_1 * ... * A_m) x B: (generators, factors A_i, B)
+PARTS = {
+    "F1": (("a",), (), None),
+    "F2": (("a", "b"), (), None),
+    "F2xZ2": (("a", "b"), (), MultiplicationTable.cyclic(2, "t")),
+    "F2xZ3": (("a", "b"), (), MultiplicationTable.cyclic(3, "u")),
+    "Z2*Z2": ((), (MultiplicationTable.cyclic(2, "r"),
+                   MultiplicationTable.cyclic(2, "s")), None),
+    "Z2*Z3": ((), (MultiplicationTable.cyclic(2, "r"),
+                   MultiplicationTable.cyclic(3, "s")), None),
+    "S3": ((), (_s3_table("c"),), None),
+    "S3*Z2": ((), (_s3_table("c"), MultiplicationTable.cyclic(2, "r")), None),
+    "F2xS3": (("a", "b"), (), _s3_table("c")),
+}
+
+
+def naive_normal_form(parts, raw):
+    """Rewrite until nothing changes: cancel a free letter against its
+    inverse, multiply two adjacent letters of one finite table, and move a
+    letter of the central factor B right past any other letter."""
+    generators, factors, center = parts
+    tables = factors + ((center,) if center else ())
+    free = {s for g in generators for s in (g, inverse_name(g))}
+    where = {name: (t, i) for t in tables for i, name in enumerate(t.names) if i}
+    central = set(center.names[1:]) if center else set()
+    w = list(raw)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(w) - 1):
+            a, b = w[k], w[k + 1]
+            if a in free:
+                if b == inverse_name(a):
+                    w[k:k + 2] = []
+                    changed = True
+            elif a in central and b not in central:
+                w[k:k + 2] = [b, a]
+                changed = True
+            elif b in where and where[a][0] is where[b][0]:
+                t, i = where[a]
+                p = t.mult(i, where[b][1])
+                w[k:k + 2] = [t.names[p]] if p else []
+                changed = True
+            if changed:
+                break
+    return tuple(w)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + tuple(GROUP_FILES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_normalize_matches_naive_rewrite(name, data):
+    oracle, parts = family(name), PARTS[name]
+    generators, factors, center = parts
+    # the alphabet order: generators and inverses, factor names, then B's
+    tables = factors + ((center,) if center else ())
+    assert oracle.alphabet.symbols == tuple(
+        [s for g in generators for s in (g, inverse_name(g))]
+        + [s for t in tables for s in t.names[1:]])
+    letters = st.sampled_from(oracle.alphabet.symbols)
+    if center:  # draw B's letters often, anywhere in the word
+        letters = st.one_of(letters, st.sampled_from(center.names[1:]))
+    raw = data.draw(st.lists(letters, max_size=12))
+    assert oracle.normalize(raw).word == naive_normal_form(parts, raw)
+
+
+def test_central_letters_keep_their_order():
+    oracle = family("F2xS3")
+    a, c1, c3 = (oracle.parse(s) for s in ("a", "c1", "c3"))
+    assert oracle.parse("c1*a*c3") == oracle.multiply(a, oracle.multiply(c1, c3))
+    assert oracle.parse("c1*a*c3") != oracle.multiply(a, oracle.multiply(c3, c1))
 
 
 # --- group axioms (property-based) ------------------------------------------
