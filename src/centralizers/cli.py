@@ -183,17 +183,16 @@ def _cmd_delta(args, report):
     ball = build_ball(oracle, args.radius, budget=args.budget)
     est = estimate_delta(ball, mode=args.mode, samples=args.samples, seed=args.seed)
     report.emit("delta_estimate", radius=ball.radius, **est.to_record())
-    report.say(
-        f"delta {est.delta} over {est.triangles} triangles "
-        f"({'exhaustive' if est.exhaustive else 'sampled'})"
-    )
+    report.say(f"delta {est.delta} over {est.triangles} triangles ({est.mode})")
     return EXIT_OK
 
 
 def _afp_threshold(args) -> tuple[Fraction, Fraction]:
+    """The threshold a and delta of ``afp`` and ``extract``: a is
+    ``--threshold-a`` (delta then defaults to 0) or else 6 * ``--delta``."""
     if args.threshold_a is not None:
         a = _parse_fraction(args.threshold_a)
-        delta = _parse_fraction(args.delta) if args.delta else Fraction(0)
+        delta = _parse_fraction(args.delta) if args.delta is not None else Fraction(0)
         return a, delta
     if args.delta is not None:
         delta = _parse_fraction(args.delta)
@@ -201,7 +200,9 @@ def _afp_threshold(args) -> tuple[Fraction, Fraction]:
     raise InputError("one of --threshold-a / --delta is required")
 
 
-def _cmd_afp(args, report):
+def _almost_fixed(args, report):
+    """What ``afp`` and ``extract`` both begin with: the ball's context, the
+    subgroup, the thresholds and the emitted almost-fixed set."""
     oracle = _make_oracle(args)
     subgroup = _make_subgroup(oracle, args.subgroup)
     ball = build_ball(oracle, args.radius, budget=args.budget)
@@ -210,6 +211,11 @@ def _cmd_afp(args, report):
     afp = almost_fixed_set(ctx, subgroup, a)
     report.emit("almost_fixed_set", subgroup=[str(h) for h in subgroup],
                 **afp.to_record())
+    return ctx, subgroup, a, delta, afp
+
+
+def _cmd_afp(args, report):
+    ctx, _, a, delta, afp = _almost_fixed(args, report)
     report.say(
         f"almost-fixed set at threshold {a}: {afp.size} members, "
         f"{afp.excluded} window-excluded"
@@ -231,15 +237,7 @@ def _cmd_afp(args, report):
 
 
 def _cmd_extract(args, report):
-    oracle = _make_oracle(args)
-    subgroup = _make_subgroup(oracle, args.subgroup)
-    ball = build_ball(oracle, args.radius, budget=args.budget)
-    ctx = CayleyContext(ball)
-    a = _parse_fraction(args.threshold_a)
-    delta = _parse_fraction(args.delta)
-    afp = almost_fixed_set(ctx, subgroup, a)
-    report.emit("almost_fixed_set", subgroup=[str(h) for h in subgroup],
-                **afp.to_record())
+    ctx, subgroup, a, delta, afp = _almost_fixed(args, report)
     c1, c2, c3 = measure_constants(ctx, int(a))
     constants = compute_constants(args.c0, c1, c2, c3, delta,
                                   a=int(a), formula=args.formula)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional
 
 from .errors import BudgetError, InputError, InvariantError, WindowError
 from .fixpoints import ActionContext, AlmostFixedSet, almost_fixed_set
@@ -47,14 +46,6 @@ class Slope:
         if q < 0 or (q == 0 and p < 0):
             p, q = -p, -q
         return cls(p, q)
-
-    @classmethod
-    def parse(cls, text: str) -> "Slope":
-        try:
-            p_str, q_str = text.strip().split("/")
-            return cls.make(int(p_str), int(q_str))
-        except ValueError as exc:
-            raise InputError(f"cannot parse slope {text!r}") from exc
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
@@ -131,36 +122,24 @@ class FiniteMatrixGroup:
         return iter(self.elements)
 
 
-def _close_under_products(gens: Iterable[UniMatrix]) -> tuple[UniMatrix, ...]:
-    elems = {IDENTITY_MATRIX.entries(): IDENTITY_MATRIX}
-    frontier = list(gens)
-    while frontier:
-        m = frontier.pop()
-        if m.entries() in elems:
-            continue
-        elems[m.entries()] = m
-        if len(elems) > 64:
-            raise InputError("matrix group closure exceeds the finite budget")
-        for e in list(elems.values()):
-            frontier.append(m * e)
-            frontier.append(e * m)
-    return tuple(sorted(elems.values(), key=lambda m: m.entries()))
-
-
 def finite_subgroup(name: str) -> FiniteMatrixGroup:
-    """Built-in finite matrix groups: <S> of order 4, <ST> of order 6, <-I>."""
+    """Built-in finite matrix groups, all cyclic: <S> of order 4, <ST> of
+    order 6, <-I>; the elements are the generator's powers in ``entries`` order."""
     gens = {
-        "S4": ([S_MATRIX], 4),
-        "ST6": ([S_MATRIX * T_MATRIX], 6),
-        "center2": ([NEG_IDENTITY], 2),
+        "S4": (S_MATRIX, 4),
+        "ST6": (S_MATRIX * T_MATRIX, 6),
+        "center2": (NEG_IDENTITY, 2),
     }
     if name not in gens:
         raise InputError(f"unknown finite subgroup name {name!r}")
-    generators, expected = gens[name]
-    elements = _close_under_products(generators)
-    if len(elements) != expected:
-        raise InvariantError(f"closure of {name} has unexpected order {len(elements)}")
-    return FiniteMatrixGroup(name=name, elements=elements)
+    generator, expected = gens[name]
+    powers = [IDENTITY_MATRIX]
+    for _ in range(expected):
+        powers.append(powers[-1] * generator)
+    # g^expected = I with distinct lower powers: g has order exactly `expected`
+    if powers.pop() != IDENTITY_MATRIX or len(set(powers)) != expected:
+        raise InvariantError(f"{name}'s generator does not have order {expected}")
+    return FiniteMatrixGroup(name=name, elements=tuple(sorted(powers, key=UniMatrix.entries)))
 
 
 def _descend_to_infinity(s: Slope) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -258,7 +237,6 @@ class FareyWindow(FiniteMetricGraph):
     """
 
     center: Slope
-    depth: int
     slopes: tuple[Slope, ...]
     index: dict
 
@@ -310,7 +288,6 @@ def build_window(depth: int) -> FareyWindow:
         adjacency[j].append(i)
     return FareyWindow(
         center=ZERO_SLOPE,
-        depth=depth,
         slopes=ordered,
         index=index,
         adjacency=tuple(tuple(sorted(a)) for a in adjacency),

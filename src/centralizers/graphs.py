@@ -156,7 +156,6 @@ def geodesic_layers(graph: FiniteMetricGraph, x: int, y: int,
 class DeltaEstimate:
     delta: int
     triangles: int
-    exhaustive: bool
     witness: Optional[tuple[int, int, int]]
     mode: str
     seed: Optional[int] = None
@@ -165,7 +164,7 @@ class DeltaEstimate:
         return {
             "delta": self.delta,
             "triangles": self.triangles,
-            "exhaustive": self.exhaustive,
+            "exhaustive": self.mode == "exhaustive",
             "witness": list(self.witness) if self.witness else None,
             # no geodesic is ever skipped, so this is always false; the key
             # stays because readers of the stream (perfbench/checks.py among
@@ -280,7 +279,7 @@ def _exhaustive_scan(dmat, ok) -> DeltaEstimate:
             j = int(thin.argmax())
             if thin[j] > best:
                 best, witness = int(thin[j]), (x, int(y[j]), int(z[j]))
-    return DeltaEstimate(best, count, True, witness, "exhaustive")
+    return DeltaEstimate(best, count, witness, "exhaustive")
 
 
 def _sampled_scan(dmat, ok, samples, seed) -> DeltaEstimate:
@@ -306,7 +305,7 @@ def _sampled_scan(dmat, ok, samples, seed) -> DeltaEstimate:
             if ok[x, y] and ok[x, z] and ok[y, z]:
                 drawn.append(key)
     if not drawn:
-        return DeltaEstimate(0, 0, False, None, "sampled", seed)
+        return DeltaEstimate(0, 0, None, "sampled", seed)
     tri = np.array(drawn)
     del seen, ok, drawn
     x, y, z = np.unravel_index(tri, (n, n, n))
@@ -337,7 +336,7 @@ def _sampled_scan(dmat, ok, samples, seed) -> DeltaEstimate:
     thin = np.maximum.reduceat(low, off[:-1]).reshape(-1, 3).max(axis=1)
     j = int(thin.argmax())
     witness = tuple(map(int, np.unravel_index(tri[j], (n, n, n)))) if thin[j] > 0 else None
-    return DeltaEstimate(int(thin[j]), len(thin), False, witness, "sampled", seed)
+    return DeltaEstimate(int(thin[j]), len(thin), witness, "sampled", seed)
 
 
 def estimate_delta(graph: FiniteMetricGraph, mode: str = "exhaustive",

@@ -70,12 +70,19 @@ class Directives:
             if words:
                 yield words
 
-    def table(self) -> list[list[str]]:
-        """The rows after a ``table`` line, up to its ``end`` line."""
+    def table(self, names) -> MultiplicationTable:
+        """The group table over the ``elements`` list ``names`` whose rows
+        follow a ``table`` line, up to its ``end`` line; a missing list or a
+        table that is not a group raises ``ParseError``."""
+        if names is None:
+            raise ParseError("table before an elements line", line=self.line)
         rows = []
         for words in self:
             if words == ["end"]:
-                return rows
+                try:
+                    return MultiplicationTable(names, rows)
+                except InputError as exc:
+                    raise ParseError(str(exc), line=self.line) from None
             rows.append(words)
         raise ParseError("unterminated table (missing 'end')", line=self.line)
 
@@ -104,13 +111,7 @@ def parse_group(text: str) -> GroupOracle:
         elif parts[0] == "elements":
             pending_elements = parts[1:]
         elif parts[0] == "table":
-            if pending_elements is None:
-                raise ParseError("table before an elements line", line=i)
-            rows = lines.table()
-            try:
-                tables.append(MultiplicationTable(pending_elements, rows))
-            except InputError as exc:
-                raise ParseError(str(exc), line=lines.line)
+            tables.append(lines.table(pending_elements))
             pending_elements = None
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", line=i)

@@ -98,10 +98,6 @@ def _permute(perm: tuple[int, ...], vector: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def identity_element(action: PermutationAction) -> SemidirectElement:
-    return SemidirectElement(action, (0,) * action.family_size, 0)
-
-
 def group_part(action: PermutationAction, element: int) -> SemidirectElement:
     return SemidirectElement(action, (0,) * action.family_size, element)
 
@@ -229,25 +225,31 @@ def parse_action(text: str) -> PermutationAction:
         end
         perm g x->y y->z z->x
         perm g2 x->z y->x z->y
+
+    A file has one ``labels``, ``elements`` and ``table`` line each and at
+    most one ``perm`` line per element; a repeated line is a ``ParseError``.
     """
     labels: Optional[tuple[str, ...]] = None
     names: Optional[list[str]] = None
-    rows: list[list[str]] = []
+    table: Optional[MultiplicationTable] = None
     perm_lines: dict[str, dict[str, str]] = {}
+    seen = set()
     lines = Directives(text)
     for parts in lines:
         i = lines.line
+        if parts == ["perm"]:
+            raise ParseError("perm needs a group element name", line=i)
+        directive = " ".join(parts[:2]) if parts[0] == "perm" else parts[0]
+        if directive in seen:
+            raise ParseError(f"duplicate {directive} line", line=i)
+        seen.add(directive)
         if parts[0] == "labels":
             labels = tuple(parts[1:])
         elif parts[0] == "elements":
             names = parts[1:]
         elif parts[0] == "table":
-            if names is None:
-                raise ParseError("table before elements", line=i)
-            rows.extend(lines.table())
+            table = lines.table(names)
         elif parts[0] == "perm":
-            if len(parts) < 2:
-                raise ParseError("perm needs a group element name", line=i)
             images = {}
             for chunk in parts[2:]:
                 if "->" not in chunk:
@@ -257,12 +259,11 @@ def parse_action(text: str) -> PermutationAction:
             perm_lines[parts[1]] = images
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", line=i)
-    if labels is None or names is None or not rows:
+    if labels is None or table is None:
         raise ParseError("action file needs labels, elements and a table")
-    table = MultiplicationTable(names, rows)
     label_idx = {name: j for j, name in enumerate(labels)}
     perms = [tuple(range(len(labels)))]
-    for name in names[1:]:
+    for name in table.names[1:]:
         if name not in perm_lines:
             raise ParseError(f"missing perm line for element {name!r}")
         images = perm_lines[name]
@@ -275,7 +276,7 @@ def parse_action(text: str) -> PermutationAction:
             if img is None:
                 perm[j] = j  # unmentioned labels are fixed
         perms.append(tuple(perm))
-    extra = set(perm_lines) - set(names[1:])
+    extra = set(perm_lines) - set(table.names[1:])
     if extra:
         raise ParseError(f"perm lines for unknown elements: {sorted(extra)}")
     return PermutationAction(labels=labels, table=table, perms=tuple(perms))

@@ -156,7 +156,7 @@ def test_criterion_4_midpoint_certification():
         oracle = builtin_group(name)
         ball = build_ball(oracle, radius)
         est = estimate_delta(ball)
-        assert est.exhaustive
+        assert est.mode == "exhaustive"
         delta = Fraction(est.delta)
         ctx = CayleyContext(ball)
         sub = make_subgroup(oracle, spec)
@@ -185,7 +185,7 @@ def test_criterion_5_delta_baselines():
         oracle = builtin_group(name)
         for r in radii:
             est = estimate_delta(build_ball(oracle, r))
-            assert est.exhaustive and est.delta == 0
+            assert est.mode == "exhaustive" and est.delta == 0
     oracle = builtin_group("Z2*Z3")
     deltas = [estimate_delta(build_ball(oracle, r)).delta for r in (4, 5, 6)]
     assert deltas == sorted(deltas)

@@ -128,6 +128,15 @@ def test_error_exit_codes(tmp_path):
     assert invoke(["delta", "--family", "F2"] )[0] == EXIT_OK
 
 
+def test_empty_delta_exits_2_beside_threshold_a():
+    # an empty --delta beside --threshold-a used to run with delta 0
+    base = ["afp", "--family", "F2xZ2", "--subgroup", "t", "--radius", "2"]
+    for extra in (["--threshold-a", "1", "--delta="], ["--delta="]):
+        code, _, err = invoke(base + extra)
+        assert code == EXIT_INPUT
+        assert "cannot parse rational ''" in err
+
+
 def test_negative_sample_counts_exit_2():
     # a negative count used to scan 0 triangles and report delta >= 0, which
     # then set the farey almost-fixed threshold to 6 * 0

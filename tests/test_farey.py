@@ -58,9 +58,9 @@ def matrices_strategy():
 # --- slopes and the action ---------------------------------------------------
 
 def test_slope_parse_and_str():
-    assert str(Slope.parse("3/5")) == "3/5"
-    assert str(Slope.parse("-2/7")) == "-2/7"
-    assert Slope.parse("1/0") == INFINITY_SLOPE
+    assert str(Slope.make(3, 5)) == "3/5"
+    assert str(Slope.make(2, -7)) == "-2/7"
+    assert Slope.make(-1, 0) == INFINITY_SLOPE
     assert Slope.make(1, -2) == Slope.make(-1, 2)  # canonical sign
 
 
@@ -193,12 +193,18 @@ def test_finite_subgroups():
         finite_subgroup("bogus")
 
 
-def test_finite_subgroup_closed():
-    sub = finite_subgroup("ST6")
+@pytest.mark.parametrize("name", ["S4", "ST6", "center2"])
+def test_finite_subgroup_closed(name):
+    sub = finite_subgroup(name)
     elems = set(sub.elements)
+    assert UniMatrix(1, 0, 0, 1) in elems
     for m1 in elems:
+        assert m1.inverse() in elems
         for m2 in elems:
             assert m1 * m2 in elems
+    # the report streams list the elements in this order
+    assert list(sub.elements) == sorted(elems, key=UniMatrix.entries)
+    assert len(elems) == sub.order
 
 
 @pytest.mark.parametrize("depth,size", [(2, 8), (3, 16), (4, 32), (5, 64)])

@@ -163,7 +163,7 @@ def test_one_validity_predicate(f2xz2):
 def test_delta_zero_on_trees(f2):
     for r in (2, 3, 4):
         est = estimate_delta(build_ball(f2, r))
-        assert est.exhaustive and est.delta == 0
+        assert est.mode == "exhaustive" and est.delta == 0
 
 
 @pytest.mark.parametrize("n,expected", [(4, 1), (5, 1), (6, 1), (7, 1), (8, 2), (10, 2)])
@@ -193,7 +193,7 @@ def test_sampled_delta_is_lower_bound_and_deterministic():
     s2 = estimate_delta(g, mode="sampled", samples=50, seed=3)
     assert s1.delta <= full.delta
     assert s1.delta == s2.delta and s1.triangles == s2.triangles
-    assert not s1.exhaustive
+    assert s1.mode == "sampled"
 
 
 def test_delta_exact_beyond_64_geodesics():
@@ -409,7 +409,7 @@ def per_triangle_sampled_delta(graph, samples, seed):
 
 def assert_sampled_scan_matches_reference(graph, samples, seed):
     est = estimate_delta(graph, mode="sampled", samples=samples, seed=seed)
-    assert not est.exhaustive and est.seed == seed
+    assert est.mode == "sampled" and est.seed == seed
     assert (est.delta, est.triangles, est.witness) == \
         per_triangle_sampled_delta(graph, samples, seed)
 

@@ -18,7 +18,6 @@ from centralizers.groups import MultiplicationTable
 from centralizers.multitwist import (
     cyclic_rotation_action,
     group_part,
-    identity_element,
     is_invariant_vector,
     pure_twist,
     symmetric3_action,
@@ -41,8 +40,8 @@ def elements(action=ACTION):
 def test_semidirect_group_laws(x, y, z):
     assert (x * y) * z == x * (y * z)
     assert (x * x.inverse()).is_identity()
-    assert x * identity_element(ACTION) == x
-    assert identity_element(ACTION) * x == x
+    assert x * group_part(ACTION, 0) == x
+    assert group_part(ACTION, 0) * x == x
 
 
 @settings(max_examples=50, deadline=None)
@@ -126,7 +125,7 @@ def test_action_validation():
 def test_mixed_action_elements_rejected():
     a1, a2 = cyclic_rotation_action(3), cyclic_rotation_action(3)
     with pytest.raises(InputError):
-        identity_element(a1) * identity_element(a2)
+        group_part(a1, 0) * group_part(a2, 0)
 
 
 ACTION_TEXT = """
@@ -167,3 +166,15 @@ def test_parse_action_errors():
         parse_action(ACTION_TEXT.replace("x->y", "x=>y"))
     with pytest.raises(ParseError):
         parse_action(ACTION_TEXT.replace("end\n", ""))
+    # a repeated line is rejected at its line, not replaced or blamed on the
+    # homomorphism; a table that is not a group is rejected at its end line
+    for text, line in [
+        (ACTION_TEXT.replace("elements", "labels x y z\nelements"), 3),
+        (ACTION_TEXT.replace("table", "elements 1 g g2\ntable"), 4),
+        (ACTION_TEXT.replace("perm g x", "perm g x->z y->x z->y\nperm g x"), 10),
+        (ACTION_TEXT + "table\n1 g g2\ng g2 1\ng2 1 g\nend\n", 11),
+        (ACTION_TEXT.replace("g g2 1\n", "g g2 g2\n"), 8)  # g has no inverse,
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_action(text)
+        assert err.value.line == line
