@@ -22,11 +22,13 @@ from . import farey as fy
 from .errors import (
     BudgetError, InputError, InvariantError, ParseError, ToolkitError, WindowError,
 )
-from .extraction import compute_constants, extract_centralizers, measure_constants
+from .extraction import (
+    ORDER_CHECK_BOUND, compute_constants, extract_centralizers, measure_constants,
+)
 from .fixpoints import CayleyContext, almost_fixed_set, far_pairs, midpoint_certify
 from .graphs import estimate_delta
 from .groupfile import BUILTIN_NAMES, builtin_group, load_group, read_text
-from .groups import build_ball, verify_subgroup
+from .groups import DEFAULT_BALL_BUDGET, build_ball, verify_subgroup
 
 EXIT_OK = 0
 EXIT_NONE_FOUND = 1
@@ -70,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", help=f"built-in family, one of {', '.join(BUILTIN_NAMES)}")
         p.add_argument("--group-file", help="group definition file")
         p.add_argument("--radius", type=int, default=3)
-        p.add_argument("--budget", type=int, default=2_000_000)
+        p.add_argument("--budget", type=int, default=DEFAULT_BALL_BUDGET)
 
     def add_common(p):
         p.add_argument("--config", help="key = value config file; flags override")
@@ -105,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c0", type=int, required=True,
                    help="bound on finite-subgroup orders (user-supplied)")
     p.add_argument("--delta", default="0", help="delta used in the D formula")
-    p.add_argument("--order-bound", type=int, default=64)
+    p.add_argument("--order-bound", type=int, default=ORDER_CHECK_BOUND)
     p.add_argument("--formula", choices=("cayley", "surface"), default="cayley")
 
     p = sub.add_parser("farey", help="Farey window, distances and orbit profiles")
@@ -293,13 +295,13 @@ def _cmd_farey(args, report):
         a = Fraction(6 * est.delta)
     afp = fy.almost_fixed_slopes(subgroup, window, a)
     members = [str(window.slopes[v]) for v in afp.members]
-    report.emit("almost_fixed_slopes", subgroup=subgroup.name,
+    report.emit("almost_fixed_slopes", subgroup=args.subgroup_name,
                 threshold=str(a), size=afp.size,
                 excluded_window_invalid=afp.excluded, members=members)
     profile, excluded = fy.orbit_diameter_profile(afp, window)
     report.emit(
         "orbit_diameter_profile",
-        subgroup=subgroup.name,
+        subgroup=args.subgroup_name,
         rows=[
             {"distance": r.distance_from_center,
              "max_orbit_diameter": r.max_orbit_diameter,
@@ -310,7 +312,7 @@ def _cmd_farey(args, report):
     )
     report.say(
         f"farey depth {args.depth}: {window.size} slopes, delta >= {est.delta}, "
-        f"|almost-fixed({a})| = {afp.size} for {subgroup.name}"
+        f"|almost-fixed({a})| = {afp.size} for {args.subgroup_name}"
     )
     return EXIT_OK
 

@@ -5,8 +5,10 @@ C0 bounds finite-subgroup orders, C1 counts vertex orbits of the action,
 C2 bounds vertex counts of a-balls and C3 bounds vertex stabilizers.  Once
 an almost-fixed set reaches cardinality N, refining it by pigeonhole yields
 at least C0+1 elements commuting with every element of H, hence an infinite
-centralizer.  The extraction below realizes that refinement exactly and
-emits each element with a full commutation transcript.
+centralizer.  The extraction below realizes that refinement exactly on a
+Cayley graph, where the action is free and transitive (C1 = C3 = 1): the
+orbit and stabilizer-coset stages split nothing, so only the transporter
+pigeonhole runs.  Each element is emitted with a full commutation transcript.
 
 Convention note: the group acts on its Cayley graph by right multiplication
 (see groups module), so the transporter taking p_1 to p_i is g_i = p_1^-1 *
@@ -24,6 +26,8 @@ from typing import Optional
 from .errors import BudgetError, InputError, InvariantError
 from .fixpoints import ActionContext, AlmostFixedSet, CayleyContext
 from .groups import DirectProductOracle, FiniteSubgroup, GroupElement, GroupOracle
+
+ORDER_CHECK_BOUND = 64  # default m of the order check z^k = 1, k <= m
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,8 @@ class OrderReport:
         return {"kind": self.kind, "value": self.value}
 
 
-def order_lower_bound(oracle: GroupOracle, z: GroupElement, m: int = 64) -> OrderReport:
+def order_lower_bound(oracle: GroupOracle, z: GroupElement,
+                      m: int = ORDER_CHECK_BOUND) -> OrderReport:
     """Least k <= m with z^k = 1, else "exceeds m"; exact infinitude when the
     free projection of a direct-product element is nontrivial."""
     if m < 1:
@@ -195,15 +200,23 @@ def _largest_class(groups: dict, rank) -> list:
 
 def _general_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
                   members: list[int]) -> tuple[list[GroupElement], GroupElement]:
-    """Full refinement: orbit class, transporter pigeonhole, stabilizer cosets."""
+    """Full refinement: orbit class, then the transporter pigeonhole.
+
+    The threshold's stabilizer-coset refinement (the C3^C0 factor) splits no
+    class on a Cayley graph, where the action is free (C3 = 1), so it is not
+    run.  After steps (2)-(3) every member i of the final class has, for each
+    h, the same key of p_i*h*g_i^-1 = (p_i*h*p_i^-1)*p_1, so c_h = p_i*h*p_i^-1
+    is one element across the class.  With g_i = p_1^-1*p_i the coset word
+    g_b^-1*(g_i*h)*g_i^-1*(g_b*h^-1) is p_b^-1*c_h*p_b*h^-1, the same for
+    every i: one key per h, and the class stays whole.
+    """
     oracle = ctx.oracle
     verts = ctx.ball.vertices
     rank = _member_rank(ctx, members)
 
     # (1) partition by G-orbit: right multiplication is transitive, one class.
     cls = sorted(members, key=rank)
-    p1 = verts[cls[0]]
-    p1_inv = oracle.invert(p1)
+    p1_inv = oracle.invert(verts[cls[0]])
     transporter = {i: oracle.multiply(p1_inv, verts[i]) for i in cls}  # g_i
 
     # (2)-(3) refine by the pigeonhole value p_i * h_t * g_i^-1 in B(p_1, a)
@@ -217,31 +230,11 @@ def _general_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
             groups.setdefault(oracle.key(value), []).append(i)
         current = _largest_class(groups, rank)
 
-    # (4) refine by stabilizer cosets at the base point b.
-    b = min(current, key=rank)
-    gb = transporter[b]
-    gb_inv = oracle.invert(gb)
-    for h in subgroup:
-        h_inv = oracle.invert(h)
-        groups = {}
-        for i in current:
-            gi = transporter[i]
-            w = oracle.multiply(
-                oracle.multiply(
-                    oracle.multiply(gb_inv, oracle.multiply(gi, h)),
-                    oracle.invert(gi),
-                ),
-                oracle.multiply(gb, h_inv),
-            )
-            groups.setdefault(oracle.key(w), []).append(i)
-        current = _largest_class(groups, rank)
-
-    # (5) emit g_i^-1 * g_c over the final class.
+    # (4) emit g_i^-1 * g_c over the final class.
     c = min(current, key=rank)
     gc = transporter[c]
-    out = []
-    for i in sorted(current, key=rank):
-        out.append((oracle.multiply(oracle.invert(transporter[i]), gc), verts[i]))
+    out = [(oracle.multiply(oracle.invert(transporter[i]), gc), verts[i])
+           for i in sorted(current, key=rank)]
     return out, verts[c]
 
 
@@ -270,14 +263,13 @@ def _specialized_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
         cls = _largest_class(groups, rank)
     c = min(cls, key=rank)
     pc = verts[c]
-    out = []
-    for i in sorted(cls, key=rank):
-        out.append((oracle.multiply(oracle.invert(verts[i]), pc), verts[i]))
+    out = [(oracle.multiply(oracle.invert(verts[i]), pc), verts[i])
+           for i in sorted(cls, key=rank)]
     return out, pc
 
 
-def extract_centralizers(ctx: ActionContext, subgroup: FiniteSubgroup,
-                         afp: AlmostFixedSet, m: int = 64) -> ExtractionResult:
+def extract_centralizers(ctx: ActionContext, subgroup: FiniteSubgroup, afp: AlmostFixedSet,
+                         m: int = ORDER_CHECK_BOUND) -> ExtractionResult:
     """Run both refinement paths, assert agreement, verify every certificate.
 
     An empty result (final class a singleton) is a valid outcome: the window
@@ -305,13 +297,9 @@ def extract_centralizers(ctx: ActionContext, subgroup: FiniteSubgroup,
     if len(general) <= 1:
         return ExtractionResult(certificates=(), class_size=len(general), paths_agree=agree)
 
-    seen = set()
+    # z_i = g_i^-1 * g_c = p_i^-1 * p_c: distinct members emit distinct elements
     certificates = []
     for z, origin in general:
-        k = oracle.key(z)
-        if k in seen:
-            continue
-        seen.add(k)
         transcript = verify_centralizer(oracle, z, subgroup)
         if not transcript.ok:
             raise InvariantError(

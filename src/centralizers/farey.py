@@ -17,6 +17,7 @@ from math import gcd
 from .errors import BudgetError, InputError, InvariantError, WindowError
 from .fixpoints import ActionContext, AlmostFixedSet, almost_fixed_set
 from .graphs import FiniteMetricGraph
+from .groups import FiniteSubgroup
 
 INFINITY_SLOPE: "Slope"
 
@@ -109,20 +110,7 @@ def act(matrix: UniMatrix, s: Slope) -> Slope:
     return Slope.make(matrix.a * s.p + matrix.b * s.q, matrix.c * s.p + matrix.d * s.q)
 
 
-@dataclass(frozen=True)
-class FiniteMatrixGroup:
-    name: str
-    elements: tuple[UniMatrix, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
-def finite_subgroup(name: str) -> FiniteMatrixGroup:
+def finite_subgroup(name: str) -> FiniteSubgroup:
     """Built-in finite matrix groups, all cyclic: <S> of order 4, <ST> of
     order 6, <-I>; the elements are the generator's powers in ``entries`` order."""
     gens = {
@@ -139,7 +127,7 @@ def finite_subgroup(name: str) -> FiniteMatrixGroup:
     # g^expected = I with distinct lower powers: g has order exactly `expected`
     if powers.pop() != IDENTITY_MATRIX or len(set(powers)) != expected:
         raise InvariantError(f"{name}'s generator does not have order {expected}")
-    return FiniteMatrixGroup(name=name, elements=tuple(sorted(powers, key=UniMatrix.entries)))
+    return FiniteSubgroup(tuple(sorted(powers, key=UniMatrix.entries)))
 
 
 def _descend_to_infinity(s: Slope) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -232,8 +220,9 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 class FareyWindow(FiniteMetricGraph):
     """A finite mediant-generated window on the (locally infinite) Farey graph.
 
-    It carries no radius: its distances are window distances, and the exact
-    ones come from ``farey_distance``.
+    It carries no radius because it is convex: it is bounded by Farey edges,
+    each of which separates the graph, so a geodesic between two of its
+    slopes never leaves it and its distances are the Farey distances.
     """
 
     center: Slope
@@ -314,7 +303,7 @@ class FareyContext(ActionContext):
         return farey_distance(self.window.slopes[u], self.window.slopes[v]), True
 
 
-def almost_fixed_slopes(subgroup: FiniteMatrixGroup, window: FareyWindow,
+def almost_fixed_slopes(subgroup: FiniteSubgroup, window: FareyWindow,
                         threshold) -> AlmostFixedSet:
     """Slopes whose whole H-orbit stays in the window with diameter <= threshold."""
     return almost_fixed_set(FareyContext(window), subgroup.elements, threshold)

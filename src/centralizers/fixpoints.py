@@ -184,16 +184,15 @@ def far_pairs(ctx: ActionContext, members: tuple[int, ...],
     Pairs come in the order i < j over ``members``.  A valid pair on a window
     of radius R has min(|x|, |y|) + d <= R, so when d >= 20*delta one of its
     endpoints lies in the near set {v : |v| + 20*delta <= R}; pairs with no
-    near endpoint are skipped without a distance call.  On a window the rest
-    are read off one BFS from x, the row ``midpoint_certify`` then reuses: a
-    window distance flagged valid is the ambient one.  On a graph without a
-    radius every member is near and every pair goes through ``pair_distance``.
+    near endpoint are skipped without a distance call.  The rest are read off
+    one BFS from x, the row ``midpoint_certify`` then reuses: a window distance
+    flagged valid is the ambient one.  On a graph without a radius every
+    member is near and every window distance is valid.
     """
     twenty = 20 * Fraction(delta)
-    need = ceil(twenty)  # distances are integers
+    need = max(ceil(twenty), 0)  # distances are integers, -1 is unreachable
     graph = ctx.graph
-    window = graph.radius is not None
-    if window:
+    if graph.radius is not None:
         cut = floor(graph.radius - twenty)
         near = [j for j, v in enumerate(members) if graph.lengths[v] <= cut]
     else:
@@ -201,15 +200,11 @@ def far_pairs(ctx: ActionContext, members: tuple[int, ...],
     is_near = set(near)
     for i, x in enumerate(members):
         later = range(i + 1, len(members)) if i in is_near else near[bisect_right(near, i):]
-        row = ctx.bfs_from(x) if window and later else None
+        row = ctx.bfs_from(x) if later else None
         for j in later:
             y = members[j]
-            if row is None:
-                d, ok = ctx.pair_distance(x, y)
-            else:
-                d = row[y]
-                ok = d >= 0 and graph.valid(x, y, d)
-            if ok and d >= need:
+            d = row[y]
+            if d >= need and graph.valid(x, y, d):
                 yield x, y, d
 
 

@@ -74,9 +74,6 @@ class GroupElement:
     def __str__(self) -> str:
         return "*".join(self.word) if self.word else "1"
 
-    def __len__(self) -> int:
-        return len(self.word)
-
 
 IDENTITY = GroupElement(())
 
@@ -295,9 +292,10 @@ class DirectProductOracle(GroupOracle):
 
 @dataclass(frozen=True, eq=False)
 class FiniteSubgroup:
-    """A closure-verified finite set of canonical elements, identity first."""
+    """A closure-verified finite set of group elements: canonical words, or
+    the unimodular matrices of a Farey subgroup."""
 
-    elements: tuple[GroupElement, ...]
+    elements: tuple
 
     @property
     def order(self) -> int:

@@ -232,7 +232,7 @@ def parse_action(text: str) -> PermutationAction:
     labels: Optional[tuple[str, ...]] = None
     names: Optional[list[str]] = None
     table: Optional[MultiplicationTable] = None
-    perm_lines: dict[str, dict[str, str]] = {}
+    perm_lines: dict[str, tuple[int, dict[str, str]]] = {}  # name -> (line, images)
     seen = set()
     lines = Directives(text)
     for parts in lines:
@@ -256,7 +256,7 @@ def parse_action(text: str) -> PermutationAction:
                     raise ParseError(f"bad mapping {chunk!r}", line=i)
                 src, dst = chunk.split("->", 1)
                 images[src] = dst
-            perm_lines[parts[1]] = images
+            perm_lines[parts[1]] = (i, images)
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", line=i)
     if labels is None or table is None:
@@ -266,17 +266,14 @@ def parse_action(text: str) -> PermutationAction:
     for name in table.names[1:]:
         if name not in perm_lines:
             raise ParseError(f"missing perm line for element {name!r}")
-        images = perm_lines[name]
-        perm = [None] * len(labels)
+        line, images = perm_lines[name]
+        perm = list(range(len(labels)))  # unmentioned labels are fixed
         for src, dst in images.items():
             if src not in label_idx or dst not in label_idx:
-                raise ParseError(f"unknown label in {src}->{dst}")
+                raise ParseError(f"unknown label in {src}->{dst}", line=line)
             perm[label_idx[src]] = label_idx[dst]
-        for j, img in enumerate(perm):
-            if img is None:
-                perm[j] = j  # unmentioned labels are fixed
         perms.append(tuple(perm))
-    extra = set(perm_lines) - set(table.names[1:])
-    if extra:
-        raise ParseError(f"perm lines for unknown elements: {sorted(extra)}")
+    for name, (line, _) in perm_lines.items():  # in file order
+        if name not in table.names[1:]:
+            raise ParseError(f"perm line for unknown element {name!r}", line=line)
     return PermutationAction(labels=labels, table=table, perms=tuple(perms))

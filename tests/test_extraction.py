@@ -20,6 +20,8 @@ from centralizers import (
     verify_centralizer,
     verify_subgroup,
 )
+from centralizers.extraction import _general_path
+from conftest import make_subgroup
 
 
 def independent_n(c0, c1, c2, c3):
@@ -174,3 +176,48 @@ def test_extraction_provenance_quotients(f2xz3):
     for cert in res.certificates:
         p_i, p_c = cert.provenance
         assert f2xz3.multiply(f2xz3.invert(p_i), p_c) == cert.element
+
+
+def _coset_keys(oracle, sub, p1, cls):
+    """The stabilizer-coset refinement the general path leaves out, per h: the
+    keys of g_b^-1 * (g_i * h) * g_i^-1 * (g_b * h^-1) over the class, with
+    g_i = p_1^-1 * p_i and b the class's least member."""
+    g = {p: oracle.multiply(oracle.invert(p1), p) for p in cls}
+    gb = g[cls[0]]
+    out = []
+    for h in sub:
+        tail = oracle.multiply(gb, oracle.invert(h))
+        out.append({
+            oracle.key(oracle.multiply(oracle.multiply(
+                oracle.multiply(oracle.invert(gb), oracle.multiply(g[p], h)),
+                oracle.invert(g[p])), tail))
+            for p in cls
+        })
+    return out
+
+
+@pytest.mark.parametrize("family,spec,radii", [
+    ("F2xZ2", "t", (3, 4)), ("F2xZ3", "u,u*u", (2, 3)), ("Z2*Z3", "s,s*s", (4, 7)),
+    ("Z2*Z3", "r", (4, 7)), ("Z2*Z2", "r", (3, 6)), ("F2xZ2", "", (2, 3)),
+    ("Z2*Z3", "", (5,)),
+])
+def test_free_action_needs_no_coset_stage(family, spec, radii):
+    # on a Cayley graph the action is free: every h has one coset key over
+    # the final class, so the left-out refinement would never split it
+    oracle = builtin_group(family)
+    sub = make_subgroup(oracle, spec)
+    sizes = []
+    for radius in radii:
+        ctx = CayleyContext(build_ball(oracle, radius))
+        for a in (1, 2):
+            afp = almost_fixed_set(ctx, sub, a)
+            assert afp.members
+            out, pc = _general_path(ctx, sub, list(afp.members))
+            p1 = min((ctx.ball.vertices[i] for i in afp.members), key=oracle.key)
+            cls = [p for _, p in out]
+            assert pc == cls[0]
+            assert all(len(keys) == 1 for keys in _coset_keys(oracle, sub, p1, cls))
+            # the emitted z_i = p_i^-1 * p_c are pairwise distinct
+            assert len({oracle.key(z) for z, _ in out}) == len(out)
+            sizes.append(len(out))
+    assert max(sizes) > 1

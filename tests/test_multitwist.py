@@ -173,7 +173,10 @@ def test_parse_action_errors():
         (ACTION_TEXT.replace("table", "elements 1 g g2\ntable"), 4),
         (ACTION_TEXT.replace("perm g x", "perm g x->z y->x z->y\nperm g x"), 10),
         (ACTION_TEXT + "table\n1 g g2\ng g2 1\ng2 1 g\nend\n", 11),
-        (ACTION_TEXT.replace("g g2 1\n", "g g2 g2\n"), 8)  # g has no inverse,
+        (ACTION_TEXT.replace("g g2 1\n", "g g2 g2\n"), 8),  # g has no inverse,
+        # a bad perm line is rejected at its line
+        (ACTION_TEXT.replace("perm g x->y", "perm g x->w"), 9),
+        (ACTION_TEXT + "perm h x->y\n", 11),
     ]:
         with pytest.raises(ParseError) as err:
             parse_action(text)
