@@ -55,12 +55,7 @@ from .graphs import (
 from .groupfile import builtin_group, load_group, parse_group
 from .groups import (
     CayleyBall,
-    DirectProductOracle,
-    FiniteGroupOracle,
     FiniteSubgroup,
-    FreeGroupOracle,
-    FreeProductOracle,
-    GeneratorAlphabet,
     GroupElement,
     GroupOracle,
     MultiplicationTable,

@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("farey", help="Farey window, distances and orbit profiles")
     add_common(p)
     p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--subgroup-name", choices=("S4", "ST6", "center2"), default="S4")
+    p.add_argument("--subgroup-name", choices=tuple(fy.SUBGROUP_GENERATORS), default="S4")
     p.add_argument("--threshold-a", help="orbit-diameter threshold (default 6*window delta)")
     p.add_argument("--delta-mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--delta-samples", type=int, default=5000)
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multitwist", help="verify the multitwist commutation model")
     add_common(p)
     p.add_argument("--action-file", help="curve-family action definition")
-    p.add_argument("--builtin-action", choices=("z3-cycle", "s3", "swap"),
+    p.add_argument("--builtin-action", choices=tuple(_BUILTIN_ACTIONS),
                    help="built-in demonstration action")
     return parser
 

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .errors import BudgetError, InputError, InvariantError
 from .fixpoints import ActionContext, AlmostFixedSet, CayleyContext
-from .groups import DirectProductOracle, FiniteSubgroup, GroupElement, GroupOracle
+from .groups import FiniteSubgroup, GroupElement, GroupOracle
 
 ORDER_CHECK_BOUND = 64  # default m of the order check z^k = 1, k <= m
 
@@ -116,9 +116,8 @@ def order_lower_bound(oracle: GroupOracle, z: GroupElement,
     free projection of a direct-product element is nontrivial."""
     if m < 1:
         raise InputError("order-check bound must be >= 1")
-    if isinstance(oracle, DirectProductOracle):
-        if not oracle.free_projection(z).is_identity():
-            return OrderReport("infinite", None)
+    if oracle.family == "direct_product" and not oracle.free_projection(z).is_identity():
+        return OrderReport("infinite", None)
     power = z
     for k in range(1, m + 1):
         if power.is_identity():

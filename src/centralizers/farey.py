@@ -110,17 +110,19 @@ def act(matrix: UniMatrix, s: Slope) -> Slope:
     return Slope.make(matrix.a * s.p + matrix.b * s.q, matrix.c * s.p + matrix.d * s.q)
 
 
+SUBGROUP_GENERATORS = {  # name -> (generator, order)
+    "S4": (S_MATRIX, 4),
+    "ST6": (S_MATRIX * T_MATRIX, 6),
+    "center2": (NEG_IDENTITY, 2),
+}
+
+
 def finite_subgroup(name: str) -> FiniteSubgroup:
     """Built-in finite matrix groups, all cyclic: <S> of order 4, <ST> of
     order 6, <-I>; the elements are the generator's powers in ``entries`` order."""
-    gens = {
-        "S4": (S_MATRIX, 4),
-        "ST6": (S_MATRIX * T_MATRIX, 6),
-        "center2": (NEG_IDENTITY, 2),
-    }
-    if name not in gens:
+    if name not in SUBGROUP_GENERATORS:
         raise InputError(f"unknown finite subgroup name {name!r}")
-    generator, expected = gens[name]
+    generator, expected = SUBGROUP_GENERATORS[name]
     powers = [IDENTITY_MATRIX]
     for _ in range(expected):
         powers.append(powers[-1] * generator)

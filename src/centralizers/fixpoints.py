@@ -220,7 +220,13 @@ def midpoint_certify(ctx: ActionContext, afp: AlmostFixedSet, x: int, y: int,
     diameter <= 8*delta.  A violation is reported as a counterexample record
     (it would falsify the window or the delta input), never raised.  The
     interval is symmetric in x and y, so it is read off one BFS from x, which
-    consecutive pairs sharing x reuse.
+    consecutive pairs sharing x reuse; d(x, y) is read off that row too.
+
+    That window distance is the ambient one when valid: with |x| <= |y| on a
+    radius-R window, every w on an ambient x-y geodesic has |w| <= |x| +
+    d(x, y), so ``valid`` holds for the ambient distance iff it holds for the
+    (never smaller) window distance, and then the two are equal.  A Farey
+    window has no radius and is convex.
     """
     delta = Fraction(delta)
     if delta < 0:
@@ -239,14 +245,15 @@ def midpoint_certify(ctx: ActionContext, afp: AlmostFixedSet, x: int, y: int,
             raise InputError(
                 f"endpoint {end} is not almost fixed: orbit diameter {diam} > 6*delta"
             )
-    dxy, valid = ctx.pair_distance(x, y)
-    if not valid:
+    row = ctx.bfs_from(x)
+    dxy = row[y]
+    if not ctx.graph.valid(x, y, dxy):
         raise InputError(f"pair ({x}, {y}) is not window-valid")
     if dxy < ceil(20 * delta):
         raise InputError(f"d(x, y) = {dxy} < 20*delta = {20 * delta}")
 
     # layers by distance from y; the interior cut is symmetric
-    layers = geodesic_layers(ctx.graph, y, x, ctx.bfs_from(x))
+    layers = geodesic_layers(ctx.graph, y, x, row)
     certified = {}
     counterexamples = {}
     window_excluded = 0

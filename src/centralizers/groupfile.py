@@ -37,22 +37,16 @@ Format (``#`` starts a comment)::
     end
 
 Table row i lists the products (row element) * (column element) as names, in
-the order of the ``elements`` line.  Non-identity element names must be
-unique across factors (they become generator symbols).  A file has at most one
-``generators`` line, and a line its family has no use for is a ``ParseError``.
+the order of the ``elements`` line.  Non-identity element names, generators and
+their inverses ``g^-1`` must all differ.  A file has at most one ``generators``
+line; a line its family has no use for is a ``ParseError``, and so are parts
+that do not fit ``groups.FAMILIES``.
 """
 
 from __future__ import annotations
 
 from .errors import InputError, ParseError
-from .groups import (
-    DirectProductOracle,
-    FiniteGroupOracle,
-    FreeGroupOracle,
-    FreeProductOracle,
-    GroupOracle,
-    MultiplicationTable,
-)
+from .groups import FAMILIES, GroupOracle, MultiplicationTable
 
 
 class Directives:
@@ -119,34 +113,19 @@ def parse_group(text: str) -> GroupOracle:
 
     if family is None:
         raise ParseError("missing family line")
-    # a line the family has no use for is an error, not silently dropped
-    unused = {"free": ("factor", "elements", "table"), "finite": ("generators",),
-              "free_product": ("generators",)}.get(family, ())
-    stray = min(((first[d], d) for d in unused if d in first), default=None)
-    if stray:
-        raise ParseError(f"the {family} family takes no {stray[1]} line", line=stray[0])
+    # a line the family has no use for is an error, not silently dropped;
+    # an unknown family is the oracle's error
+    if family in FAMILIES:
+        takes_generators, _, most, _ = FAMILIES[family]
+        unused = (() if takes_generators else ("generators",)) + (
+            ("factor", "elements", "table") if most == 0 else ())
+        stray = min(((first[d], d) for d in unused if d in first), default=None)
+        if stray:
+            raise ParseError(f"the {family} family takes no {stray[1]} line", line=stray[0])
     try:
-        if family == "free":
-            if not generators:
-                raise ParseError("free family needs a generators line")
-            return FreeGroupOracle(generators)
-        if family == "finite":
-            if len(tables) != 1:
-                raise ParseError("finite family needs exactly one table")
-            return FiniteGroupOracle(tables[0])
-        if family == "free_product":
-            return FreeProductOracle(tables)
-        if family == "direct_product":
-            if not generators or len(tables) != 1:
-                raise ParseError(
-                    "direct_product needs a generators line and one finite factor"
-                )
-            return DirectProductOracle(generators, tables[0])
-    except ParseError:
-        raise
+        return GroupOracle(family, generators, tables)
     except InputError as exc:
-        raise ParseError(str(exc))
-    raise ParseError(f"unknown family {family!r}")
+        raise ParseError(str(exc)) from None
 
 
 def read_text(path: str) -> str:
@@ -162,26 +141,25 @@ def load_group(path: str) -> GroupOracle:
     return parse_group(read_text(path))
 
 
+# built-in name -> (family, generators, cyclic tables as (order, symbol))
+_BUILTINS = {
+    "F1": ("free", ("a",), ()),
+    "F2": ("free", ("a", "b"), ()),
+    "F2xZ2": ("direct_product", ("a", "b"), ((2, "t"),)),
+    "F2xZ3": ("direct_product", ("a", "b"), ((3, "u"),)),
+    "Z2*Z2": ("free_product", (), ((2, "r"), (2, "s"))),
+    "Z2*Z3": ("free_product", (), ((2, "r"), (3, "s"))),
+}
+_ALIASES = {"Z": "F1", "D_inf": "Z2*Z2", "Dinf": "Z2*Z2"}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin_group(name: str) -> GroupOracle:
     """Built-in corpus families, by conventional name."""
     key = name.replace(" ", "")
-    if key in ("F1", "Z"):
-        return FreeGroupOracle(["a"])
-    if key == "F2":
-        return FreeGroupOracle(["a", "b"])
-    if key == "F2xZ2":
-        return DirectProductOracle(["a", "b"], MultiplicationTable.cyclic(2, "t"))
-    if key == "F2xZ3":
-        return DirectProductOracle(["a", "b"], MultiplicationTable.cyclic(3, "u"))
-    if key in ("Z2*Z2", "D_inf", "Dinf"):
-        return FreeProductOracle(
-            [MultiplicationTable.cyclic(2, "r"), MultiplicationTable.cyclic(2, "s")]
-        )
-    if key == "Z2*Z3":
-        return FreeProductOracle(
-            [MultiplicationTable.cyclic(2, "r"), MultiplicationTable.cyclic(3, "s")]
-        )
-    raise ParseError(f"unknown built-in family {name!r}")
-
-
-BUILTIN_NAMES = ("F1", "F2", "F2xZ2", "F2xZ3", "Z2*Z2", "Z2*Z3")
+    try:
+        family, generators, cyclic = _BUILTINS[_ALIASES.get(key, key)]
+    except KeyError:
+        raise ParseError(f"unknown built-in family {name!r}") from None
+    return GroupOracle(family, generators,
+                       [MultiplicationTable.cyclic(m, s) for m, s in cyclic])

@@ -7,12 +7,14 @@ By the normal form theorem for free products (Lyndon & Schupp,
 *Combinatorial Group Theory*, Ch. IV) an element has one canonical word,
 a sequence of letters in which no two adjacent letters lie in one finite
 factor and no free letter stands next to its inverse; one letter of B may
-follow at the end.  Each family fills in some of the parts:
+follow at the end.  ``FAMILIES`` says which parts each family takes:
 
-* free (F_k): the freely reduced word;
-* finite (one A_1): a single table element;
-* free_product (A_1 * ... * A_m): alternating nontrivial syllables;
-* direct_product (F_k x B): the reduced free word, then B's element.
+* free (F_k): generators and no table; the freely reduced word;
+* finite (one A_1): one table; a single table element;
+* free_product (A_1 * ... * A_m): two tables or more; alternating
+  nontrivial syllables;
+* direct_product (F_k x B): generators and one table, which is B; the
+  reduced free word, then B's element.
 
 Two raw words are equal in the group iff they normalize identically.  The
 normal-form rule is the checked entry point and the reference; products and
@@ -26,7 +28,7 @@ which is an isometry of that graph.  Consequently d(u, v) = |v * u^-1|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, ClosureError, InputError
@@ -37,29 +39,6 @@ DEFAULT_BALL_BUDGET = 2_000_000
 
 def inverse_name(symbol: str) -> str:
     return symbol[:-3] if symbol.endswith("^-1") else symbol + "^-1"
-
-
-@dataclass(frozen=True)
-class GeneratorAlphabet:
-    """Ordered generator symbols with an involutive inverse pairing."""
-
-    symbols: tuple[str, ...]
-    inverse: dict[str, str] = field(compare=False)
-    index: dict[str, int] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if len(set(self.symbols)) != len(self.symbols):
-            raise InputError(f"duplicate symbols in alphabet: {self.symbols}")
-        for s in self.symbols:
-            t = self.inverse.get(s)
-            if t is None or t not in set(self.symbols):
-                raise InputError(f"symbol {s!r} has no inverse in the alphabet")
-            if self.inverse[t] != s:
-                raise InputError(f"inverse pairing is not an involution at {s!r}")
-        object.__setattr__(self, "index", {s: i for i, s in enumerate(self.symbols)})
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self.index
 
 
 @dataclass(frozen=True, order=False)
@@ -78,20 +57,47 @@ class GroupElement:
 IDENTITY = GroupElement(())
 
 
-class GroupOracle:
-    """(F_k * A_1 * ... * A_m) x B: free ``generators``, finite ``factors``
-    A_i and an optional finite central factor ``center`` B.
+# family -> (whether it takes free generators, then at least one; the least
+# and the most number of finite tables, None for no bound; whether its tables
+# are the central factor B rather than free factors A_i)
+FAMILIES = {
+    "free": (True, 0, 0, False),
+    "finite": (False, 1, 1, False),
+    "free_product": (False, 2, None, False),
+    "direct_product": (True, 1, 1, True),
+}
 
-    The alphabet lists each generator and its inverse, then the non-identity
-    names of each factor in factor order, then B's; that order fixes the
-    vertex ids of a ball and ``key``.  ``_merge[a]`` maps each letter b that
-    a merges with to the letter a*b, or to "" when a*b = 1: the letters of
-    a's own finite factor, or only its inverse for a free letter.
+_COUNTS = ("zero", "one", "two")
+
+
+class GroupOracle:
+    """(F_k * A_1 * ... * A_m) x B for one of the ``FAMILIES``: free
+    ``generators``, and finite ``tables`` that are the factors A_i, or B
+    when the family is central.  Parts that do not fit the family, or an
+    unknown family, raise InputError.
+
+    ``symbols`` lists each generator and its inverse, then the non-identity
+    names of each table in table order; that order fixes the vertex ids of a
+    ball and ``key``.  ``inverse`` pairs each symbol with its inverse and
+    ``index`` gives its position.  ``_merge[a]`` maps each letter b that a
+    merges with to the letter a*b, or to "" when a*b = 1: the letters of
+    a's own finite table, or only its inverse for a free letter.
     """
 
     def __init__(self, family: str, generators: Sequence[str] = (),
-                 factors: Sequence[MultiplicationTable] = (),
-                 center: MultiplicationTable | None = None):
+                 tables: Sequence[MultiplicationTable] = ()):
+        if family not in FAMILIES:
+            raise InputError(f"unknown family {family!r}")
+        takes_generators, least, most, central = FAMILIES[family]
+        if takes_generators and not generators:
+            raise InputError(f"the {family} family needs a generators line")
+        if generators and not takes_generators:
+            raise InputError(f"the {family} family takes no generators")
+        n = len(tables)
+        if n < least or most is not None and n > most:
+            bound = "exactly" if least == most else "at least"
+            raise InputError(f"the {family} family takes {bound} {_COUNTS[least]} "
+                             f"table{'s' * (least != 1)}, not {n}")
         self.family = family
         symbols: list[str] = []
         inverse: dict[str, str] = {}
@@ -101,16 +107,22 @@ class GroupOracle:
             symbols += (g, gi)
             inverse[g], inverse[gi] = gi, g
             merge[g], merge[gi] = {gi: ""}, {g: ""}
-        for t in (*factors, center) if center else factors:
+        for t in tables:
             letters = t.names[1:]
             spelled = ("",) + letters  # table index -> letter, 1 spelled ""
             symbols += letters
             for i, a in enumerate(letters, 1):
                 inverse[a] = t.names[t.inverse_index[i]]
                 merge[a] = {b: spelled[t.mult(i, j)] for j, b in enumerate(letters, 1)}
-        self.alphabet = GeneratorAlphabet(tuple(symbols), inverse)
+        # each inverse comes from a generator pair or a validated table, so
+        # with distinct symbols it is in the alphabet and an involution
+        if len(set(symbols)) != len(symbols):
+            raise InputError(f"duplicate symbols in alphabet: {tuple(symbols)}")
+        self.symbols = tuple(symbols)
+        self.inverse = inverse
+        self.index = {s: i for i, s in enumerate(symbols)}
         self._merge = merge
-        self._center = frozenset(center.names[1:] if center else ())
+        self._center = frozenset(tables[-1].names[1:] if central else ())
 
     identity = IDENTITY
 
@@ -137,7 +149,7 @@ class GroupOracle:
     def normalize(self, raw: Sequence[str]) -> GroupElement:
         """Canonical form of a raw word; InputError on an unknown symbol."""
         for s in raw:
-            if s not in self.alphabet:
+            if s not in self.index:
                 raise InputError(f"unknown symbol {s!r} for {self.family} oracle")
         return self._normal_form(raw)
 
@@ -168,7 +180,7 @@ class GroupOracle:
 
     def invert(self, x: GroupElement) -> GroupElement:
         """The reversed word of inverse letters, with B's letter kept last."""
-        inv, w = self.alphabet.inverse, x.word
+        inv, w = self.inverse, x.word
         if w and w[-1] in self._center:
             return GroupElement(tuple(inv[s] for s in reversed(w[:-1])) + (inv[w[-1]],))
         return GroupElement(tuple(inv[s] for s in reversed(w)))
@@ -179,8 +191,13 @@ class GroupOracle:
 
     def key(self, x: GroupElement):
         """Lexicographic sort key under the fixed alphabet order."""
-        idx = self.alphabet.index
+        idx = self.index
         return tuple(idx[s] for s in x.word)
+
+    def free_projection(self, x: GroupElement) -> GroupElement:
+        """x without its letter of B."""
+        w = x.word
+        return GroupElement(w[:-1] if w and w[-1] in self._center else w)
 
     def distance(self, u: GroupElement, v: GroupElement) -> int:
         """Word metric of the left-multiplication Cayley graph: |v * u^-1|."""
@@ -248,46 +265,6 @@ class MultiplicationTable:
         names = ["1"] + [symbol if i == 1 else f"{symbol}{i}" for i in range(1, m)]
         rows = [[names[(i + j) % m] for j in range(m)] for i in range(m)]
         return cls(names, rows)
-
-
-class FreeGroupOracle(GroupOracle):
-    """Free group on named generators; normal form is the freely reduced word."""
-
-    def __init__(self, generators: Sequence[str]):
-        gens = tuple(generators)
-        if not gens:
-            raise InputError("free group needs at least one generator")
-        super().__init__("free", generators=gens)
-
-
-class FiniteGroupOracle(GroupOracle):
-    """A single finite group; the canonical word is one table element (or empty)."""
-
-    def __init__(self, table: MultiplicationTable):
-        super().__init__("finite", factors=(table,))
-
-
-class FreeProductOracle(GroupOracle):
-    """Free product of finite groups; alternating nontrivial syllables."""
-
-    def __init__(self, tables: Sequence[MultiplicationTable]):
-        if len(tables) < 2:
-            raise InputError("free product needs at least two factors")
-        super().__init__("free_product", factors=tuple(tables))
-
-
-class DirectProductOracle(GroupOracle):
-    """F_k x A for a finite group A; componentwise normal form (A is a direct factor)."""
-
-    def __init__(self, generators: Sequence[str], table: MultiplicationTable):
-        gens = tuple(generators)
-        if not gens:
-            raise InputError("free group needs at least one generator")
-        super().__init__("direct_product", generators=gens, center=table)
-
-    def free_projection(self, x: GroupElement) -> GroupElement:
-        w = x.word
-        return GroupElement(w[:-1] if w and w[-1] in self._center else w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,7 +341,7 @@ def build_ball(oracle: GroupOracle, radius: int,
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
-    gens = [GroupElement((s,)) for s in oracle.alphabet.symbols]
+    gens = [GroupElement((s,)) for s in oracle.symbols]
     multiply = oracle.multiply
     vertices = [oracle.identity]
     index = {oracle.identity: 0}

@@ -246,9 +246,9 @@ class _DistanceCountingContext(CayleyContext):
 
 
 def test_midpoint_certify_orbit_table(f2xz2, h_central):
-    # midpoints read every orbit diameter off the almost-fixed set's table:
-    # each call measures d(x, y) and nothing else, in any order, and gives
-    # the certificate of a fresh context
+    # midpoints read every orbit diameter off the almost-fixed set's table
+    # and d(x, y) off the BFS row from x: no call measures a distance, in any
+    # order, and each gives the certificate of a fresh context
     ball = build_ball(f2xz2, 5)
     ctx = _DistanceCountingContext(ball)
     delta = Fraction(1, 6)
@@ -261,7 +261,7 @@ def test_midpoint_certify_orbit_table(f2xz2, h_central):
         for pair in order:
             ctx.distance_calls = 0
             got = midpoint_certify(ctx, afp, *pair, delta)
-            assert ctx.distance_calls == 1
+            assert ctx.distance_calls == 0
             assert got == midpoint_certify(CayleyContext(ball), afp, *pair, delta)
             certified.update(got.certified)
     assert certified

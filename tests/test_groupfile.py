@@ -47,6 +47,8 @@ t 1
 end
 """
 
+Z2_FACTOR = "factor\nelements 1 {0}\ntable\n1 {0}\n{0} 1\nend\n"
+
 
 def test_parse_free():
     oracle = parse_group(FREE_TEXT)
@@ -96,6 +98,11 @@ def test_load_group(tmp_path):
          "line 3: the free_product family takes no generators line"),
         (DIRECT_PRODUCT_TEXT.replace("family", "generators c\nfamily"),
          "line 4: duplicate generators line"),
+        # parts that do not fit the family
+        ("family free_product\n" + Z2_FACTOR.format("r"), "takes at least two tables, not 1"),
+        (DIRECT_PRODUCT_TEXT + Z2_FACTOR.format("s"), "takes exactly one table, not 2"),
+        ("family free_product\n" + 2 * Z2_FACTOR.format("r"), "duplicate symbols"),
+        ("family free\ngenerators a a^-1\n", "duplicate symbols"),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from centralizers import (
     BudgetError,
     ClosureError,
-    FiniteGroupOracle,
-    FreeGroupOracle,
-    FreeProductOracle,
     GroupElement,
+    GroupOracle,
     InputError,
     MultiplicationTable,
     build_ball,
@@ -26,7 +24,7 @@ from centralizers.groups import inverse_name
 
 
 def words(oracle, max_size=8):
-    symbols = st.sampled_from(oracle.alphabet.symbols)
+    symbols = st.sampled_from(oracle.symbols)
     return st.lists(symbols, max_size=max_size).map(oracle.normalize)
 
 
@@ -56,9 +54,7 @@ def test_direct_product_central_factor(f2xz2):
 
 
 def test_finite_oracle_table():
-    from centralizers import FiniteGroupOracle
-
-    oracle = FiniteGroupOracle(MultiplicationTable.cyclic(4, "g"))
+    oracle = GroupOracle("finite", tables=[MultiplicationTable.cyclic(4, "g")])
     g = oracle.parse("g")
     assert str(oracle.multiply(g, g)) == "g2"
     assert oracle.multiply(oracle.parse("g3"), g).is_identity()
@@ -73,11 +69,18 @@ def test_parse_rejects_unknown_symbol(f2, f2xz2, z2z3):
     with pytest.raises(InputError):
         z2z3.parse("s*q")
     with pytest.raises(InputError):
-        FiniteGroupOracle(MultiplicationTable.cyclic(3, "u")).parse("u*q")
+        GroupOracle("finite", tables=[MultiplicationTable.cyclic(3, "u")]).parse("u*q")
     # multiply and invert skip the check, but a subgroup's words are
     # normalized, and so checked, on the way in
     with pytest.raises(InputError):
         verify_subgroup(f2, {f2.identity, GroupElement(("q",))})
+
+
+def test_family_parts_are_checked():
+    with pytest.raises(InputError, match="unknown family"):
+        GroupOracle("bogus")
+    with pytest.raises(InputError, match="needs a generators line"):
+        GroupOracle("free")
 
 
 # --- seam arithmetic against the normal-form reference -----------------------
@@ -127,12 +130,12 @@ def test_group_files_are_non_abelian():
 @given(data=st.data())
 def test_seam_arithmetic_matches_normal_form(name, data):
     oracle = family(name)
-    inv = oracle.alphabet.inverse
+    inv = oracle.inverse
     x = data.draw(words(oracle))
     x_inv = tuple(inv[s] for s in reversed(x.word))
     # y starts with k letters of x^-1, so up to all of x cancels at the seam
     k = data.draw(st.integers(0, len(x_inv)))
-    tail = data.draw(st.lists(st.sampled_from(oracle.alphabet.symbols), max_size=6))
+    tail = data.draw(st.lists(st.sampled_from(oracle.symbols), max_size=6))
     y = oracle.normalize(x_inv[:k] + tuple(tail))
     assert oracle.multiply(x, y) == oracle._normal_form(x.word + y.word)
     assert oracle.multiply(y, x) == oracle._normal_form(y.word + x.word)
@@ -206,10 +209,10 @@ def test_normalize_matches_naive_rewrite(name, data):
     generators, factors, center = parts
     # the alphabet order: generators and inverses, factor names, then B's
     tables = factors + ((center,) if center else ())
-    assert oracle.alphabet.symbols == tuple(
+    assert oracle.symbols == tuple(
         [s for g in generators for s in (g, inverse_name(g))]
         + [s for t in tables for s in t.names[1:]])
-    letters = st.sampled_from(oracle.alphabet.symbols)
+    letters = st.sampled_from(oracle.symbols)
     if center:  # draw B's letters often, anywhere in the word
         letters = st.one_of(letters, st.sampled_from(center.names[1:]))
     raw = data.draw(st.lists(letters, max_size=12))
@@ -337,7 +340,7 @@ def test_word_metric_matches_ball_bfs(f2xz2):
 
 def two_pass_ball(oracle, radius):
     """The reference: BFS discovery, then a second product per adjacency."""
-    gens = [GroupElement((s,)) for s in oracle.alphabet.symbols]
+    gens = [GroupElement((s,)) for s in oracle.symbols]
     vertices, index, lengths = [oracle.identity], {oracle.identity: 0}, [0]
     frontier = [oracle.identity]
     depth = 0
