@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, floor
 from typing import Iterable, Iterator
 
@@ -208,6 +209,18 @@ def far_pairs(ctx: ActionContext, members: tuple[int, ...],
                 yield x, y, d
 
 
+@lru_cache(maxsize=8)
+def _midpoint_cutoffs(delta) -> tuple[int, int, int, int]:
+    """``midpoint_certify``'s cut-offs at delta, worked out once per delta:
+    diameters and distances are integers, so each bound is cut to one.
+    Returns floor(6*delta), floor(8*delta), the interior cut (d >= 6*delta + 1
+    iff d >= ceil(6*delta) + 1) and ceil(20*delta)."""
+    delta = Fraction(delta)
+    if delta < 0:
+        raise InputError("delta must be >= 0")
+    return floor(6 * delta), floor(8 * delta), ceil(6 * delta) + 1, ceil(20 * delta)
+
+
 def midpoint_certify(ctx: ActionContext, afp: AlmostFixedSet, x: int, y: int,
                      delta) -> MidpointCertificate:
     """Certify small orbits at deep interior vertices of x-y geodesics.
@@ -228,12 +241,7 @@ def midpoint_certify(ctx: ActionContext, afp: AlmostFixedSet, x: int, y: int,
     (never smaller) window distance, and then the two are equal.  A Farey
     window has no radius and is convex.
     """
-    delta = Fraction(delta)
-    if delta < 0:
-        raise InputError("delta must be >= 0")
-    # diameters and distances are integers: cut them at integer bounds
-    six, eight = floor(6 * delta), floor(8 * delta)
-    interior = ceil(6 * delta) + 1  # d >= 6*delta + 1  <=>  d >= interior
+    six, eight, interior, far = _midpoint_cutoffs(delta)
     for end in (x, y):
         got = afp.orbits[end]
         if isinstance(got, str):
@@ -249,8 +257,8 @@ def midpoint_certify(ctx: ActionContext, afp: AlmostFixedSet, x: int, y: int,
     dxy = row[y]
     if not ctx.graph.valid(x, y, dxy):
         raise InputError(f"pair ({x}, {y}) is not window-valid")
-    if dxy < ceil(20 * delta):
-        raise InputError(f"d(x, y) = {dxy} < 20*delta = {20 * delta}")
+    if dxy < far:
+        raise InputError(f"d(x, y) = {dxy} < 20*delta = {20 * Fraction(delta)}")
 
     # layers by distance from y; the interior cut is symmetric
     layers = geodesic_layers(ctx.graph, y, x, row)

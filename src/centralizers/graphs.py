@@ -13,15 +13,19 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import BudgetError, GraphError, InputError
 
+# numpy is imported by the functions that use it, on the first delta call:
+# the other subcommands never load it
+if TYPE_CHECKING:
+    import numpy as np
+
 # bytes the delta scan may hold in its n^2-or-larger arrays: the distance
-# matrix, the rows of one target's pass and the interval index, and also the
-# pair index and ``far`` rows when exhaustive, the sample's arrays when sampled
+# matrix with its BFS bitsets, the rows of one target's pass and the interval
+# index, and also the pair index and ``far`` rows when exhaustive, the
+# sample's arrays when sampled
 DELTA_MEMORY_BUDGET = 256 * 2**20
 
 
@@ -54,6 +58,8 @@ class FiniteMetricGraph:
 
     def valid_pairs(self, dmat: np.ndarray) -> np.ndarray:
         """``valid`` over a whole distance matrix; unreachable pairs are false."""
+        import numpy as np
+
         ok = dmat >= 0
         if self.radius is not None:
             lengths = np.asarray(self.lengths, dtype=dmat.dtype)
@@ -88,11 +94,47 @@ def _check_budget(nbytes: int, what: str) -> None:
 
 
 def distance_matrix(graph: FiniteMetricGraph) -> np.ndarray:
-    """All-pairs distances as int32; -1 for unreachable pairs."""
-    _check_budget(4 * graph.n * graph.n, f"the distance matrix of {graph.n} vertices")
-    out = np.empty((graph.n, graph.n), dtype=np.int32)
-    for s in range(graph.n):
-        out[s] = bfs_distances(graph, s)
+    """All-pairs distances as int32; -1 for unreachable pairs.
+
+    One BFS from every source at once, on bitsets (Then et al., "The More the
+    Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014): bit
+    s of vertex v's row says that v was reached from s.  A level ORs the
+    frontier rows of each vertex's neighbours, keeps the bits not seen yet
+    and writes them, unpacked, into the matrix.  Every array is counted
+    against ``DELTA_MEMORY_BUDGET`` before the first is allocated.
+    """
+    n, words = graph.n, -(-graph.n // 64)
+    # an isolated vertex reads its own row, as reduceat would misread an empty
+    # segment: what a vertex hands itself was seen a level earlier
+    sizes = [len(a) or 1 for a in graph.adjacency]
+    # the matrix, the frontier, seen and new bitsets, the gathered neighbour
+    # rows and one unpacked level
+    _check_budget(4 * n * n + 8 * words * (3 * n + sum(sizes)) + n * n,
+                  f"the distance matrix of {n} vertices")
+    import numpy as np
+
+    nbr = np.fromiter((u for v, a in enumerate(graph.adjacency) for u in a or (v,)),
+                      dtype=np.intp, count=sum(sizes))
+    heads = np.cumsum([0] + sizes[:-1])  # where each vertex's neighbours begin
+    out = np.full((n, n), -1, dtype=np.int32)
+    np.fill_diagonal(out, 0)
+    # little-endian words, so that bit s of a row is bit s % 8 of its byte s // 8
+    seen = np.zeros((n, words), dtype="<u8")
+    v = np.arange(n)
+    seen.view(np.uint8)[v, v >> 3] = 1 << (v & 7)
+    frontier, new = seen.copy(), np.empty_like(seen)
+    gathered = np.empty((len(nbr), words), dtype=seen.dtype)
+    for level in range(1, n):
+        np.take(frontier, nbr, axis=0, out=gathered)
+        np.bitwise_or.reduceat(gathered, heads, axis=0, out=new)
+        new |= seen
+        new ^= seen  # the bits reached first at this level
+        if not new.any():
+            break
+        seen |= new
+        np.copyto(out, level, where=np.unpackbits(new.view(np.uint8), axis=1, count=n,
+                                                 bitorder="little").view(bool))
+        frontier, new = new, frontier
     return out
 
 
@@ -177,6 +219,8 @@ class DeltaEstimate:
 
 def _ragged(starts, lengths):
     """The ranges starts[i] : starts[i] + lengths[i], one after another."""
+    import numpy as np
+
     ends = np.cumsum(lengths)
     return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum(), dtype=ends.dtype)
 
@@ -195,6 +239,8 @@ def _target_passes(dmat, ps, bounds, need, what, rows=0, uses=0):
     neighbours one step closer to q) stays in I(p, q), so one pass over q's
     BFS levels serves every p.
     """
+    import numpy as np
+
     n, (src, dst) = len(dmat), np.nonzero(dmat == 1)  # every edge, both ways round
     # far values are distances or -1: the narrowest type that holds -max - 1
     dtype, vtype = np.min_scalar_type(-int(dmat.max()) - 1), np.min_scalar_type(n - 1)
@@ -238,6 +284,8 @@ def _target_passes(dmat, ps, bounds, need, what, rows=0, uses=0):
 
 def _target_rows(dmat, ok):
     """``pid``, ``far`` rows and intervals of the valid pairs p < q."""
+    import numpy as np
+
     n = len(dmat)
     qs, ps = np.nonzero(np.tril(ok, -1))  # grouped by target q
     bounds = np.searchsorted(qs, np.arange(n + 1))
@@ -257,6 +305,8 @@ def _exhaustive_scan(dmat, ok) -> DeltaEstimate:
     """Every valid triangle x < y < z, all (y, z) of an x in a few passes, each
     side read only on its interval; the witness is the first triangle in
     (x, y, z) order that reaches the final delta."""
+    import numpy as np
+
     n = len(dmat)
     pid, far, verts, start = _target_rows(dmat, ok)
     flat, size = far.ravel(), np.diff(start)
@@ -287,6 +337,8 @@ def _sampled_scan(dmat, ok, samples, seed) -> DeltaEstimate:
     each side scored as in ``_exhaustive_scan`` from far rows gathered during
     the target passes of the sampled pairs; the witness is the first triangle
     in draw order that reaches the final delta."""
+    import numpy as np
+
     n = len(dmat)
     total = n * (n - 1) * (n - 2) // 6
     # per triangle: its int64 draw key and, per side, its int32 pair id,

@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -436,3 +438,45 @@ def test_every_subcommand_exits_with_documented_codes(inputs):
     assert "Traceback" not in err
     if code not in (EXIT_OK, EXIT_NONE_FOUND):
         assert out == ""
+
+
+# one CLI process: after the import and after each call, its exit code and
+# whether numpy is loaded
+NUMPY_PROBE = """
+import io, json, sys
+sys.path.insert(0, sys.argv[1])
+import centralizers.cli as cli
+seen = [[None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[2]):
+    code = cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO())
+    seen.append([code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+README_CALLS = {
+    "ball": ["ball", "--family", "F2", "--radius", "4"],
+    "extract": ["extract", "--family", "F2xZ3", "--subgroup", "u,u*u", "--threshold-a", "1",
+                "--c0", "3", "--radius", "8"],
+    "afp": ["afp", "--family", "F2xZ2", "--subgroup", "t", "--delta", "1/6", "--radius", "4",
+            "--certify"],
+    "multitwist": ["multitwist", "--builtin-action", "s3"],
+    "delta": ["delta", "--family", "Z2*Z3", "--radius", "6"],
+    "farey": ["farey", "--depth", "6", "--subgroup-name", "S4"],
+}
+
+
+@pytest.mark.parametrize("names,loaded", [
+    (["ball", "extract", "afp", "multitwist", "delta"], [False, False, False, False, False, True]),
+    (["farey"], [False, True]),
+])
+def test_numpy_loads_only_for_the_delta_scan(names, loaded):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, src, json.dumps([README_CALLS[n] for n in names])],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert [code for code, _ in seen[1:]] == [EXIT_OK] * len(names)
+    assert [numpy for _, numpy in seen] == loaded

@@ -499,6 +499,82 @@ def test_sampled_budget_covers_the_sample(monkeypatch):
     assert estimate_delta(graph, mode="sampled", samples=3).triangles == 3
 
 
+# --- the bitset distance matrix against per-source BFS ------------------------
+
+def assert_matrix_matches_bfs(graph):
+    dmat = distance_matrix(graph)
+    assert dmat.dtype == np.int32 and dmat.shape == (graph.n, graph.n)
+    assert dmat.tolist() == [bfs_distances(graph, s) for s in range(graph.n)]
+
+
+@st.composite
+def matrix_cases(draw):
+    """``scan_cases`` graphs, and graphs of n in {0, 1} or at the 64-bit word
+    boundaries with up to 2n random edges (disconnected, most of them); each
+    gets up to 3 vertices of degree 0 relabelled in at random places."""
+    if draw(st.booleans()):
+        graph = draw(scan_cases())
+        n, edges = graph.n, [(u, v) for u, a in enumerate(graph.adjacency) for v in a]
+    else:
+        n = draw(st.sampled_from([0, 1, 63, 64, 65, 129]))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = draw(st.lists(pairs, max_size=2 * n)) if n else []
+    lone = draw(st.integers(0, 3))
+    label = draw(st.permutations(range(n + lone)))
+    return graph_from_edges(n + lone, [(label[u], label[v]) for u, v in edges])
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_cases())
+def test_distance_matrix_matches_per_source_bfs(graph):
+    assert_matrix_matches_bfs(graph)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+def test_distance_matrix_at_word_boundaries(n):
+    # a path on n - 1 vertices, then a vertex of degree 0: n - 2 levels, and
+    # the last source in the last bit of a word, the first of one, or past it
+    graph = graph_from_edges(n, [(i, i + 1) for i in range(n - 2)])
+    dmat = distance_matrix(graph)
+    assert_matrix_matches_bfs(graph)
+    assert dmat[0, n - 2] == n - 2 and dmat[n - 1, n - 1] == 0
+    assert (dmat[n - 1, :-1] == -1).all() and (dmat[:-1, n - 1] == -1).all()
+
+
+@pytest.mark.parametrize("depth", range(7))
+def test_distance_matrix_on_farey_windows(depth):
+    assert_matrix_matches_bfs(build_window(depth))
+
+
+@pytest.mark.parametrize("family,radius", [("F2xZ2", 3), ("F2xZ3", 2), ("Z2*Z3", 5),
+                                           ("Z2*Z2", 6), ("F2", 4)])
+def test_distance_matrix_on_cayley_windows(family, radius):
+    assert_matrix_matches_bfs(build_ball(builtin_group(family), radius))
+
+
+def test_distance_matrix_budget_is_exact(monkeypatch):
+    # a cycle on 1..998 and vertices 0 and 999 of degree 0: 16 words a row
+    n, words = 1000, 16
+    graph = graph_from_edges(n, [(i, i % 998 + 1) for i in range(1, 999)])
+    matrix = 4 * n * n  # int32
+    bitsets = 3 * 8 * words * n  # frontier, seen and new
+    gathered = 8 * words * (2 * 998 + 2)  # a row per edge end, its own per lone vertex
+    level = n * n  # one level, unpacked to a byte a pair
+    need = matrix + bitsets + gathered + level
+    monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", need)
+    assert_matrix_matches_bfs(graph)
+    monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError) as refused:
+            distance_matrix(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "the distance matrix of 1000 vertices" in str(refused.value)
+    assert peak < 8 * words * n  # refused before the first bitset
+
+
 # --- far rows by target against the per-pair rows -----------------------------
 
 def assert_target_rows_match_pair_data(graph):
