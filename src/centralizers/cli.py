@@ -144,8 +144,11 @@ def _make_subgroup(oracle, spec: str):
 
 
 class Report:
+    """The report stream, each record held as its JSON line from the moment
+    it is emitted, and the summary lines."""
+
     def __init__(self, seed, inputs):
-        self.records = []
+        self.lines = []
         self.summary = []
         self.base = {"seed": seed, "inputs": inputs}
         self.emit("config", config=inputs)
@@ -154,13 +157,10 @@ class Report:
         rec = {"record": record_type}
         rec.update(self.base)
         rec.update(fields)
-        self.records.append(rec)
+        self.lines.append(json.dumps(rec, sort_keys=True) + "\n")
 
     def say(self, line):
         self.summary.append(line)
-
-    def stream(self) -> str:
-        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
 
 
 def _cmd_ball(args, report):
@@ -418,10 +418,10 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         code = _COMMANDS[args.subcommand](args, report)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(report.stream())
+                fh.writelines(report.lines)
             summary = stdout
         else:
-            stdout.write(report.stream())
+            stdout.writelines(report.lines)
             summary = stderr
         for line in report.summary:
             print(line, file=summary)

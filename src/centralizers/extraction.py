@@ -19,6 +19,7 @@ the conjugate p_i * h * p_i^-1), and certificates take the form g_i^-1 * g_c
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -101,7 +102,7 @@ def measure_constants(ctx: ActionContext, a: int) -> tuple[int, int, int]:
     return 1, sum(1 for length in ball.lengths if length <= a), 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderReport:
     kind: str  # "finite" | "exceeds" | "infinite"
     value: Optional[int]
@@ -126,7 +127,7 @@ def order_lower_bound(oracle: GroupOracle, z: GroupElement,
     return OrderReport("exceeds", m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transcript:
     entries: tuple[tuple[GroupElement, GroupElement, GroupElement, bool], ...]
 
@@ -146,16 +147,19 @@ class Transcript:
 
 def verify_centralizer(oracle: GroupOracle, z: GroupElement,
                        subgroup: FiniteSubgroup) -> Transcript:
-    """Per-h commutation check by canonical forms; all-pass means z centralizes H."""
+    """Per-h commutation check by canonical forms; all-pass means z centralizes H.
+
+    Where z*h = h*z, the entry holds the one product twice."""
     entries = []
     for h in subgroup:
         zh = oracle.multiply(z, h)
         hz = oracle.multiply(h, z)
-        entries.append((h, zh, hz, zh == hz))
+        equal = zh == hz
+        entries.append((h, zh, zh if equal else hz, equal))
     return Transcript(tuple(entries))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CentralizerCertificate:
     element: GroupElement
     provenance: tuple[GroupElement, GroupElement]  # (p_i, p_c)
@@ -193,7 +197,10 @@ def _member_rank(ctx: CayleyContext, members: list[int]):
 
 
 def _largest_class(groups: dict, rank) -> list:
-    """Largest class; ties broken by the class holding the least member."""
+    """Largest class; ties broken by the class holding the least member.
+
+    Classes are grouped by canonical element, which is equal iff its
+    ``oracle.key`` is; the dict keys never decide, so no key is computed."""
     return min(groups.values(), key=lambda idxs: (-len(idxs), min(rank(i) for i in idxs)))
 
 
@@ -204,10 +211,10 @@ def _general_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
     The threshold's stabilizer-coset refinement (the C3^C0 factor) splits no
     class on a Cayley graph, where the action is free (C3 = 1), so it is not
     run.  After steps (2)-(3) every member i of the final class has, for each
-    h, the same key of p_i*h*g_i^-1 = (p_i*h*p_i^-1)*p_1, so c_h = p_i*h*p_i^-1
+    h, the same p_i*h*g_i^-1 = (p_i*h*p_i^-1)*p_1, so c_h = p_i*h*p_i^-1
     is one element across the class.  With g_i = p_1^-1*p_i the coset word
     g_b^-1*(g_i*h)*g_i^-1*(g_b*h^-1) is p_b^-1*c_h*p_b*h^-1, the same for
-    every i: one key per h, and the class stays whole.
+    every i: one coset per h, and the class stays whole.
     """
     oracle = ctx.oracle
     verts = ctx.ball.vertices
@@ -226,7 +233,7 @@ def _general_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
             value = oracle.multiply(
                 oracle.multiply(verts[i], h), oracle.invert(transporter[i])
             )
-            groups.setdefault(oracle.key(value), []).append(i)
+            groups.setdefault(value, []).append(i)
         current = _largest_class(groups, rank)
 
     # (4) emit g_i^-1 * g_c over the final class.
@@ -258,7 +265,7 @@ def _specialized_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
     for h in subgroup:
         groups: dict = {}
         for i in cls:
-            groups.setdefault(oracle.key(conj[i][h]), []).append(i)
+            groups.setdefault(conj[i][h], []).append(i)
         cls = _largest_class(groups, rank)
     c = min(cls, key=rank)
     pc = verts[c]
@@ -284,8 +291,7 @@ def extract_centralizers(ctx: ActionContext, subgroup: FiniteSubgroup, afp: Almo
     general, pc_general = _general_path(ctx, subgroup, members)
     special, pc_special = _specialized_path(ctx, subgroup, members)
     agree = (
-        sorted(oracle.key(z) for z, _ in general)
-        == sorted(oracle.key(z) for z, _ in special)
+        Counter(z for z, _ in general) == Counter(z for z, _ in special)
         and pc_general == pc_special
     )
     if not agree:

@@ -15,9 +15,13 @@ from functools import lru_cache
 from math import ceil, floor
 from typing import Iterable, Iterator
 
-from .errors import InputError, WindowError
+from .errors import BudgetError, InputError, WindowError
 from .graphs import FiniteMetricGraph, bfs_distances, geodesic_layers
 from .groups import CayleyBall, GroupElement
+
+# far pairs one far_pairs call may yield: `afp --family F2xZ2 --subgroup t
+# --delta 1/6 --certify` meets 4,050 at radius 6, 78,480 at 8, 300,258 at 9
+CERTIFY_PAIR_BUDGET = 100_000
 
 
 class ActionContext:
@@ -188,7 +192,8 @@ def far_pairs(ctx: ActionContext, members: tuple[int, ...],
     near endpoint are skipped without a distance call.  The rest are read off
     one BFS from x, the row ``midpoint_certify`` then reuses: a window distance
     flagged valid is the ambient one.  On a graph without a radius every
-    member is near and every window distance is valid.
+    member is near and every window distance is valid.  Past
+    ``CERTIFY_PAIR_BUDGET`` pairs it raises BudgetError.
     """
     twenty = 20 * Fraction(delta)
     need = max(ceil(twenty), 0)  # distances are integers, -1 is unreachable
@@ -199,6 +204,7 @@ def far_pairs(ctx: ActionContext, members: tuple[int, ...],
     else:
         near = list(range(len(members)))
     is_near = set(near)
+    pairs = 0
     for i, x in enumerate(members):
         later = range(i + 1, len(members)) if i in is_near else near[bisect_right(near, i):]
         row = ctx.bfs_from(x) if later else None
@@ -206,6 +212,10 @@ def far_pairs(ctx: ActionContext, members: tuple[int, ...],
             y = members[j]
             d = row[y]
             if d >= need and graph.valid(x, y, d):
+                pairs += 1
+                if pairs > CERTIFY_PAIR_BUDGET:
+                    raise BudgetError(
+                        f"far-pair budget {CERTIFY_PAIR_BUDGET} exceeded")
                 yield x, y, d
 
 

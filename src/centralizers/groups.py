@@ -41,17 +41,21 @@ def inverse_name(symbol: str) -> str:
     return symbol[:-3] if symbol.endswith("^-1") else symbol + "^-1"
 
 
-@dataclass(frozen=True, order=False)
-class GroupElement:
-    """A canonical normal-form word.  The identity is the empty word."""
+class GroupElement(tuple):
+    """A canonical normal-form word: the tuple of its letters, so that hashing
+    and equality are tuple's own.  The identity is the empty word."""
 
-    word: tuple[str, ...]
+    __slots__ = ()
+
+    @property
+    def word(self) -> tuple[str, ...]:
+        return self
 
     def is_identity(self) -> bool:
-        return not self.word
+        return not self
 
     def __str__(self) -> str:
-        return "*".join(self.word) if self.word else "1"
+        return "*".join(self) if self else "1"
 
 
 IDENTITY = GroupElement(())
@@ -144,7 +148,7 @@ class GroupOracle:
                 stack.append(s)
         if tail:
             stack.append(tail)
-        return GroupElement(tuple(stack))
+        return GroupElement(stack)
 
     def normalize(self, raw: Sequence[str]) -> GroupElement:
         """Canonical form of a raw word; InputError on an unknown symbol."""
@@ -156,7 +160,7 @@ class GroupOracle:
     # canonical words spell only alphabet symbols, so these skip the check
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
         """x*y, merging the two words only where they meet."""
-        xw, yw, merge, center = x.word, y.word, self._merge, self._center
+        xw, yw, merge, center = x, y, self._merge, self._center
         tail = ""
         if center:
             if xw and xw[-1] in center:
@@ -180,24 +184,22 @@ class GroupOracle:
 
     def invert(self, x: GroupElement) -> GroupElement:
         """The reversed word of inverse letters, with B's letter kept last."""
-        inv, w = self.inverse, x.word
-        if w and w[-1] in self._center:
-            return GroupElement(tuple(inv[s] for s in reversed(w[:-1])) + (inv[w[-1]],))
-        return GroupElement(tuple(inv[s] for s in reversed(w)))
+        inv = self.inverse
+        if x and x[-1] in self._center:
+            return GroupElement(tuple(inv[s] for s in reversed(x[:-1])) + (inv[x[-1]],))
+        return GroupElement(inv[s] for s in reversed(x))
 
     def length(self, x: GroupElement) -> int:
         # Canonical words spell one generator per letter.
-        return len(x.word)
+        return len(x)
 
     def key(self, x: GroupElement):
         """Lexicographic sort key under the fixed alphabet order."""
-        idx = self.index
-        return tuple(idx[s] for s in x.word)
+        return tuple(map(self.index.__getitem__, x))
 
     def free_projection(self, x: GroupElement) -> GroupElement:
         """x without its letter of B."""
-        w = x.word
-        return GroupElement(w[:-1] if w and w[-1] in self._center else w)
+        return GroupElement(x[:-1]) if x and x[-1] in self._center else x
 
     def distance(self, u: GroupElement, v: GroupElement) -> int:
         """Word metric of the left-multiplication Cayley graph: |v * u^-1|."""
@@ -289,7 +291,7 @@ def verify_subgroup(oracle: GroupOracle,
     Raises ClosureError naming a violating pair; returns the verified subgroup
     with elements sorted by canonical word order (identity first).
     """
-    elems = {oracle.normalize(x.word) for x in elements}
+    elems = {oracle.normalize(x) for x in elements}
     if not elems:
         raise InputError("a subgroup must be a nonempty set")
     if oracle.identity not in elems:

@@ -18,9 +18,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import InputError, ParseError
+from .errors import BudgetError, InputError, ParseError
 from .groupfile import Directives
 from .groups import MultiplicationTable
+
+# exponent vectors verify_multitwist_commutation may walk: 8 curves at the
+# default exponent range 2; each further curve multiplies the walk by 5
+MULTITWIST_VECTOR_BUDGET = 5 ** 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +159,13 @@ def verify_multitwist_commutation(action: PermutationAction,
                                   exponent_range: int = 2) -> Lemma59Report:
     """Check that the full multitwist is central over H, and the converse
     characterization: a pure twist commutes with all of H iff its vector is
-    H-invariant (exhausted over exponents in [-range, range])."""
+    H-invariant (exhausted over exponents in [-range, range]).  BudgetError
+    if that is more than ``MULTITWIST_VECTOR_BUDGET`` vectors."""
+    n = action.family_size
+    vectors = (2 * exponent_range + 1) ** n
+    if vectors > MULTITWIST_VECTOR_BUDGET:
+        raise BudgetError(f"{vectors} exponent vectors exceed the budget of "
+                          f"{MULTITWIST_VECTOR_BUDGET}")
     T = build_T(action)
     failures = []
     for e in range(action.table.order):
@@ -164,7 +174,6 @@ def verify_multitwist_commutation(action: PermutationAction,
 
     witness = None
     checked = 0
-    n = action.family_size
     for vec in itertools.product(range(-exponent_range, exponent_range + 1), repeat=n):
         checked += 1
         twist = pure_twist(action, vec)

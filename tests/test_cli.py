@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centralizers import extraction, farey
+from centralizers import extraction, farey, fixpoints
+from centralizers import multitwist as mt
 from centralizers.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -319,6 +321,48 @@ def test_farey_window_budget_exits_3_before_the_build(monkeypatch):
         code, out, err = invoke(argv)
         assert code == EXIT_BUDGET and out == ""
         assert err == "budget error: a depth-5 window has 2^6 slopes, over the 63-slope budget\n"
+
+
+def test_certify_pair_budget_exits_3(monkeypatch):
+    argv = ["afp", "--family", "F2xZ2", "--subgroup", "t", "--delta", "1/6",
+            "--radius", "4", "--certify"]  # 36 far pairs
+    monkeypatch.setattr(fixpoints, "CERTIFY_PAIR_BUDGET", 36)
+    assert invoke(argv)[0] == EXIT_OK
+    monkeypatch.setattr(fixpoints, "CERTIFY_PAIR_BUDGET", 35)
+    code, out, err = invoke(argv)
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "budget error: far-pair budget 35 exceeded\n"
+
+
+def test_multitwist_vector_budget_exits_3_before_the_walk(tmp_path, monkeypatch):
+    # Z2 swapping two of nine curves: 5^9 vectors, over the 5^8 budget
+    labels = [f"c{i}" for i in range(9)]
+    action = tmp_path / "action.txt"
+    action.write_text(f"labels {' '.join(labels)}\nelements 1 g\ntable\n1 g\ng 1\nend\n"
+                      "perm g c0->c1 c1->c0\n")
+
+    def walked(_action):
+        raise AssertionError("the budget is checked before any vector")
+
+    monkeypatch.setattr(mt, "build_T", walked)
+    code, out, err = invoke(["multitwist", "--action-file", str(action)])
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "budget error: 1953125 exponent vectors exceed the budget of 390625\n"
+
+
+def test_benchmark_extract_peak_memory():
+    # each of the 2,914 certificates is held once: elements are tuples,
+    # certificates are slotted and records are JSON lines from emit on
+    argv = ["extract", "--family", "F2xZ2", "--subgroup", "t", "--threshold-a", "1",
+            "--c0", "2", "--radius", "7"]
+    tracemalloc.start()
+    try:
+        code = invoke(argv)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 7 * 2**20
 
 
 # lines from which the fuzz draws group, action and config file texts

@@ -110,6 +110,16 @@ def test_verify_centralizer(f2xz2, z2z3):
     assert record["ok"] is False and len(record["entries"]) == 2
 
 
+def test_certificates_are_slotted(f2xz2):
+    *_, res = run_extraction(f2xz2, "t", 3, 1)
+    cert = res.certificates[1]
+    for obj in (cert, cert.transcript, cert.order):
+        assert not hasattr(obj, "__dict__")
+    # a commuting pair's one product is held for both z*h and h*z
+    for _, zh, hz, equal in cert.transcript.entries:
+        assert equal and zh is hz
+
+
 # --- extraction --------------------------------------------------------------
 
 def run_extraction(oracle, spec, radius, a):

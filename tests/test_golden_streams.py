@@ -140,3 +140,15 @@ def test_config_file_equals_flags(tmp_path, argv, stdout_sha, stderr_sha):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(_as_config(argv))
     _check_stream([argv[0], "--config", str(cfg)], stdout_sha, stderr_sha)
+
+
+@pytest.mark.parametrize("argv,stdout_sha,stderr_sha", GOLDEN,
+                         ids=[" ".join(argv[:3]) for argv, _, _ in GOLDEN])
+def test_out_file_equals_stdout(tmp_path, argv, stdout_sha, stderr_sha):
+    # with --out the stream goes to the file and the summary to stdout
+    path = tmp_path / "report.jsonl"
+    out, err = io.StringIO(), io.StringIO()
+    assert cli_run(argv + ["--out", str(path)], stdout=out, stderr=err) == 0, err.getvalue()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == stdout_sha
+    assert _sha256(out.getvalue()) == stderr_sha
+    assert err.getvalue() == ""

@@ -53,6 +53,16 @@ def test_direct_product_central_factor(f2xz2):
     assert f2xz2.length(f2xz2.parse("a*t")) == 2
 
 
+def test_elements_are_slotted_tuples(f2xz2):
+    x = f2xz2.parse("b^-1*a*t")
+    y = f2xz2.multiply(f2xz2.parse("b^-1"), f2xz2.parse("a*t"))
+    assert not hasattr(x, "__dict__")
+    assert x == y and hash(x) == hash(y) and x is not y
+    assert x.word is x and tuple(x) == ("b^-1", "a", "t")
+    assert str(x) == "b^-1*a*t" and str(f2xz2.identity) == "1"
+    assert f2xz2.identity.is_identity() and not x.is_identity()
+
+
 def test_finite_oracle_table():
     oracle = GroupOracle("finite", tables=[MultiplicationTable.cyclic(4, "g")])
     g = oracle.parse("g")
