@@ -113,18 +113,35 @@ class OrderReport:
 
 def order_lower_bound(oracle: GroupOracle, z: GroupElement,
                       m: int = ORDER_CHECK_BOUND) -> OrderReport:
-    """Least k <= m with z^k = 1, else "exceeds m"; exact infinitude when the
-    free projection of a direct-product element is nontrivial."""
+    """The exact order of z: "finite" k when k <= m, "exceeds" m for a finite
+    order past m, and "infinite".
+
+    A direct-product element with a nontrivial free part has infinite order.
+    Otherwise z lies in the free product F_k * A_1 * ... * A_m, or is a
+    letter of B.  Conjugating by its last letter while that letter merges
+    with the first leaves a cyclically reduced word of the same order.  One
+    of length >= 2 has infinite order, and a single letter has the order of
+    its powers in its own factor, infinite for a free letter (Lyndon &
+    Schupp, *Combinatorial Group Theory*, IV.1).
+    """
     if m < 1:
         raise InputError("order-check bound must be >= 1")
     if oracle.family == "direct_product" and not oracle.free_projection(z).is_identity():
         return OrderReport("infinite", None)
-    power = z
-    for k in range(1, m + 1):
-        if power.is_identity():
-            return OrderReport("finite", k)
-        power = oracle.multiply(power, z)
-    return OrderReport("exceeds", m)
+    merge, word = oracle._merge, list(z)
+    while len(word) > 1 and (c := merge[word[-1]].get(word[0])) is not None:
+        # t * (s ... t) * t^-1 = (t*s) ..., without t*s when that is 1
+        word.pop()
+        word[:1] = [c] if c else []
+    if len(word) > 1:
+        return OrderReport("infinite", None)
+    k, power = 1, word[0] if word else ""
+    while power:
+        power = merge[power].get(word[0])
+        if power is None:
+            return OrderReport("infinite", None)
+        k += 1
+    return OrderReport("finite", k) if k <= m else OrderReport("exceeds", m)
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,8 +221,8 @@ def _largest_class(groups: dict, rank) -> list:
     return min(groups.values(), key=lambda idxs: (-len(idxs), min(rank(i) for i in idxs)))
 
 
-def _general_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
-                  members: list[int]) -> tuple[list[GroupElement], GroupElement]:
+def _general_path(ctx: CayleyContext, subgroup: FiniteSubgroup, members: list[int],
+                  rank) -> tuple[list[GroupElement], GroupElement]:
     """Full refinement: orbit class, then the transporter pigeonhole.
 
     The threshold's stabilizer-coset refinement (the C3^C0 factor) splits no
@@ -218,7 +235,6 @@ def _general_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
     """
     oracle = ctx.oracle
     verts = ctx.ball.vertices
-    rank = _member_rank(ctx, members)
 
     # (1) partition by G-orbit: right multiplication is transitive, one class.
     cls = sorted(members, key=rank)
@@ -244,8 +260,8 @@ def _general_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
     return out, verts[c]
 
 
-def _specialized_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
-                      members: list[int]) -> tuple[list[GroupElement], GroupElement]:
+def _specialized_path(ctx: CayleyContext, subgroup: FiniteSubgroup, members: list[int],
+                      rank) -> tuple[list[GroupElement], GroupElement]:
     """Free Cayley shortcut: group by the conjugation vector (p*h*p^-1)_h.
 
     Refinement is greedy per coordinate with the same tie-breaks as the
@@ -253,7 +269,6 @@ def _specialized_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
     """
     oracle = ctx.oracle
     verts = ctx.ball.vertices
-    rank = _member_rank(ctx, members)
     conj = {
         i: {
             h: oracle.multiply(oracle.multiply(verts[i], h), oracle.invert(verts[i]))
@@ -288,8 +303,10 @@ def extract_centralizers(ctx: ActionContext, subgroup: FiniteSubgroup, afp: Almo
     oracle = ctx.oracle
     members = list(afp.members)
 
-    general, pc_general = _general_path(ctx, subgroup, members)
-    special, pc_special = _specialized_path(ctx, subgroup, members)
+    # both paths read one ranking of the members, as they read the members
+    rank = _member_rank(ctx, members)
+    general, pc_general = _general_path(ctx, subgroup, members, rank)
+    special, pc_special = _specialized_path(ctx, subgroup, members, rank)
     agree = (
         Counter(z for z, _ in general) == Counter(z for z, _ in special)
         and pc_general == pc_special

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import BudgetError, GraphError, InputError
+from .errors import BudgetError, GraphError, InputError, InvariantError
 
 # numpy is imported by the functions that use it, on the first delta call:
 # the other subcommands never load it
@@ -67,6 +67,11 @@ class FiniteMetricGraph:
             reach += dmat
             ok &= reach <= self.radius
         return ok
+
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex maps, each the tuple of vertex images, that the exhaustive
+        delta scan checks to be automorphisms and then uses; none by default."""
+        return ()
 
 
 def bfs_distances(graph: FiniteMetricGraph, source: int) -> list[int]:
@@ -301,10 +306,37 @@ def _target_rows(dmat, ok):
     return pid, far, verts, start
 
 
-def _exhaustive_scan(dmat, ok) -> DeltaEstimate:
+def _checked_automorphisms(graph: FiniteMetricGraph) -> tuple:
+    """``graph.automorphisms()``, once each is checked to permute the vertices,
+    to map every adjacency list onto its image's and, on a window with a
+    radius, to keep ``lengths``; any other map raises ``InvariantError``."""
+    perms, adj, lengths = graph.automorphisms(), graph.adjacency, graph.lengths
+    for g in perms:
+        if sorted(g) != list(range(graph.n)) or any(
+                sorted(g[u] for u in adj[v]) != sorted(adj[g[v]])
+                or graph.radius is not None and lengths[g[v]] != lengths[v]
+                for v in range(graph.n)):
+            raise InvariantError("a vertex map from automorphisms() is not an automorphism")
+    return perms
+
+
+def _exhaustive_scan(dmat, ok, perms=()) -> DeltaEstimate:
     """Every valid triangle x < y < z, all (y, z) of an x in a few passes, each
     side read only on its interval; the witness is the first triangle in
-    (x, y, z) order that reaches the final delta."""
+    (x, y, z) order that reaches the final delta.
+
+    Every valid triangle is counted, but with automorphisms ``perms`` only the
+    *least* ones are scored: those no greater, in (x, y, z) order, than the
+    sorted image of the triangle under any g in ``perms``.  An automorphism
+    keeps distances, validity and geodesic intervals, so a triangle and its
+    images are valid together and equally thin.  The least triangle of an
+    orbit of the group the perms generate is least, so the maximum over
+    least triangles is delta.  The witness W, the first triangle reaching
+    delta, is least as well: an image smaller than W would be a valid
+    triangle reaching delta before it.  So the first scored triangle reaching
+    delta is W.  An x with g(x) < x for some g starts no least triangle, as
+    the sorted image of any x < y < z then begins below x.
+    """
     import numpy as np
 
     n = len(dmat)
@@ -312,13 +344,26 @@ def _exhaustive_scan(dmat, ok) -> DeltaEstimate:
     flat, size = far.ravel(), np.diff(start)
     # 3 * block sides of <= max(size) vertices: index arrays of <= n^2 entries
     block = max(1, n * n // (3 * int(size.max(initial=1))))
+    perms = np.array(perms, dtype=np.intp).reshape(-1, n)
+    starts = (perms >= np.arange(n)).all(axis=0)  # the x that may start a least triangle
     best, witness, count = 0, None, 0
     for x in range(n):
         ys = np.flatnonzero(ok[x, x + 1:]) + (x + 1)
-        iy, iz = np.nonzero(np.triu(ok[np.ix_(ys, ys)], 1))  # (y, z) in order
+        pairs = np.triu(ok[np.ix_(ys, ys)], 1)
+        if not starts[x]:
+            count += int(np.count_nonzero(pairs))
+            continue
+        iy, iz = np.nonzero(pairs)  # (y, z) in order
         count += iy.size
-        for a in range(0, iy.size, block):
-            y, z = ys[iy[a:a + block]], ys[iz[a:a + block]]
+        ys, zs = ys[iy], ys[iz]
+        key, least = (x * n + ys) * n + zs, np.ones(ys.size, dtype=bool)
+        for h in perms:
+            a, b, c = h[x], h[ys], h[zs]
+            lo, hi = np.minimum(np.minimum(b, c), a), np.maximum(np.maximum(b, c), a)
+            least &= key <= (lo * n + (a + b + c - lo - hi)) * n + hi
+        ys, zs = ys[least], zs[least]
+        for a in range(0, ys.size, block):
+            y, z = ys[a:a + block], zs[a:a + block]
             xy, xz, yz = pid[x, y], pid[x, z], pid[y, z]
             # a side's thinness: max over its interval of min(far of the others)
             side, f, g = (np.concatenate(t) for t in ((xy, xz, yz), (xz, xy, xy), (yz, yz, xz)))
@@ -398,8 +443,10 @@ def estimate_delta(graph: FiniteMetricGraph, mode: str = "exhaustive",
     Convention: delta is the least value such that each side of a geodesic
     triangle lies in the delta-neighborhood of the union of the other two,
     taking the worst case over every geodesic per side.  Exhaustive over a
-    window means exact for that window.  The arrays of the scan are held to
-    ``DELTA_MEMORY_BUDGET`` bytes; a window over it raises ``BudgetError``.
+    window means exact for that window; it skips every triangle that a map of
+    the checked ``graph.automorphisms()`` takes to a smaller one.  The arrays
+    of the scan are held to ``DELTA_MEMORY_BUDGET`` bytes; a window over it
+    raises ``BudgetError``.
     """
     if graph.n == 0:
         raise InputError("empty window")
@@ -409,5 +456,5 @@ def estimate_delta(graph: FiniteMetricGraph, mode: str = "exhaustive",
         raise InputError(f"samples must be >= 0, got {samples}")
     dmat = distance_matrix(graph)
     if mode == "exhaustive":
-        return _exhaustive_scan(dmat, graph.valid_pairs(dmat))
+        return _exhaustive_scan(dmat, graph.valid_pairs(dmat), _checked_automorphisms(graph))
     return _sampled_scan(dmat, graph.valid_pairs(dmat), samples, seed)

@@ -87,8 +87,8 @@ def test_invariant_failure_exits_5(monkeypatch):
     # defect of the toolkit, reported as such and not as "none found"
     specialized = extraction._specialized_path
 
-    def drop_one(ctx, subgroup, members):
-        cls, pc = specialized(ctx, subgroup, members)
+    def drop_one(ctx, subgroup, members, rank):
+        cls, pc = specialized(ctx, subgroup, members, rank)
         return cls[1:], pc
 
     monkeypatch.setattr(extraction, "_specialized_path", drop_one)
@@ -428,7 +428,7 @@ def cli_run_inputs(draw):
         argv += ["--certify"]
     if command == "extract":
         argv += ["--c0", str(draw(st.integers(0, 3))),
-                 "--order-bound", str(draw(st.integers(0, 8))),
+                 "--order-bound", str(draw(st.integers(0, 10**6))),
                  "--formula", draw(st.sampled_from(["cayley", "surface"]))]
     if command == "farey":
         argv += ["--depth", draw(small),
@@ -524,3 +524,21 @@ def test_numpy_loads_only_for_the_delta_scan(names, loaded):
     seen = json.loads(done.stdout)
     assert [code for code, _ in seen[1:]] == [EXIT_OK] * len(names)
     assert [numpy for _, numpy in seen] == loaded
+
+
+def test_closure_error_names_one_pair_under_every_hash_seed():
+    # {1, a, b} in F2: the first pair in canonical word order with its
+    # product outside the set is (a, a), whatever order the set iterates in
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    argv = ["afp", "--family", "F2", "--subgroup", "a,b", "--threshold-a", "1", "--radius", "2"]
+    runs = set()
+    for seed in range(6):
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+             "from centralizers.cli import main; sys.argv[1:] = sys.argv[2:]; main()", src, *argv],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED=str(seed)),
+        )
+        runs.add((done.returncode, done.stdout, done.stderr))
+    assert runs == {(EXIT_INPUT, "", "input error: not closed: a * a = a*a is missing "
+                                     "from the set\n")}

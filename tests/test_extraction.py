@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centralizers import (
     BudgetError,
@@ -20,7 +22,9 @@ from centralizers import (
     verify_centralizer,
     verify_subgroup,
 )
-from centralizers.extraction import _general_path
+from centralizers import extraction
+from centralizers.extraction import _general_path, _member_rank
+from centralizers.groupfile import BUILTIN_NAMES
 from conftest import make_subgroup
 
 
@@ -96,8 +100,46 @@ def test_order_lower_bound(f2xz2, z2z2):
     rep = order_lower_bound(z2z2, z2z2.parse("r"))
     assert (rep.kind, rep.value) == ("finite", 2)
     rep2 = order_lower_bound(z2z2, z2z2.parse("r*s"), m=10)
-    assert (rep2.kind, rep2.value) == ("exceeds", 10)
+    assert (rep2.kind, rep2.value) == ("infinite", None)
     assert order_lower_bound(f2xz2, f2xz2.parse("t")).value == 2
+
+
+def power_order(oracle, z, m):
+    """Reference: the least k <= m with z^k = 1, else "exceeds" m."""
+    power = z
+    for k in range(1, m + 1):
+        if power.is_identity():
+            return ("finite", k)
+        power = oracle.multiply(power, z)
+    return ("exceeds", m)
+
+
+@pytest.mark.parametrize("name,word,m,expected", [
+    ("F2xZ3", "1", 1, ("finite", 1)), ("F2xZ3", "u", 2, ("exceeds", 2)),
+    ("F2xZ3", "u", 3, ("finite", 3)), ("F2", "a*b*a^-1", 64, ("infinite", None)),
+    ("Z2*Z3", "s*r*s*s", 64, ("finite", 2)), ("Z2*Z3", "s*r*s", 64, ("infinite", None)),
+    ("Z2*Z3", "s*r*s*r*s*s", 64, ("finite", 3)), ("Z2*Z2", "r*s*r", 1, ("exceeds", 1)),
+])
+def test_order_of_cyclically_reduced_words(name, word, m, expected):
+    # a conjugate of a single letter has that letter's order
+    oracle = builtin_group(name)
+    rep = order_lower_bound(oracle, oracle.parse(word), m)
+    assert (rep.kind, rep.value) == expected
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_order_matches_the_power_loop(name, data):
+    oracle = builtin_group(name)
+    z = oracle.normalize(data.draw(st.lists(st.sampled_from(oracle.symbols), max_size=10)))
+    m = data.draw(st.integers(1, 8))
+    rep = order_lower_bound(oracle, z, m)
+    if rep.kind == "infinite":
+        # every finite order in these groups is at most 3
+        assert power_order(oracle, z, 24) == ("exceeds", 24)
+    else:
+        assert (rep.kind, rep.value) == power_order(oracle, z, m)
 
 
 def test_verify_centralizer(f2xz2, z2z3):
@@ -130,6 +172,19 @@ def run_extraction(oracle, spec, radius, a):
     )
     afp = almost_fixed_set(ctx, sub, a)
     return ctx, sub, afp, extract_centralizers(ctx, sub, afp)
+
+
+def test_both_paths_read_one_member_ranking(monkeypatch, f2xz3):
+    calls = []
+
+    def counted(ctx, members):
+        calls.append(len(members))
+        return _member_rank(ctx, members)
+
+    monkeypatch.setattr(extraction, "_member_rank", counted)
+    _, _, afp, res = run_extraction(f2xz3, "u,u*u", 4, 1)
+    assert res.paths_agree and len(res.certificates) > 1
+    assert calls == [afp.size]
 
 
 def test_extraction_central_factor(f2xz2):
@@ -222,7 +277,8 @@ def test_free_action_needs_no_coset_stage(family, spec, radii):
         for a in (1, 2):
             afp = almost_fixed_set(ctx, sub, a)
             assert afp.members
-            out, pc = _general_path(ctx, sub, list(afp.members))
+            members = list(afp.members)
+            out, pc = _general_path(ctx, sub, members, _member_rank(ctx, members))
             p1 = min((ctx.ball.vertices[i] for i in afp.members), key=oracle.key)
             cls = [p for _, p in out]
             assert pc == cls[0]

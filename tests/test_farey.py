@@ -247,6 +247,22 @@ def test_window_distances_are_farey_distances(depth):
             assert row[v] == farey_distance(w.slopes[u], w.slopes[v])
 
 
+@pytest.mark.parametrize("depth", range(7))
+def test_window_automorphisms_keep_farey_distances(depth):
+    # p/q -> -p/q, q/p, -q/p: three distinct permutations of the window, past
+    # depth 0, where 0/1 and 1/0 are fixed by the first
+    w = build_window(depth)
+    perms = w.automorphisms()
+    assert len(perms) == 3
+    if depth:
+        assert len(set(perms)) == 3 and tuple(range(w.size)) not in perms
+    for g in perms:
+        assert sorted(g) == list(range(w.size))
+        for u, v in itertools.combinations(range(w.size), 2):
+            assert (farey_distance(w.slopes[g[u]], w.slopes[g[v]])
+                    == farey_distance(w.slopes[u], w.slopes[v]))
+
+
 def bfs_window_distance(window, s1, s2):
     """Brute-force BFS oracle inside the window (>= the ambient distance)."""
     src, dst = window.slope_id(s1), window.slope_id(s2)

@@ -4,6 +4,7 @@ import io
 import itertools
 import random
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 from centralizers import (
     BudgetError,
     CayleyContext,
+    FareyWindow,
     FiniteMetricGraph,
     GraphError,
     InputError,
+    InvariantError,
     all_geodesics,
     bfs_distances,
     build_ball,
@@ -25,8 +28,8 @@ from centralizers import (
     geodesic_layers,
 )
 from centralizers import graphs
-from centralizers.cli import EXIT_BUDGET, run as cli_run
-from centralizers.graphs import _target_rows, distance_matrix
+from centralizers.cli import EXIT_BUDGET, EXIT_INVARIANT, run as cli_run
+from centralizers.graphs import _exhaustive_scan, _target_rows, distance_matrix
 
 
 def cycle_graph(n):
@@ -669,3 +672,116 @@ def test_farey_depth_10_exceeds_delta_budget():
     assert cli_run(["farey", "--depth", "10"], stdout=out, stderr=err) == EXIT_BUDGET
     assert err.getvalue().startswith("budget error:") and "Traceback" not in err.getvalue()
     assert out.getvalue() == ""
+
+
+# --- one triangle per orbit of the graph's automorphisms -----------------------
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class SymmetricGraph(FiniteMetricGraph):
+    """A graph that hands the delta scan the vertex maps it is given."""
+
+    symmetries: tuple = ()
+
+    def automorphisms(self):
+        return self.symmetries
+
+
+def assert_orbit_scan_matches_full_scan(graph):
+    """The scan over least triangles gives the delta, count and witness of the
+    scan over every triangle."""
+    dmat = distance_matrix(graph)
+    full = _exhaustive_scan(dmat, graph.valid_pairs(dmat))
+    est = estimate_delta(graph)
+    assert (est.delta, est.triangles, est.witness) == (full.delta, full.triangles, full.witness)
+    return est
+
+
+@pytest.mark.parametrize("depth", range(8))
+def test_orbit_scan_on_farey_windows(depth):
+    est = assert_orbit_scan_matches_full_scan(build_window(depth))
+    assert est.triangles == (2 ** (depth + 1)) * (2 ** (depth + 1) - 1) * (2 ** (depth + 1) - 2) // 6
+
+
+def dihedral(n):
+    """Every rotation and reflection of the n-cycle but the identity."""
+    return tuple(tuple((k + s * i) % n for i in range(n))
+                 for s in (1, -1) for k in range(n) if (s, k) != (1, 0))
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_orbit_scan_on_cycles_with_their_dihedral_group(n):
+    graph = SymmetricGraph(adjacency=cycle_graph(n).adjacency, symmetries=dihedral(n))
+    assert_orbit_scan_matches_full_scan(graph)
+
+
+@pytest.mark.parametrize("n,radius", [(9, 3), (12, 4), (12, 6), (15, 5)])
+def test_orbit_scan_on_a_cycle_window_with_its_reflection(n, radius):
+    # lengths from vertex 0, which i -> -i fixes; the radius prunes pairs
+    lengths = tuple(min(i, n - i) for i in range(n))
+    graph = SymmetricGraph(adjacency=cycle_graph(n).adjacency, lengths=lengths,
+                           radius=radius, symmetries=(tuple((-i) % n for i in range(n)),))
+    assert_orbit_scan_matches_full_scan(graph)
+
+
+@st.composite
+def prism_windows(draw):
+    """G x K2, relabelled at random, with the swap of the two copies of G;
+    copies share their base lengths, and a radius may prune pairs."""
+    n, edges = draw(random_graphs(max_n=7))
+    label = draw(st.permutations(range(2 * n)))
+    both = edges + [(u + n, v + n) for u, v in edges] + [(v, v + n) for v in range(n)]
+    lengths = radius = None
+    if draw(st.booleans()):
+        base = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        lengths = [0] * (2 * n)
+        for v in range(2 * n):
+            lengths[label[v]] = base[v % n]
+        lengths, radius = tuple(lengths), draw(st.integers(0, 7))
+    swap = [0] * (2 * n)
+    for v in range(2 * n):
+        swap[label[v]] = label[(v + n) % (2 * n)]
+    adj = [set() for _ in range(2 * n)]
+    for u, v in both:
+        if u != v:
+            adj[label[u]].add(label[v])
+            adj[label[v]].add(label[u])
+    return SymmetricGraph(adjacency=tuple(tuple(sorted(a)) for a in adj), lengths=lengths,
+                          radius=radius, symmetries=(tuple(swap),))
+
+
+@settings(max_examples=100, deadline=None)
+@given(prism_windows())
+def test_orbit_scan_on_prism_windows(graph):
+    assert_orbit_scan_matches_full_scan(graph)
+
+
+@pytest.mark.parametrize("bad", [
+    (0, 0, 2, 3, 4, 5),  # not a permutation
+    (0, 1, 2, 3, 4),  # too short
+    (1, 0, 2, 3, 4, 5),  # swaps two vertices with other neighbours
+])
+def test_a_map_that_is_no_automorphism_is_an_invariant_error(bad):
+    graph = SymmetricGraph(adjacency=cycle_graph(6).adjacency, symmetries=(bad,))
+    with pytest.raises(InvariantError):
+        estimate_delta(graph)
+    # the sampled scan reads no automorphisms
+    assert estimate_delta(graph, mode="sampled", samples=5).triangles == 5
+
+
+def test_an_automorphism_must_keep_window_lengths():
+    # a rotation of the cycle keeps its adjacency but not lengths from vertex 0
+    rotate = tuple((i + 1) % 6 for i in range(6))
+    graph = SymmetricGraph(adjacency=cycle_graph(6).adjacency, lengths=(0, 1, 2, 3, 2, 1),
+                           radius=3, symmetries=(rotate,))
+    with pytest.raises(InvariantError):
+        estimate_delta(graph)
+
+
+def test_farey_window_with_a_false_automorphism_exits_5(monkeypatch):
+    # a transposition of 0/1 and 1/0 alone is no automorphism of the window
+    monkeypatch.setattr(FareyWindow, "automorphisms",
+                        lambda self: ((1, 0) + tuple(range(2, self.n)),))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli_run(["farey", "--depth", "3"], stdout=out, stderr=err) == EXIT_INVARIANT
+    assert out.getvalue() == "" and "delta" not in err.getvalue()
+    assert err.getvalue().startswith("internal error:") and "Traceback" not in err.getvalue()
