@@ -365,6 +365,28 @@ def test_benchmark_extract_peak_memory():
     assert peak < 7 * 2**20
 
 
+@pytest.mark.parametrize("argv,ceiling", [
+    (["farey", "--depth", "6"], 2_385_000),
+    (["farey", "--depth", "8", "--delta-mode", "sampled", "--delta-samples", "5000"], 2_872_000),
+])
+def test_benchmark_farey_peak_memory(argv, ceiling):
+    # the scans keep distances in the far type and build far rows in two
+    # buffers grown to the largest block; each ceiling is the peak of the
+    # per-target passes that came before, rounded down.  numpy is loaded and
+    # the call made once untraced first, so that only what a call holds counts
+    import numpy  # noqa: F401
+
+    assert invoke(argv)[0] == EXIT_OK
+    tracemalloc.start()
+    try:
+        code = invoke(argv)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < ceiling
+
+
 # lines from which the fuzz draws group, action and config file texts
 # (a multi-line entry is a whole valid file)
 GROUP_LINES = ["family free", "family finite", "family free_product", "family direct_product",

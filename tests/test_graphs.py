@@ -29,7 +29,8 @@ from centralizers import (
 )
 from centralizers import graphs
 from centralizers.cli import EXIT_BUDGET, EXIT_INVARIANT, run as cli_run
-from centralizers.graphs import _exhaustive_scan, _target_rows, distance_matrix
+from centralizers.deltascan import _exhaustive_scan, _target_rows
+from centralizers.graphs import distance_matrix
 
 
 def cycle_graph(n):
@@ -442,6 +443,13 @@ def test_sampled_scan_on_cayley_windows(family, radius, samples):
         build_ball(builtin_group(family), radius), samples, seed=samples)
 
 
+@pytest.mark.parametrize("depth", range(3, 7))
+def test_sampled_scan_on_farey_windows(depth):
+    # the sampled pairs' interval nodes fill n rows several times over: the
+    # scan runs several batches of whole targets
+    assert_sampled_scan_matches_reference(build_window(depth), 300, seed=depth)
+
+
 def test_sampled_scan_past_int8_distances():
     # the only valid triangles run through the tail's last two vertices:
     # about 1 draw in 2,900, so 60,000 attempts find some
@@ -478,17 +486,20 @@ def test_sampled_budget_covers_the_sample(monkeypatch):
     # every one of the 10-cycle's C(10, 3) = 120 triangles is drawn
     graph, n, triangles = cycle_graph(10), 10, 120
     dmat = distance_matrix(graph)
-    # before the draw: int32 distances and 92 bytes a triangle
-    before = 4 * n * n + 92 * triangles
-    # the passes' int8 rows, one per vertex and one per edge
-    rows = (n + n) * n
+    # before the draw: int8 distances and 92 bytes a triangle
+    before = n * n + 92 * triangles
+    # the targets' bool node marks, then int8 rows: a batch's and the two
+    # buffers of the far-row blocks
+    rows = n * n + 3 * n * n
     # interval index over all 45 pairs: int64 offsets and uint8 vertex ids;
     # a pair at distance d < 5 has d + 1 interval vertices, an antipodal one all 10
     intervals = 8 * 46 + 10 * (2 + 3 + 4 + 5) + 5 * 10
-    # one int8 score per triangle side and vertex of its interval
+    # one int8 score per triangle side and vertex of its interval, held with
+    # the joined index (its chunks, held with their join, take less)
     size = {d: d + 1 for d in range(5)} | {5: 10}
     scores = sum(size[dmat[p, q]] for tri in itertools.combinations(range(n), 3)
                  for p, q in itertools.combinations(tri, 2))
+    assert scores > 10 * (2 + 3 + 4 + 5) + 5 * 10
     need = before + rows + intervals + scores
     monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", need)
     assert estimate_delta(graph, mode="sampled", samples=10**9).triangles == triangles
@@ -606,7 +617,7 @@ def test_target_rows_on_farey_windows(depth):
 
 
 @pytest.mark.parametrize("family,radius", [("F2xZ2", 3), ("F2xZ3", 2), ("Z2*Z3", 5),
-                                           ("Z2*Z2", 6)])
+                                           ("Z2*Z2", 6), ("F2", 4)])
 def test_target_rows_on_cayley_windows(family, radius):
     assert_target_rows_match_pair_data(build_ball(builtin_group(family), radius))
 
@@ -616,6 +627,49 @@ def test_target_rows_past_int8_distances():
     dmat = distance_matrix(graph)
     assert _target_rows(dmat, graph.valid_pairs(dmat))[1].dtype == np.int16
     assert_target_rows_match_pair_data(graph)
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class PrunedGraph(FiniteMetricGraph):
+    """A graph whose valid pairs leave out the pairs ``dropped``."""
+
+    dropped: tuple = ()
+
+    def valid_pairs(self, dmat):
+        ok = super().valid_pairs(dmat)
+        for u, v in self.dropped:
+            ok[u, v] = ok[v, u] = False
+        return ok
+
+
+def test_target_rows_step_from_the_other_end_round_a_missing_sub_pair():
+    # on the path 0-1-2-3, (0, 3) steps to (1, 3) from 0 or to (0, 2) from 3
+    graph = PrunedGraph(adjacency=path_graph(4).adjacency, dropped=((1, 3),))
+    assert_target_rows_match_pair_data(graph)
+
+
+def test_a_pair_without_a_sub_pair_either_way_is_an_invariant_error():
+    graph = PrunedGraph(adjacency=path_graph(4).adjacency, dropped=((1, 3), (0, 2)))
+    with pytest.raises(InvariantError, match=r"\(0, 3\)|\(3, 0\)"):
+        estimate_delta(graph)
+
+
+def test_farey_window_missing_sub_pairs_exits_5(monkeypatch):
+    # one pair at distance 2 loses every sub-pair one step closer, from both
+    # ends; a scan that read a missing pair id would read the last far row
+    def valid_pairs(self, dmat):
+        ok = FiniteMetricGraph.valid_pairs(self, dmat)
+        p, q = (int(v) for v in np.argwhere(dmat == 2)[0])
+        for s in np.flatnonzero(dmat[p] == 1):
+            if dmat[s, q] == 1:
+                ok[s, q] = ok[q, s] = ok[p, s] = ok[s, p] = False
+        return ok
+
+    monkeypatch.setattr(FareyWindow, "valid_pairs", valid_pairs)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli_run(["farey", "--depth", "3"], stdout=out, stderr=err) == EXIT_INVARIANT
+    assert out.getvalue() == "" and "no far row" in err.getvalue()
+    assert err.getvalue().startswith("internal error:") and "Traceback" not in err.getvalue()
 
 
 def test_exhaustive_scan_on_depth_7_farey_window():
@@ -641,12 +695,13 @@ def test_delta_budget_checked_before_allocation():
 
 def test_delta_budget_covers_far_rows(monkeypatch):
     graph = cycle_graph(40)  # 780 valid pairs of 40 int8 far values each
-    fixed = (4 + 8) * 40 * 40  # int32 distance matrix and int64 pair index
-    # int8 rows: one per pair, one per vertex for a target's pass, one per edge
-    rows = (780 + 40 + 40) * 40
-    # interval index: int64 offsets and uint8 vertex ids; a pair at distance
-    # d < 20 has d + 1 interval vertices, each of the 20 antipodal pairs all 40
-    intervals = 8 * 781 + 40 * sum(d + 1 for d in range(1, 20)) + 20 * 40
+    fixed = (1 + 8) * 40 * 40  # int8 distance matrix and int64 pair index
+    # int8 rows: one per pair, and the two n x n buffers of the far-row blocks
+    rows = (780 + 2 * 40) * 40
+    # interval index: int64 offsets and uint8 vertex ids, held twice (the
+    # chunks and their join); a pair at distance d < 20 has d + 1 interval
+    # vertices, each of the 20 antipodal pairs all 40
+    intervals = 8 * 781 + 2 * (40 * sum(d + 1 for d in range(1, 20)) + 20 * 40)
     need = fixed + rows + intervals
     monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", need - 1)
     with pytest.raises(BudgetError):
