@@ -9,7 +9,6 @@ from .errors import (
     InvariantError,
     ParseError,
     ToolkitError,
-    WindowError,
 )
 from .extraction import (
     CentralizerCertificate,

@@ -5,8 +5,7 @@ inputs it was computed from; identical configuration and seed produce a
 byte-identical stream (no timestamps, no unordered iteration).
 
 Exit codes: 0 ok / certificates found, 1 extraction found none,
-2 input or parse error, 3 budget exceeded, 4 window violation,
-5 internal invariant failure.
+2 input or parse error, 3 budget exceeded, 5 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from fractions import Fraction
 from . import multitwist as mt
 from . import farey as fy
 from .errors import (
-    BudgetError, InputError, InvariantError, ParseError, ToolkitError, WindowError,
+    BudgetError, InputError, InvariantError, ParseError, ToolkitError,
 )
 from .extraction import (
     ORDER_CHECK_BOUND, compute_constants, extract_centralizers, measure_constants,
@@ -34,7 +33,6 @@ EXIT_OK = 0
 EXIT_NONE_FOUND = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-EXIT_WINDOW = 4
 EXIT_INVARIANT = 5
 
 
@@ -192,14 +190,14 @@ def _cmd_delta(args, report):
 def _afp_threshold(args) -> tuple[Fraction, Fraction]:
     """The threshold a and delta of ``afp`` and ``extract``: a is
     ``--threshold-a`` (delta then defaults to 0) or else 6 * ``--delta``."""
-    if args.threshold_a is not None:
-        a = _parse_fraction(args.threshold_a)
-        delta = _parse_fraction(args.delta) if args.delta is not None else Fraction(0)
-        return a, delta
-    if args.delta is not None:
-        delta = _parse_fraction(args.delta)
+    if args.threshold_a is None and args.delta is None:
+        raise InputError("one of --threshold-a / --delta is required")
+    delta = _parse_fraction(args.delta) if args.delta is not None else Fraction(0)
+    if delta < 0:
+        raise InputError("delta must be >= 0")
+    if args.threshold_a is None:
         return 6 * delta, delta
-    raise InputError("one of --threshold-a / --delta is required")
+    return _parse_fraction(args.threshold_a), delta
 
 
 def _almost_fixed(args, report):
@@ -396,7 +394,6 @@ _FAILURES = (
     (ParseError, "parse error", EXIT_INPUT),
     (InputError, "input error", EXIT_INPUT),
     (BudgetError, "budget error", EXIT_BUDGET),
-    (WindowError, "window error", EXIT_WINDOW),
     (InvariantError, "internal error", EXIT_INVARIANT),
     (ToolkitError, "error", EXIT_INPUT),
 )

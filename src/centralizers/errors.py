@@ -38,10 +38,6 @@ class BudgetError(ToolkitError):
         self.radius_reached = radius_reached
 
 
-class WindowError(ToolkitError):
-    """An image or geodesic escaped the finite window."""
-
-
 class GraphError(ToolkitError):
     """Structural graph problem, e.g. a disconnected pair."""
 

@@ -116,18 +116,16 @@ def order_lower_bound(oracle: GroupOracle, z: GroupElement,
     """The exact order of z: "finite" k when k <= m, "exceeds" m for a finite
     order past m, and "infinite".
 
-    A direct-product element with a nontrivial free part has infinite order.
-    Otherwise z lies in the free product F_k * A_1 * ... * A_m, or is a
-    letter of B.  Conjugating by its last letter while that letter merges
-    with the first leaves a cyclically reduced word of the same order.  One
-    of length >= 2 has infinite order, and a single letter has the order of
-    its powers in its own factor, infinite for a free letter (Lyndon &
-    Schupp, *Combinatorial Group Theory*, IV.1).
+    Conjugating z by its last letter while that letter merges with the first
+    leaves a cyclically reduced word of the same order.  One of length >= 2
+    has infinite order, and a single letter has the order of its powers in
+    its own factor, infinite for a free letter (Lyndon & Schupp,
+    *Combinatorial Group Theory*, IV.1).  A letter of B merges only with
+    letters of B, so a direct-product word with a nontrivial free part stays
+    at two letters or more, or at one free letter: infinite.
     """
     if m < 1:
         raise InputError("order-check bound must be >= 1")
-    if oracle.family == "direct_product" and not oracle.free_projection(z).is_identity():
-        return OrderReport("infinite", None)
     merge, word = oracle._merge, list(z)
     while len(word) > 1 and (c := merge[word[-1]].get(word[0])) is not None:
         # t * (s ... t) * t^-1 = (t*s) ..., without t*s when that is 1

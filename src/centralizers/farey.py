@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import BudgetError, InputError, InvariantError, WindowError
+from .errors import BudgetError, InputError, InvariantError
 from .fixpoints import ActionContext, AlmostFixedSet, almost_fixed_set
 from .graphs import FiniteMetricGraph
 from .groups import FiniteSubgroup
@@ -302,13 +302,7 @@ class FareyContext(ActionContext):
         self.window = self.graph = window
 
     def act(self, matrix: UniMatrix, vid: int) -> int:
-        image = act(matrix, self.window.slopes[vid])
-        j = self.window.index.get(image)
-        if j is None:
-            raise WindowError(
-                f"image {image} of slope {self.window.slopes[vid]} escapes the window"
-            )
-        return j
+        return self.window.index.get(act(matrix, self.window.slopes[vid]), -1)
 
     def pair_distance(self, u: int, v: int) -> tuple[int, bool]:
         # globally exact, no truncation caveat
@@ -331,16 +325,14 @@ class ProfileRow:
 def orbit_diameter_profile(afp: AlmostFixedSet,
                            window: FareyWindow) -> tuple[list[ProfileRow], int]:
     """Max orbit diameter per distance-from-center, read off the orbit table of
-    an almost-fixed set on ``window``; slopes whose orbit escapes are counted."""
+    an almost-fixed set on ``window``, and the count of slopes whose orbit
+    escapes (the set's ``excluded``: Farey distances are always exact)."""
     rows: dict[int, list[int]] = {}
-    excluded = 0
-    for vid, got in enumerate(afp.orbits):
-        if isinstance(got, str):
-            excluded += 1
-            continue
-        r = farey_distance(window.center, window.slopes[vid])
-        rows.setdefault(r, []).append(got[0])
+    for vid, diam in enumerate(afp.orbits):
+        if diam is not None:
+            r = farey_distance(window.center, window.slopes[vid])
+            rows.setdefault(r, []).append(diam)
     table = [
         ProfileRow(r, max(ds), len(ds)) for r, ds in sorted(rows.items())
     ]
-    return table, excluded
+    return table, afp.excluded

@@ -1,9 +1,10 @@
 """Orbits, almost-fixed-point sets, and midpoint certification.
 
 An action context bundles a finite graph window with an action of group
-elements on its vertices.  Membership in an almost-fixed set is decided
-soundly: a vertex whose orbit leaves the window, or whose orbit pairwise
-distances are not ambient-exact, is excluded and counted, never guessed.
+elements on its vertices; an image outside the window is -1.  Membership in
+an almost-fixed set is decided soundly: a vertex whose orbit leaves the
+window, or whose orbit pairwise distances are not ambient-exact, has no
+diameter (None); it is excluded and counted, never guessed.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
-from .errors import BudgetError, InputError, WindowError
+from .errors import BudgetError, InputError
 from .graphs import FiniteMetricGraph, bfs_distances, geodesic_layers
 from .groups import CayleyBall, GroupElement
 
@@ -45,6 +46,7 @@ class ActionContext:
         return row
 
     def act(self, h, vid: int) -> int:
+        """The image's vertex id, or -1 if it lies outside the window."""
         raise NotImplementedError
 
     def pair_distance(self, u: int, v: int) -> tuple[int, bool]:
@@ -66,52 +68,53 @@ class CayleyContext(ActionContext):
         self.oracle = ball.oracle
 
     def act(self, h: GroupElement, vid: int) -> int:
-        image = self.oracle.multiply(self.ball.vertices[vid], h)
-        j = self.ball.index.get(image)
-        if j is None:
-            raise WindowError(
-                f"image of vertex {vid} under {h} escapes the radius-"
-                f"{self.ball.radius} ball"
-            )
-        return j
+        return self.ball.index.get(self.oracle.multiply(self.ball.vertices[vid], h), -1)
 
     def pair_distance(self, u: int, v: int) -> tuple[int, bool]:
         d = self.oracle.distance(self.ball.vertices[u], self.ball.vertices[v])
         return d, self.ball.valid(u, v, d)
 
 
-def orbit(ctx: ActionContext, subgroup: Iterable, vid: int) -> tuple[int, ...]:
-    """{v * h : h in H} as sorted vertex ids; WindowError if an image escapes."""
+def orbit(ctx: ActionContext, subgroup: Iterable,
+          vid: int) -> Optional[tuple[int, ...]]:
+    """{v * h : h in H} as sorted vertex ids; None if an image escapes."""
     out = {ctx.act(h, vid) for h in subgroup}
-    return tuple(sorted(out))
+    return None if -1 in out else tuple(sorted(out))
 
 
-def orbit_diameter(ctx: ActionContext, vids: tuple[int, ...]) -> tuple[int, bool]:
-    """(max pairwise distance, all pairwise windows valid)."""
+def orbit_diameter(ctx: ActionContext, vids: tuple[int, ...]) -> Optional[int]:
+    """The max pairwise distance, or None at the first pair whose window
+    distance is not ambient-exact."""
     diam = 0
-    valid = True
     for i, u in enumerate(vids):
         for v in vids[i + 1:]:
             d, ok = ctx.pair_distance(u, v)
-            valid = valid and ok
+            if not ok:
+                return None
             if d > diam:
                 diam = d
-    return diam, valid
+    return diam
 
 
 @dataclass(frozen=True)
 class AlmostFixedSet:
     threshold: Fraction
     members: tuple[int, ...]
-    # per window vertex: (orbit diameter, valid), or the message of the
-    # WindowError its orbit raised on leaving the window
-    orbits: tuple
-    excluded: int
-    total: int
+    # per window vertex: its orbit diameter, or None if the orbit leaves the
+    # window or a distance in it is not ambient-exact
+    orbits: tuple[Optional[int], ...]
 
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @property
+    def excluded(self) -> int:
+        return self.orbits.count(None)
+
+    @property
+    def total(self) -> int:
+        return len(self.orbits)
 
     def to_record(self) -> dict:
         return {
@@ -134,25 +137,11 @@ def almost_fixed_set(ctx: ActionContext, subgroup: Iterable, threshold) -> Almos
     subgroup = list(subgroup)
     cut = floor(threshold)  # diameters are integers
     orbits = []
-    members = []
-    excluded = 0
     for vid in range(ctx.n):
-        try:
-            got = orbit_diameter(ctx, orbit(ctx, subgroup, vid))
-        except WindowError as exc:
-            got = str(exc)
-        orbits.append(got)
-        if isinstance(got, str) or not got[1]:
-            excluded += 1
-        elif got[0] <= cut:
-            members.append(vid)
-    return AlmostFixedSet(
-        threshold=threshold,
-        members=tuple(members),
-        orbits=tuple(orbits),
-        excluded=excluded,
-        total=ctx.n,
-    )
+        vids = orbit(ctx, subgroup, vid)
+        orbits.append(None if vids is None else orbit_diameter(ctx, vids))
+    members = tuple(v for v, diam in enumerate(orbits) if diam is not None and diam <= cut)
+    return AlmostFixedSet(threshold=threshold, members=members, orbits=tuple(orbits))
 
 
 @dataclass(frozen=True)
@@ -253,12 +242,9 @@ def midpoint_certify(ctx: ActionContext, afp: AlmostFixedSet, x: int, y: int,
     """
     six, eight, interior, far = _midpoint_cutoffs(delta)
     for end in (x, y):
-        got = afp.orbits[end]
-        if isinstance(got, str):
-            raise InputError(f"endpoint {end} has a window-invalid orbit: {got}")
-        diam, valid = got
-        if not valid:
-            raise InputError(f"endpoint {end} has window-invalid orbit distances")
+        diam = afp.orbits[end]
+        if diam is None:
+            raise InputError(f"endpoint {end} has a window-invalid orbit")
         if diam > six:
             raise InputError(
                 f"endpoint {end} is not almost fixed: orbit diameter {diam} > 6*delta"
@@ -277,13 +263,13 @@ def midpoint_certify(ctx: ActionContext, afp: AlmostFixedSet, x: int, y: int,
     window_excluded = 0
     for layer in layers[interior:dxy + 1 - interior]:
         for z in layer:
-            got = afp.orbits[z]
-            if isinstance(got, str) or not got[1]:
+            diam = afp.orbits[z]
+            if diam is None:
                 window_excluded += 1
-            elif got[0] <= eight:
-                certified[z] = got[0]
+            elif diam <= eight:
+                certified[z] = diam
             else:
-                counterexamples[z] = got[0]
+                counterexamples[z] = diam
     return MidpointCertificate(
         endpoints=(x, y),
         distance=dxy,

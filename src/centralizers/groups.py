@@ -197,10 +197,6 @@ class GroupOracle:
         """Lexicographic sort key under the fixed alphabet order."""
         return tuple(map(self.index.__getitem__, x))
 
-    def free_projection(self, x: GroupElement) -> GroupElement:
-        """x without its letter of B."""
-        return GroupElement(x[:-1]) if x and x[-1] in self._center else x
-
     def distance(self, u: GroupElement, v: GroupElement) -> int:
         """Word metric of the left-multiplication Cayley graph: |v * u^-1|."""
         return self.length(self.multiply(v, self.invert(u)))

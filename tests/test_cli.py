@@ -20,7 +20,6 @@ from centralizers.cli import (
     EXIT_INVARIANT,
     EXIT_NONE_FOUND,
     EXIT_OK,
-    EXIT_WINDOW,
     load_config_file,
     run,
 )
@@ -150,6 +149,27 @@ def test_negative_sample_counts_exit_2():
         code, out, err = invoke(argv)
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("input error: samples must be >= 0")
+
+
+AFP_NEGATIVE_DELTA = ["afp", "--family", "F2", "--subgroup", "1", "--threshold-a", "0",
+                      "--delta", "-1"]
+
+
+@pytest.mark.parametrize("argv", [
+    AFP_NEGATIVE_DELTA + ["--radius", "0"],
+    AFP_NEGATIVE_DELTA + ["--radius", "0", "--certify"],
+    AFP_NEGATIVE_DELTA + ["--radius", "1"],
+    AFP_NEGATIVE_DELTA + ["--radius", "1", "--certify"],
+    ["afp", "--family", "F2", "--subgroup", "1", "--delta=-1/6", "--radius", "1"],
+    ["extract", "--family", "F2", "--subgroup", "1", "--threshold-a", "0", "--c0", "1",
+     "--delta", "-1", "--radius", "0"],
+    ["extract", "--family", "F2", "--subgroup", "1", "--threshold-a", "0", "--c0", "1",
+     "--delta", "-1", "--radius", "1"],
+])
+def test_negative_delta_exits_2_at_every_radius(argv):
+    # at radius 0 there is no far pair to certify, and `afp --certify` used
+    # to exit 0 there while radius 1 exited 2
+    assert invoke(argv) == (EXIT_INPUT, "", "input error: delta must be >= 0\n")
 
 
 # values argparse rejects for an int or a choice flag
@@ -350,19 +370,43 @@ def test_multitwist_vector_budget_exits_3_before_the_walk(tmp_path, monkeypatch)
     assert err == "budget error: 1953125 exponent vectors exceed the budget of 390625\n"
 
 
+# a call's tracemalloc peak in a fresh interpreter: the call is made once
+# untraced first, and the traced one writes its report to the null device, so
+# that only what a call holds counts, not a first call's lazy imports, a copy
+# of its output or what the tests run before it left behind
+PEAK_PROBE = """
+import io, json, os, sys, tracemalloc
+sys.path.insert(0, sys.argv[1])
+from centralizers.cli import run
+argv = json.loads(sys.argv[2])
+with open(os.devnull, "w", encoding="utf-8") as sink:
+    first = run(argv, stdout=sink, stderr=io.StringIO())
+    tracemalloc.start()
+    code = run(argv, stdout=sink, stderr=io.StringIO())
+    peak = tracemalloc.get_traced_memory()[1]
+print(json.dumps([first, code, peak]))
+"""
+
+
 def test_benchmark_extract_peak_memory():
     # each of the 2,914 certificates is held once: elements are tuples,
-    # certificates are slotted and records are JSON lines from emit on
-    argv = ["extract", "--family", "F2xZ2", "--subgroup", "t", "--threshold-a", "1",
-            "--c0", "2", "--radius", "7"]
-    tracemalloc.start()
-    try:
-        code = invoke(argv)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == EXIT_OK
-    assert peak < 7 * 2**20
+    # certificates are slotted and records are JSON lines from emit on; the
+    # orbit table holds one small int or None per vertex
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    for argv, ceiling in (
+            (["extract", "--family", "F2xZ2", "--subgroup", "t", "--threshold-a", "1",
+              "--c0", "2", "--radius", "7"], 5_400_000),
+            (["afp", "--family", "F2xZ2", "--subgroup", "t", "--delta", "1/6",
+              "--radius", "6", "--certify"], 2_225_000)):
+        done = subprocess.run(
+            [sys.executable, "-c", PEAK_PROBE, src, json.dumps(argv)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        first, code, peak = json.loads(done.stdout)
+        assert first == code == EXIT_OK
+        assert peak < ceiling, argv[0]
 
 
 @pytest.mark.parametrize("argv,ceiling", [
@@ -499,8 +543,7 @@ def test_every_subcommand_exits_with_documented_codes(inputs):
             code, out, err = invoke(argv)
         finally:
             os.chdir(cwd)
-    assert code in (EXIT_OK, EXIT_NONE_FOUND, EXIT_INPUT, EXIT_BUDGET, EXIT_WINDOW,
-                    EXIT_INVARIANT)
+    assert code in (EXIT_OK, EXIT_NONE_FOUND, EXIT_INPUT, EXIT_BUDGET, EXIT_INVARIANT)
     assert "Traceback" not in err
     if code not in (EXIT_OK, EXIT_NONE_FOUND):
         assert out == ""

@@ -4,24 +4,30 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centralizers import (
     CayleyContext,
     FareyContext,
     InputError,
-    WindowError,
+    act,
     almost_fixed_set,
+    almost_fixed_slopes,
     bfs_distances,
     build_ball,
     build_window,
     builtin_group,
     far_pairs,
+    farey_distance,
+    finite_subgroup,
     geodesic_layers,
     midpoint_certify,
     orbit,
     orbit_diameter,
     verify_subgroup,
 )
+from centralizers.farey import SUBGROUP_GENERATORS
 from centralizers.fixpoints import ActionContext
 from centralizers.graphs import FiniteMetricGraph
 
@@ -47,17 +53,16 @@ def test_orbit_is_right_coset(ctx_f2xz2, h_central, f2xz2):
     assert labels == {"a", "a*t"}
 
 
-def test_orbit_escaping_window_raises(ctx_f2xz2, h_central):
+def test_orbit_escaping_window_is_none(ctx_f2xz2, h_central):
     ball = ctx_f2xz2.ball
     deep = max(range(ball.size), key=lambda v: ball.lengths[v])
-    with pytest.raises(WindowError):
-        orbit(ctx_f2xz2, h_central, deep)
+    assert orbit(ctx_f2xz2, h_central, deep) is None
 
 
 def test_orbit_diameter_central(ctx_f2xz2, h_central, f2xz2):
     vid = ctx_f2xz2.ball.vertex_id(f2xz2.parse("a*b"))
-    diam, valid = orbit_diameter(ctx_f2xz2, orbit(ctx_f2xz2, h_central, vid))
-    assert (diam, valid) == (1, True)  # d(g, g*t) = |t| = 1, central
+    # d(g, g*t) = |t| = 1, central
+    assert orbit_diameter(ctx_f2xz2, orbit(ctx_f2xz2, h_central, vid)) == 1
 
 
 def test_almost_fixed_set_monotone_in_threshold(ctx_f2xz2, h_central):
@@ -75,7 +80,8 @@ def test_almost_fixed_set_counts_add_up(ctx_f2xz2, h_central):
     afp = almost_fixed_set(ctx_f2xz2, h_central, 1)
     assert afp.size + afp.excluded <= afp.total
     assert len(afp.orbits) == afp.total
-    assert all(afp.orbits[v][0] <= 1 for v in afp.members)
+    assert all(afp.orbits[v] <= 1 for v in afp.members)
+    assert afp.excluded == afp.orbits.count(None) > 0
 
 
 def test_almost_fixed_set_equivariance(ctx_f2xz2, h_central, f2xz2):
@@ -99,6 +105,78 @@ def test_almost_fixed_set_equivariance(ctx_f2xz2, h_central, f2xz2):
 def test_negative_threshold_rejected(ctx_f2xz2, h_central):
     with pytest.raises(InputError):
         almost_fixed_set(ctx_f2xz2, h_central, Fraction(-1, 2))
+
+
+# --- the orbit table against a reference from first principles ------------
+
+def _reference_table(orbits, threshold):
+    """(orbits, members, excluded, total) of a set whose orbit table is
+    ``orbits``: one diameter or None per vertex."""
+    members = tuple(v for v, diam in enumerate(orbits) if diam is not None and diam <= threshold)
+    return tuple(orbits), members, orbits.count(None), len(orbits)
+
+
+def _table(afp):
+    return afp.orbits, afp.members, afp.excluded, afp.total
+
+
+# built-in -> the generators of its finite factors
+FINITE_FACTORS = {"F2xZ2": ("t",), "F2xZ3": ("u",), "Z2*Z2": ("r", "s"), "Z2*Z3": ("r", "s")}
+THRESHOLDS = st.fractions(min_value=0, max_value=5, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cayley_orbit_table_matches_reference(data):
+    # a conjugate g*H*g^-1 of a finite factor H by a ball element g: a vertex
+    # v escapes iff some v*h is missing from the ball; otherwise its diameter
+    # is the largest word distance over image pairs, kept iff every pair is
+    # window-valid
+    name = data.draw(st.sampled_from(sorted(FINITE_FACTORS)))
+    oracle = builtin_group(name)
+    radius = data.draw(st.integers(0, 4 if name.startswith("F2") else 7))
+    ball = build_ball(oracle, radius)
+    x = oracle.parse(data.draw(st.sampled_from(FINITE_FACTORS[name])))
+    powers = [x]
+    while not powers[-1].is_identity():
+        powers.append(oracle.multiply(powers[-1], x))
+    g = ball.vertices[data.draw(st.integers(0, ball.size - 1))]
+    g_inv = oracle.invert(g)
+    subgroup = verify_subgroup(
+        oracle, {oracle.multiply(oracle.multiply(g, h), g_inv) for h in powers})
+    threshold = data.draw(THRESHOLDS)
+    orbits = []
+    for v in ball.vertices:
+        images = [oracle.multiply(v, h) for h in subgroup]
+        if any(w not in ball.index for w in images):
+            orbits.append(None)
+            continue
+        pairs = [(ball.index[u], ball.index[w], oracle.distance(u, w))
+                 for u in images for w in images]
+        ok = all(ball.valid(*pair) for pair in pairs)
+        orbits.append(max(d for _, _, d in pairs) if ok else None)
+    afp = almost_fixed_set(CayleyContext(ball), subgroup, threshold)
+    assert _table(afp) == _reference_table(orbits, threshold)
+
+
+@pytest.mark.parametrize("depth", range(7))
+@pytest.mark.parametrize("name", sorted(SUBGROUP_GENERATORS))
+def test_farey_orbit_table_matches_reference(name, depth):
+    # every window and subgroup: a slope escapes iff one of its images is
+    # missing from the window, and otherwise its diameter is the largest
+    # Farey distance over image pairs
+    window = build_window(depth)
+    subgroup = finite_subgroup(name)
+    orbits = []
+    for slope in window.slopes:
+        images = [act(m, slope) for m in subgroup]
+        if any(w not in window.index for w in images):
+            orbits.append(None)
+        else:
+            orbits.append(max(farey_distance(u, w) for u in images for w in images))
+    for threshold in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 2)):
+        afp = almost_fixed_slopes(subgroup, window, threshold)
+        assert _table(afp) == _reference_table(orbits, threshold)
 
 
 # --- midpoint certification -----------------------------------------------
@@ -199,12 +277,9 @@ def _reference_certificate(ctx, subgroup, x, y, delta):
         if min(i, dxy - i) < 6 * delta + 1:
             continue
         for z in layer:
-            try:
-                diam, ok = orbit_diameter(ctx, orbit(ctx, subgroup, z))
-            except WindowError:
-                excluded += 1
-                continue
-            if not ok:
+            vids = orbit(ctx, subgroup, z)
+            diam = None if vids is None else orbit_diameter(ctx, vids)
+            if diam is None:
                 excluded += 1
             elif diam <= 8 * delta:
                 certified[z] = diam
@@ -273,13 +348,14 @@ def test_midpoint_certify_orbit_table(f2xz2, h_central):
     assert cert.to_record() == _reference_certificate(ctx, trivial, *pairs[0], delta)
     assert cert.certified and all(diam == 0 for _, diam in cert.certified)
     assert cert != midpoint_certify(ctx, afp, *pairs[0], delta)
-    # an escaping endpoint raises the message of orbit()'s WindowError
+    # an endpoint whose orbit escapes has no diameter in the table, and
+    # either endpoint without one gets the one message
     deep = ball.vertex_id(f2xz2.parse("a*a*a*a*a"))
-    with pytest.raises(WindowError) as escape:
-        orbit(ctx, h_central, deep)
-    with pytest.raises(InputError) as err:
-        midpoint_certify(ctx, afp, deep, 0, delta)
-    assert str(err.value) == f"endpoint {deep} has a window-invalid orbit: {escape.value}"
+    assert orbit(ctx, h_central, deep) is None and afp.orbits[deep] is None
+    for x, y in ((deep, 0), (0, deep)):
+        with pytest.raises(InputError) as err:
+            midpoint_certify(ctx, afp, x, y, delta)
+        assert str(err.value) == f"endpoint {deep} has a window-invalid orbit"
 
 
 class _RiggedContext(ActionContext):
