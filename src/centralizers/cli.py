@@ -296,7 +296,6 @@ def _cmd_farey(args, report):
     report.emit("almost_fixed_slopes", subgroup=args.subgroup_name,
                 threshold=str(a), size=afp.size,
                 excluded_window_invalid=afp.excluded, members=members)
-    profile, excluded = fy.orbit_diameter_profile(afp, window)
     report.emit(
         "orbit_diameter_profile",
         subgroup=args.subgroup_name,
@@ -304,9 +303,9 @@ def _cmd_farey(args, report):
             {"distance": r.distance_from_center,
              "max_orbit_diameter": r.max_orbit_diameter,
              "count": r.count}
-            for r in profile
+            for r in fy.orbit_diameter_profile(afp, window)
         ],
-        excluded=excluded,
+        excluded=afp.excluded,
     )
     report.say(
         f"farey depth {args.depth}: {window.size} slopes, delta >= {est.delta}, "

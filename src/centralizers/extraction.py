@@ -8,7 +8,8 @@ at least C0+1 elements commuting with every element of H, hence an infinite
 centralizer.  The extraction below realizes that refinement exactly on a
 Cayley graph, where the action is free and transitive (C1 = C3 = 1): the
 orbit and stabilizer-coset stages split nothing, so only the transporter
-pigeonhole runs.  Each element is emitted with a full commutation transcript.
+pigeonhole runs.  Each element's certificate holds its commutation
+transcript, and the report stream records whether it ``verified``.
 
 Convention note: the group acts on its Cayley graph by right multiplication
 (see groups module), so the transporter taking p_1 to p_i is g_i = p_1^-1 *
@@ -149,15 +150,6 @@ class Transcript:
     @property
     def ok(self) -> bool:
         return all(e[3] for e in self.entries)
-
-    def to_record(self) -> dict:
-        return {
-            "entries": [
-                {"h": str(h), "zh": str(zh), "hz": str(hz), "equal": eq}
-                for h, zh, hz, eq in self.entries
-            ],
-            "ok": self.ok,
-        }
 
 
 def verify_centralizer(oracle: GroupOracle, z: GroupElement,

@@ -187,9 +187,10 @@ def farey_distance(s1: Slope, s2: Slope,
     """
     if s1 == s2:
         return (0, (s1,)) if with_path else 0
-    # rows (x, y) and (-q2, p2) with x*p2 + y*q2 = 1
-    g, x, y = _extended_gcd(s2.p, s2.q)
-    mover = UniMatrix(x, y, -s2.q, s2.p)
+    # rows (x, y) and (-q2, p2) with x*p2 + y*q2 = 1; x = 1 for 1/0
+    p2, q2 = s2.p, s2.q
+    x = pow(p2, -1, q2) if q2 else 1
+    mover = UniMatrix(x, (1 - x * p2) // (q2 or 1), -q2, p2)
     moved = act(mover, s1)
     d, path = _descend_to_infinity(moved)
     if not with_path:
@@ -202,20 +203,6 @@ def farey_distance(s1: Slope, s2: Slope,
     if mapped[0] != s1 or mapped[-1] != s2:
         raise InvariantError("descent endpoints do not match")
     return d, mapped
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -322,17 +309,13 @@ class ProfileRow:
     count: int
 
 
-def orbit_diameter_profile(afp: AlmostFixedSet,
-                           window: FareyWindow) -> tuple[list[ProfileRow], int]:
+def orbit_diameter_profile(afp: AlmostFixedSet, window: FareyWindow) -> list[ProfileRow]:
     """Max orbit diameter per distance-from-center, read off the orbit table of
-    an almost-fixed set on ``window``, and the count of slopes whose orbit
-    escapes (the set's ``excluded``: Farey distances are always exact)."""
+    an almost-fixed set on ``window``; the slopes whose orbit escapes are the
+    set's ``excluded`` (Farey distances are always exact)."""
     rows: dict[int, list[int]] = {}
     for vid, diam in enumerate(afp.orbits):
         if diam is not None:
             r = farey_distance(window.center, window.slopes[vid])
             rows.setdefault(r, []).append(diam)
-    table = [
-        ProfileRow(r, max(ds), len(ds)) for r, ds in sorted(rows.items())
-    ]
-    return table, afp.excluded
+    return [ProfileRow(r, max(ds), len(ds)) for r, ds in sorted(rows.items())]

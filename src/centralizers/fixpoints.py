@@ -17,7 +17,8 @@ from math import ceil, floor
 from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetError, InputError
-from .graphs import FiniteMetricGraph, bfs_distances, geodesic_layers
+from . import graphs
+from .graphs import FiniteMetricGraph, geodesic_layers
 from .groups import CayleyBall, GroupElement
 
 # far pairs one far_pairs call may yield: `afp --family F2xZ2 --subgroup t
@@ -33,15 +34,12 @@ class ActionContext:
     # a context needs no __init__ of this class to hold it
     _bfs_row: tuple = (None, None)
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
     def bfs_from(self, source: int) -> list[int]:
         """Window BFS distances from source, reusing the last row computed."""
         last, row = self._bfs_row
         if last != source:
-            row = bfs_distances(self.graph, source)
+            # looked up there, where perfbench's tracer wraps it
+            row = graphs.bfs_distances(self.graph, source)
             self._bfs_row = (source, row)
         return row
 
@@ -137,7 +135,7 @@ def almost_fixed_set(ctx: ActionContext, subgroup: Iterable, threshold) -> Almos
     subgroup = list(subgroup)
     cut = floor(threshold)  # diameters are integers
     orbits = []
-    for vid in range(ctx.n):
+    for vid in range(ctx.graph.n):
         vids = orbit(ctx, subgroup, vid)
         orbits.append(None if vids is None else orbit_diameter(ctx, vids))
     members = tuple(v for v, diam in enumerate(orbits) if diam is not None and diam <= cut)

@@ -144,34 +144,25 @@ def distance_matrix(graph: FiniteMetricGraph) -> np.ndarray:
 
 def all_geodesics(graph: FiniteMetricGraph, x: int, y: int,
                   cap: int = 1000) -> tuple[list[tuple[int, ...]], bool]:
-    """Enumerate shortest x-y paths via the BFS predecessor DAG.
+    """Enumerate shortest x-y paths, walked over the ``geodesic_layers``.
 
     Paths come out in lexicographic vertex-id order.  Enumeration stops after
-    ``cap`` paths; the second value reports truncation.
+    ``cap`` paths (at least one); the second value says whether more remained,
+    read off the layers' geodesic count.
     """
-    if not (0 <= x < graph.n and 0 <= y < graph.n):
-        raise InputError(f"vertices ({x}, {y}) outside the graph")
-    dist_from_y = bfs_distances(graph, y)
-    if dist_from_y[x] < 0:
-        raise GraphError(f"pair ({x}, {y}) is disconnected")
+    layers = geodesic_layers(graph, x, y, bfs_distances(graph, y))
+    keep = max(cap, 1)
     paths: list[tuple[int, ...]] = []
-    truncated = False
-    stack = [(x, (x,))]
-    while stack:
-        u, path = stack.pop()
-        if u == y:
+    stack = [(x,)]
+    while stack and len(paths) < keep:
+        path = stack.pop()
+        if len(path) == len(layers):
             paths.append(path)
-            if len(paths) >= cap:
-                truncated = bool(stack)
-                break
             continue
-        nxt = sorted(
-            (v for v in graph.adjacency[u] if dist_from_y[v] == dist_from_y[u] - 1),
-            reverse=True,
-        )
-        for v in nxt:
-            stack.append((v, path + (v,)))
-    return paths, truncated
+        nxt = layers[len(path)]
+        stack.extend(path + (v,) for v in sorted(graph.adjacency[path[-1]], reverse=True)
+                     if v in nxt)
+    return paths, layers[-1][y] > keep
 
 
 def geodesic_layers(graph: FiniteMetricGraph, x: int, y: int,

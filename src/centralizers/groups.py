@@ -47,10 +47,6 @@ class GroupElement(tuple):
 
     __slots__ = ()
 
-    @property
-    def word(self) -> tuple[str, ...]:
-        return self
-
     def is_identity(self) -> bool:
         return not self
 

@@ -120,9 +120,9 @@ def commutes(x: SemidirectElement, y: SemidirectElement) -> bool:
 
 
 def is_invariant_vector(action: PermutationAction, vector: tuple[int, ...]) -> bool:
-    return all(
-        _permute(perm, vector) == tuple(vector) for perm in action.perms
-    )
+    """Whether vector[perm[i]] == vector[i] for every perm and label: read off
+    the perms, not through the ``_permute`` that ``commutes`` checks."""
+    return all(vector[perm[i]] == v for perm in action.perms for i, v in enumerate(vector))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +23,9 @@ from centralizers.cli import (
     run,
 )
 from centralizers.groupfile import BUILTIN_NAMES
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def invoke(argv):
@@ -388,25 +390,29 @@ print(json.dumps([first, code, peak]))
 """
 
 
+def fresh_peak(argv):
+    """``argv``'s tracemalloc peak, read by ``PEAK_PROBE``; both calls exit 0."""
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_PROBE, SRC, json.dumps(argv)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    first, code, peak = json.loads(done.stdout)
+    assert first == code == EXIT_OK
+    return peak
+
+
 def test_benchmark_extract_peak_memory():
     # each of the 2,914 certificates is held once: elements are tuples,
     # certificates are slotted and records are JSON lines from emit on; the
     # orbit table holds one small int or None per vertex
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     for argv, ceiling in (
             (["extract", "--family", "F2xZ2", "--subgroup", "t", "--threshold-a", "1",
               "--c0", "2", "--radius", "7"], 5_400_000),
             (["afp", "--family", "F2xZ2", "--subgroup", "t", "--delta", "1/6",
               "--radius", "6", "--certify"], 2_225_000)):
-        done = subprocess.run(
-            [sys.executable, "-c", PEAK_PROBE, src, json.dumps(argv)],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        first, code, peak = json.loads(done.stdout)
-        assert first == code == EXIT_OK
-        assert peak < ceiling, argv[0]
+        assert fresh_peak(argv) < ceiling, argv[0]
 
 
 @pytest.mark.parametrize("argv,ceiling", [
@@ -416,19 +422,9 @@ def test_benchmark_extract_peak_memory():
 def test_benchmark_farey_peak_memory(argv, ceiling):
     # the scans keep distances in the far type and build far rows in two
     # buffers grown to the largest block; each ceiling is the peak of the
-    # per-target passes that came before, rounded down.  numpy is loaded and
-    # the call made once untraced first, so that only what a call holds counts
-    import numpy  # noqa: F401
-
-    assert invoke(argv)[0] == EXIT_OK
-    tracemalloc.start()
-    try:
-        code = invoke(argv)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == EXIT_OK
-    assert peak < ceiling
+    # per-target passes that came before, rounded down.  The probe loads
+    # numpy with its untraced first call
+    assert fresh_peak(argv) < ceiling
 
 
 # lines from which the fuzz draws group, action and config file texts
@@ -579,9 +575,8 @@ README_CALLS = {
     (["farey"], [False, True]),
 ])
 def test_numpy_loads_only_for_the_delta_scan(names, loaded):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     done = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, src, json.dumps([README_CALLS[n] for n in names])],
+        [sys.executable, "-c", NUMPY_PROBE, SRC, json.dumps([README_CALLS[n] for n in names])],
         capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
         timeout=120,
     )
@@ -591,16 +586,30 @@ def test_numpy_loads_only_for_the_delta_scan(names, loaded):
     assert [numpy for _, numpy in seen] == loaded
 
 
+def test_readme_library_example_runs():
+    # the README's "Library example" block, as a reader would paste it
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    done = subprocess.run(
+        [sys.executable, "-c", block.split("```", 1)[0]],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                 PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))),
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 3
+
+
 def test_closure_error_names_one_pair_under_every_hash_seed():
     # {1, a, b} in F2: the first pair in canonical word order with its
     # product outside the set is (a, a), whatever order the set iterates in
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     argv = ["afp", "--family", "F2", "--subgroup", "a,b", "--threshold-a", "1", "--radius", "2"]
     runs = set()
     for seed in range(6):
         done = subprocess.run(
             [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
-             "from centralizers.cli import main; sys.argv[1:] = sys.argv[2:]; main()", src, *argv],
+             "from centralizers.cli import main; sys.argv[1:] = sys.argv[2:]; main()", SRC, *argv],
             capture_output=True, text=True, timeout=120,
             env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED=str(seed)),
         )

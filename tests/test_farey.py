@@ -306,8 +306,8 @@ def test_almost_fixed_slopes_frozen_counts():
 def test_orbit_diameter_profile():
     window = build_window(4)
     afp = almost_fixed_slopes(finite_subgroup("S4"), window, Fraction(6))
-    rows, excluded = orbit_diameter_profile(afp, window)
-    assert excluded == 0
+    rows = orbit_diameter_profile(afp, window)
+    assert afp.excluded == 0
     assert [(r.distance_from_center, r.max_orbit_diameter, r.count) for r in rows] == [
         (0, 1, 1),
         (1, 3, 9),

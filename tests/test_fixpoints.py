@@ -242,7 +242,7 @@ def test_far_pairs_match_brute_force(name, spec, radius):
     # first; a shuffled sample interleaves near and far ones (the identity,
     # vertex 0, is near whenever 20*delta <= R)
     rng = random.Random(radius)
-    sample = [0] + rng.sample(range(1, ctx.n), min(ctx.n - 1, 150))
+    sample = [0] + rng.sample(range(1, ctx.graph.n), min(ctx.graph.n - 1, 150))
     rng.shuffle(sample)
     for members in (afp.members, tuple(sample)):
         wants = _brute_force_far_pairs(ctx, members, DELTAS)

@@ -14,6 +14,7 @@ from centralizers import (
     parse_action,
     verify_multitwist_commutation,
 )
+from centralizers import multitwist
 from centralizers.groups import MultiplicationTable
 from centralizers.multitwist import (
     cyclic_rotation_action,
@@ -75,6 +76,15 @@ def test_invariant_vector_characterization():
     rep = verify_multitwist_commutation(rot)
     assert rep.ok and rep.vectors_checked == 5 ** 3
     assert rep.to_record()["characterization_witness"] is None
+
+
+def test_characterization_catches_a_broken_permute(monkeypatch):
+    # with conjugation reduced to the identity every pure twist commutes with
+    # H; the invariance side must not go through the same broken _permute
+    monkeypatch.setattr(multitwist, "_permute", lambda perm, vector: tuple(vector))
+    rep = verify_multitwist_commutation(symmetric3_action())
+    assert not rep.characterization_holds
+    assert rep.characterization_witness[1] == "commutes-but-not-invariant"
 
 
 def test_nonfaithful_action():

@@ -44,5 +44,7 @@ def test_tracer_installs_and_counts_every_layer():
     result = json.loads(done.stdout)
     assert result["exits"] == [0, 0, 0, 0]
     trace = result["trace"]
-    for name in ("fixpoints.midpoint_calls", "farey.window_size", "groups.multiply_calls"):
+    # graphs.bfs_calls counts the far_pairs rows of the afp --certify call
+    for name in ("fixpoints.midpoint_calls", "farey.window_size", "groups.multiply_calls",
+                 "graphs.bfs_calls"):
         assert trace[name] > 0, name
