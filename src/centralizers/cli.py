@@ -237,6 +237,8 @@ def _cmd_afp(args, report):
 
 
 def _cmd_extract(args, report):
+    if args.order_bound < 1:
+        raise InputError("order-check bound must be >= 1")
     ctx, subgroup, a, delta, afp = _almost_fixed(args, report)
     c1, c2, c3 = measure_constants(ctx, int(a))
     constants = compute_constants(args.c0, c1, c2, c3, delta,

@@ -20,7 +20,6 @@ the conjugate p_i * h * p_i^-1), and certificates take the form g_i^-1 * g_c
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -195,25 +194,16 @@ class ExtractionResult:
         return tuple(c for c in self.certificates if not c.trivial)
 
 
-def _member_rank(ctx: CayleyContext, members: list[int]):
-    """Sort key of members: each one's position in the oracle's key order,
-    computed once so that comparisons need no ``oracle.key`` (keys are distinct)."""
-    verts = ctx.ball.vertices
-    ordered = sorted(members, key=lambda i: ctx.oracle.key(verts[i]))
-    return {i: r for r, i in enumerate(ordered)}.__getitem__
-
-
-def _largest_class(groups: dict, rank) -> list:
-    """Largest class; ties broken by the class holding the least member.
-
-    Classes are grouped by canonical element, which is equal iff its
-    ``oracle.key`` is; the dict keys never decide, so no key is computed."""
-    return min(groups.values(), key=lambda idxs: (-len(idxs), min(rank(i) for i in idxs)))
-
-
-def _general_path(ctx: CayleyContext, subgroup: FiniteSubgroup, members: list[int],
-                  rank) -> tuple[list[GroupElement], GroupElement]:
+def _general_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
+                  members: list[int]) -> tuple[list[GroupElement], GroupElement]:
     """Full refinement: orbit class, then the transporter pigeonhole.
+
+    ``members`` come in canonical (``oracle.key``) order.  Grouping walks the
+    current class in that order, so every class lists its members in that
+    order, and dict insertion order puts the class holding the least member
+    first.  ``max`` keeps the first of equally long classes, so each step keeps
+    the largest class, ties going to the class with the least member, and the
+    final class's first member is p_c.
 
     The threshold's stabilizer-coset refinement (the C3^C0 factor) splits no
     class on a Cayley graph, where the action is free (C3 = 1), so it is not
@@ -227,35 +217,33 @@ def _general_path(ctx: CayleyContext, subgroup: FiniteSubgroup, members: list[in
     verts = ctx.ball.vertices
 
     # (1) partition by G-orbit: right multiplication is transitive, one class.
-    cls = sorted(members, key=rank)
-    p1_inv = oracle.invert(verts[cls[0]])
-    transporter = {i: oracle.multiply(p1_inv, verts[i]) for i in cls}  # g_i
+    p1_inv = oracle.invert(verts[members[0]])
+    transporter = {i: oracle.multiply(p1_inv, verts[i]) for i in members}  # g_i
 
     # (2)-(3) refine by the pigeonhole value p_i * h_t * g_i^-1 in B(p_1, a)
-    current = cls
+    cls = members
     for h in subgroup:
         groups: dict = {}
-        for i in current:
+        for i in cls:
             value = oracle.multiply(
                 oracle.multiply(verts[i], h), oracle.invert(transporter[i])
             )
             groups.setdefault(value, []).append(i)
-        current = _largest_class(groups, rank)
+        cls = max(groups.values(), key=len)
 
     # (4) emit g_i^-1 * g_c over the final class.
-    c = min(current, key=rank)
-    gc = transporter[c]
-    out = [(oracle.multiply(oracle.invert(transporter[i]), gc), verts[i])
-           for i in sorted(current, key=rank)]
-    return out, verts[c]
+    gc = transporter[cls[0]]
+    out = [(oracle.multiply(oracle.invert(transporter[i]), gc), verts[i]) for i in cls]
+    return out, verts[cls[0]]
 
 
-def _specialized_path(ctx: CayleyContext, subgroup: FiniteSubgroup, members: list[int],
-                      rank) -> tuple[list[GroupElement], GroupElement]:
+def _specialized_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
+                      members: list[int]) -> tuple[list[GroupElement], GroupElement]:
     """Free Cayley shortcut: group by the conjugation vector (p*h*p^-1)_h.
 
-    Refinement is greedy per coordinate with the same tie-breaks as the
-    general path, so the two must select the same pigeonhole class.
+    Refinement is greedy per coordinate over the same canonically ordered
+    members, with the same tie-breaks as the general path, so the two must
+    select the same pigeonhole class.
     """
     oracle = ctx.oracle
     verts = ctx.ball.vertices
@@ -266,16 +254,14 @@ def _specialized_path(ctx: CayleyContext, subgroup: FiniteSubgroup, members: lis
         }
         for i in members
     }
-    cls = sorted(members, key=rank)
+    cls = members
     for h in subgroup:
         groups: dict = {}
         for i in cls:
             groups.setdefault(conj[i][h], []).append(i)
-        cls = _largest_class(groups, rank)
-    c = min(cls, key=rank)
-    pc = verts[c]
-    out = [(oracle.multiply(oracle.invert(verts[i]), pc), verts[i])
-           for i in sorted(cls, key=rank)]
+        cls = max(groups.values(), key=len)
+    pc = verts[cls[0]]
+    out = [(oracle.multiply(oracle.invert(verts[i]), pc), verts[i]) for i in cls]
     return out, pc
 
 
@@ -291,16 +277,13 @@ def extract_centralizers(ctx: ActionContext, subgroup: FiniteSubgroup, afp: Almo
     if not afp.members:
         raise InputError("the almost-fixed set is empty")
     oracle = ctx.oracle
-    members = list(afp.members)
+    verts = ctx.ball.vertices
 
-    # both paths read one ranking of the members, as they read the members
-    rank = _member_rank(ctx, members)
-    general, pc_general = _general_path(ctx, subgroup, members, rank)
-    special, pc_special = _specialized_path(ctx, subgroup, members, rank)
-    agree = (
-        Counter(z for z, _ in general) == Counter(z for z, _ in special)
-        and pc_general == pc_special
-    )
+    # both paths read the members in one canonical order (keys are distinct)
+    members = sorted(afp.members, key=lambda i: oracle.key(verts[i]))
+    general, pc_general = _general_path(ctx, subgroup, members)
+    special, pc_special = _specialized_path(ctx, subgroup, members)
+    agree = general == special and pc_general == pc_special
     if not agree:
         raise InvariantError(
             "general and specialized extraction paths disagree on a Cayley input"

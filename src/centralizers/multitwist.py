@@ -15,7 +15,7 @@ pure twists commuting with all of H are exactly the H-invariant vectors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional
 
 from .errors import BudgetError, InputError, ParseError
@@ -140,19 +140,7 @@ class Lemma59Report:
         return self.multitwist_central and self.characterization_holds
 
     def to_record(self) -> dict:
-        return {
-            "family_size": self.family_size,
-            "group_order": self.group_order,
-            "multitwist_central": self.multitwist_central,
-            "multitwist_failures": list(self.multitwist_failures),
-            "characterization_holds": self.characterization_holds,
-            "characterization_witness": (
-                [list(self.characterization_witness[0]), self.characterization_witness[1]]
-                if self.characterization_witness
-                else None
-            ),
-            "vectors_checked": self.vectors_checked,
-        }
+        return asdict(self)
 
 
 def verify_multitwist_commutation(action: PermutationAction,

@@ -23,7 +23,6 @@ from centralizers import (
     Slope,
     UniMatrix,
     act,
-    adjacent,
     almost_fixed_set,
     almost_fixed_slopes,
     build_ball,

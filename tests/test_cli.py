@@ -88,8 +88,8 @@ def test_invariant_failure_exits_5(monkeypatch):
     # defect of the toolkit, reported as such and not as "none found"
     specialized = extraction._specialized_path
 
-    def drop_one(ctx, subgroup, members, rank):
-        cls, pc = specialized(ctx, subgroup, members, rank)
+    def drop_one(ctx, subgroup, members):
+        cls, pc = specialized(ctx, subgroup, members)
         return cls[1:], pc
 
     monkeypatch.setattr(extraction, "_specialized_path", drop_one)
@@ -172,6 +172,21 @@ def test_negative_delta_exits_2_at_every_radius(argv):
     # at radius 0 there is no far pair to certify, and `afp --certify` used
     # to exit 0 there while radius 1 exited 2
     assert invoke(argv) == (EXIT_INPUT, "", "input error: delta must be >= 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--family", "F2", "--subgroup", "1", "--threshold-a", "0", "--c0", "1",
+     "--radius", "0"],
+    ["extract", "--family", "F2xZ2", "--subgroup", "t", "--threshold-a", "0", "--c0", "2",
+     "--radius", "3"],
+    ["extract", "--family", "F2xZ2", "--subgroup", "t", "--threshold-a", "1", "--c0", "2",
+     "--radius", "3"],
+])
+def test_order_bound_0_exits_2_whatever_the_input(argv):
+    # a singleton class and an empty set used to exit 1, as no order was
+    # checked; only an input with certificates reached the bound's check
+    assert invoke(argv + ["--order-bound", "0"]) == (
+        EXIT_INPUT, "", "input error: order-check bound must be >= 1\n")
 
 
 # values argparse rejects for an int or a choice flag

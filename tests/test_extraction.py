@@ -22,8 +22,8 @@ from centralizers import (
     verify_centralizer,
     verify_subgroup,
 )
-from centralizers import extraction
-from centralizers.extraction import _general_path, _member_rank
+from centralizers.extraction import _general_path, _specialized_path
+from centralizers.groups import GroupOracle
 from centralizers.groupfile import BUILTIN_NAMES
 from conftest import make_subgroup
 
@@ -172,17 +172,71 @@ def run_extraction(oracle, spec, radius, a):
     return ctx, sub, afp, extract_centralizers(ctx, sub, afp)
 
 
-def test_both_paths_read_one_member_ranking(monkeypatch, f2xz3):
+def test_members_and_certificates_are_each_sorted_once(monkeypatch, f2xz3):
+    # one sort of the members, which both paths read, and one of the certificates
+    ctx = CayleyContext(build_ball(f2xz3, 4))
+    sub = make_subgroup(f2xz3, "u,u*u")
+    afp = almost_fixed_set(ctx, sub, 1)
     calls = []
+    key = GroupOracle.key
 
-    def counted(ctx, members):
-        calls.append(len(members))
-        return _member_rank(ctx, members)
+    def counted(self, x):
+        calls.append(x)
+        return key(self, x)
 
-    monkeypatch.setattr(extraction, "_member_rank", counted)
-    _, _, afp, res = run_extraction(f2xz3, "u,u*u", 4, 1)
+    monkeypatch.setattr(GroupOracle, "key", counted)
+    res = extract_centralizers(ctx, sub, afp)
     assert res.paths_agree and len(res.certificates) > 1
-    assert calls == [afp.size]
+    assert len(calls) == afp.size + len(res.certificates)
+
+
+def reference_pigeonhole(oracle, sub, points):
+    """First principles: per h, group the points by p*h*p^-1, keep the largest
+    class and break a tie by the least ``oracle.key`` of a member.  Returns the
+    final class in key order and whether any step tied."""
+    cls, tied = list(points), False
+    for h in sub:
+        groups = {}
+        for p in cls:
+            c = oracle.multiply(oracle.multiply(p, h), oracle.invert(p))
+            groups.setdefault(oracle.key(c), []).append(p)
+        best = max(len(g) for g in groups.values())
+        largest = [g for g in groups.values() if len(g) == best]
+        tied |= len(largest) > 1
+        cls = min(largest, key=lambda g: min(oracle.key(p) for p in g))
+    return sorted(cls, key=oracle.key), tied
+
+
+# (family, finite factor, largest radius)
+FINITE_FACTORS = [("F2xZ2", "t", 4), ("F2xZ3", "u,u*u", 3), ("Z2*Z2", "r", 8),
+                  ("Z2*Z2", "s", 8), ("Z2*Z3", "r", 8), ("Z2*Z3", "s,s*s", 8),
+                  ("F2", "", 3)]
+
+
+def test_both_paths_match_the_reference_tie_break():
+    rng = random.Random(22)
+    ties = 0
+    for _ in range(60):
+        family, spec, most = rng.choice(FINITE_FACTORS)
+        oracle = builtin_group(family)
+        g = rng.choice(build_ball(oracle, 2).vertices)
+        sub = verify_subgroup(oracle, {
+            oracle.multiply(oracle.multiply(g, h), oracle.invert(g))
+            for h in make_subgroup(oracle, spec)
+        })
+        ctx = CayleyContext(build_ball(oracle, rng.randint(0, most)))
+        afp = almost_fixed_set(ctx, sub, rng.randint(0, 3))
+        if not afp.members:
+            continue
+        verts = ctx.ball.vertices
+        want, tied = reference_pigeonhole(oracle, sub, [verts[i] for i in afp.members])
+        ties += tied
+        members = sorted(afp.members, key=lambda i: oracle.key(verts[i]))
+        for path in (_general_path, _specialized_path):
+            out, pc = path(ctx, sub, members)
+            assert [p for _, p in out] == want and pc == want[0]
+            assert all(z == oracle.multiply(oracle.invert(p), pc) for z, p in out)
+    assert ties > 0
 
 
 def test_extraction_central_factor(f2xz2):
@@ -275,8 +329,8 @@ def test_free_action_needs_no_coset_stage(family, spec, radii):
         for a in (1, 2):
             afp = almost_fixed_set(ctx, sub, a)
             assert afp.members
-            members = list(afp.members)
-            out, pc = _general_path(ctx, sub, members, _member_rank(ctx, members))
+            members = sorted(afp.members, key=lambda i: oracle.key(ctx.ball.vertices[i]))
+            out, pc = _general_path(ctx, sub, members)
             p1 = min((ctx.ball.vertices[i] for i in afp.members), key=oracle.key)
             cls = [p for _, p in out]
             assert pc == cls[0]

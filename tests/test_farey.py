@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from centralizers import (
     FareyContext,
-    FareyWindow,
     InputError,
     Slope,
     UniMatrix,

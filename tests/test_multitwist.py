@@ -1,5 +1,7 @@
 """The semidirect-product multitwist model and its commutation checks."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,6 +87,10 @@ def test_characterization_catches_a_broken_permute(monkeypatch):
     rep = verify_multitwist_commutation(symmetric3_action())
     assert not rep.characterization_holds
     assert rep.characterization_witness[1] == "commutes-but-not-invariant"
+    # the record writes the witness's vector and tuple as JSON lists
+    vector, kind = rep.characterization_witness
+    record = json.loads(json.dumps(rep.to_record()))
+    assert record["characterization_witness"] == [list(vector), kind]
 
 
 def test_nonfaithful_action():
