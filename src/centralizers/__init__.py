@@ -40,8 +40,6 @@ from .fixpoints import (
     almost_fixed_set,
     far_pairs,
     midpoint_certify,
-    orbit,
-    orbit_diameter,
 )
 from .graphs import (
     DeltaEstimate,

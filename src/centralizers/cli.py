@@ -141,6 +141,11 @@ def _make_subgroup(oracle, spec: str):
     return verify_subgroup(oracle, elements)
 
 
+# one encoder for every record: ``json.dumps`` with sort_keys builds a new one
+# per call, and this one writes the same bytes
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 class Report:
     """The report stream, each record held as its JSON line from the moment
     it is emitted, and the summary lines."""
@@ -155,7 +160,7 @@ class Report:
         rec = {"record": record_type}
         rec.update(self.base)
         rec.update(fields)
-        self.lines.append(json.dumps(rec, sort_keys=True) + "\n")
+        self.lines.append(_encode(rec) + "\n")
 
     def say(self, line):
         self.summary.append(line)

@@ -218,22 +218,24 @@ def _general_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
 
     # (1) partition by G-orbit: right multiplication is transitive, one class.
     p1_inv = oracle.invert(verts[members[0]])
-    transporter = {i: oracle.multiply(p1_inv, verts[i]) for i in members}  # g_i
+    # g_i^-1, with g_i = p_1^-1 * p_i the transporter
+    inverse = {i: oracle.invert(oracle.multiply(p1_inv, verts[i])) for i in members}
 
-    # (2)-(3) refine by the pigeonhole value p_i * h_t * g_i^-1 in B(p_1, a)
+    # (2)-(3) refine by the pigeonhole value p_i * h_t * g_i^-1 in B(p_1, a);
+    # it is p_1 for every member at h = 1, which splits nothing
     cls = members
     for h in subgroup:
+        if h.is_identity():
+            continue
         groups: dict = {}
         for i in cls:
-            value = oracle.multiply(
-                oracle.multiply(verts[i], h), oracle.invert(transporter[i])
-            )
+            value = oracle.multiply(oracle.multiply(verts[i], h), inverse[i])
             groups.setdefault(value, []).append(i)
         cls = max(groups.values(), key=len)
 
     # (4) emit g_i^-1 * g_c over the final class.
-    gc = transporter[cls[0]]
-    out = [(oracle.multiply(oracle.invert(transporter[i]), gc), verts[i]) for i in cls]
+    gc = oracle.multiply(p1_inv, verts[cls[0]])
+    out = [(oracle.multiply(inverse[i], gc), verts[i]) for i in cls]
     return out, verts[cls[0]]
 
 
@@ -247,21 +249,21 @@ def _specialized_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
     """
     oracle = ctx.oracle
     verts = ctx.ball.vertices
+    # the conjugate by h = 1 is 1 for every member, which splits nothing
+    hs = [h for h in subgroup if not h.is_identity()]
+    inverse = {i: oracle.invert(verts[i]) for i in members}
     conj = {
-        i: {
-            h: oracle.multiply(oracle.multiply(verts[i], h), oracle.invert(verts[i]))
-            for h in subgroup
-        }
+        i: {h: oracle.multiply(oracle.multiply(verts[i], h), inverse[i]) for h in hs}
         for i in members
     }
     cls = members
-    for h in subgroup:
+    for h in hs:
         groups: dict = {}
         for i in cls:
             groups.setdefault(conj[i][h], []).append(i)
         cls = max(groups.values(), key=len)
     pc = verts[cls[0]]
-    out = [(oracle.multiply(oracle.invert(verts[i]), pc), verts[i]) for i in cls]
+    out = [(oracle.multiply(inverse[i], pc), verts[i]) for i in cls]
     return out, pc
 
 

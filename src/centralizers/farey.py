@@ -291,6 +291,9 @@ class FareyContext(ActionContext):
     def act(self, matrix: UniMatrix, vid: int) -> int:
         return self.window.index.get(act(matrix, self.window.slopes[vid]), -1)
 
+    def quotient(self, matrix: UniMatrix, matrix2: UniMatrix) -> UniMatrix:
+        return matrix.inverse() * matrix2
+
     def pair_distance(self, u: int, v: int) -> tuple[int, bool]:
         # globally exact, no truncation caveat
         return farey_distance(self.window.slopes[u], self.window.slopes[v]), True

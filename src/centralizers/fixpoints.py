@@ -1,10 +1,10 @@
 """Orbits, almost-fixed-point sets, and midpoint certification.
 
 An action context bundles a finite graph window with an action of group
-elements on its vertices; an image outside the window is -1.  Membership in
-an almost-fixed set is decided soundly: a vertex whose orbit leaves the
-window, or whose orbit pairwise distances are not ambient-exact, has no
-diameter (None); it is excluded and counted, never guessed.
+elements on its vertices by isometries; an image outside the window is -1.
+Membership in an almost-fixed set is decided soundly: a vertex whose orbit
+leaves the window, or whose orbit pairwise distances are not ambient-exact,
+has no diameter (None); it is excluded and counted, never guessed.
 """
 
 from __future__ import annotations
@@ -47,6 +47,15 @@ class ActionContext:
         """The image's vertex id, or -1 if it lies outside the window."""
         raise NotImplementedError
 
+    def images(self, h) -> list[int]:
+        """``act`` of h on every vertex, in id order."""
+        return [self.act(h, vid) for vid in range(self.graph.n)]
+
+    def quotient(self, h, h2):
+        """The k with d(x.h, x.h2) = d(x, x.k) for every vertex x: h2*h^-1
+        for a right action, h^-1*h2 for a left one."""
+        raise NotImplementedError
+
     def pair_distance(self, u: int, v: int) -> tuple[int, bool]:
         """(distance, ambient-exactness flag) inside the window."""
         raise NotImplementedError
@@ -68,30 +77,29 @@ class CayleyContext(ActionContext):
     def act(self, h: GroupElement, vid: int) -> int:
         return self.ball.index.get(self.oracle.multiply(self.ball.vertices[vid], h), -1)
 
+    def images(self, h: GroupElement) -> list[int]:
+        """Every v*h read off the step table: with v = f*p for its first
+        letter f, (f*p)*h = f*(p*h), whose id is ``step[f]`` at the id of p*h,
+        found earlier as p = f^-1*v comes before v.  The oracle forms v*h
+        only where p*h has left the ball."""
+        ball, oracle = self.ball, self.oracle
+        vertices, index, step = ball.vertices, ball.index, ball.step
+        first = oracle.index
+        back = [step[first[oracle.inverse[s]]] for s in oracle.symbols]
+        out = [index.get(h, -1)]
+        for v in range(1, ball.size):
+            f = first[vertices[v][0]]
+            q = out[back[f][v]]
+            out.append(step[f][q] if q >= 0
+                       else index.get(oracle.multiply(vertices[v], h), -1))
+        return out
+
+    def quotient(self, h: GroupElement, h2: GroupElement) -> GroupElement:
+        return self.oracle.multiply(h2, self.oracle.invert(h))
+
     def pair_distance(self, u: int, v: int) -> tuple[int, bool]:
         d = self.oracle.distance(self.ball.vertices[u], self.ball.vertices[v])
         return d, self.ball.valid(u, v, d)
-
-
-def orbit(ctx: ActionContext, subgroup: Iterable,
-          vid: int) -> Optional[tuple[int, ...]]:
-    """{v * h : h in H} as sorted vertex ids; None if an image escapes."""
-    out = {ctx.act(h, vid) for h in subgroup}
-    return None if -1 in out else tuple(sorted(out))
-
-
-def orbit_diameter(ctx: ActionContext, vids: tuple[int, ...]) -> Optional[int]:
-    """The max pairwise distance, or None at the first pair whose window
-    distance is not ambient-exact."""
-    diam = 0
-    for i, u in enumerate(vids):
-        for v in vids[i + 1:]:
-            d, ok = ctx.pair_distance(u, v)
-            if not ok:
-                return None
-            if d > diam:
-                diam = d
-    return diam
 
 
 @dataclass(frozen=True)
@@ -124,20 +132,60 @@ class AlmostFixedSet:
         }
 
 
+def _displacement_classes(ctx: ActionContext, subgroup: list) -> list:
+    """The pairs i < j of ``subgroup`` as (k, pairs): each pair's orbit
+    distance d(x.h_i, x.h_j) is the displacement d(x, x.h_k).
+
+    The action is by isometries, so d(x.h, x.h2) = d(x, x.k) for the pair's
+    quotient k (Bridson & Haefliger, *Metric Spaces of Non-Positive
+    Curvature*, II.6), and the reversed pair's quotient k^-1 has the same
+    displacement, d(x, x.k^-1) = d(x.k, x).  A class is named by the earlier
+    of k and k^-1 in ``subgroup``, found by equality."""
+    classes: dict[int, list[tuple[int, int]]] = {}
+    try:
+        for i, h in enumerate(subgroup):
+            for j in range(i + 1, len(subgroup)):
+                h2 = subgroup[j]
+                k = min(subgroup.index(ctx.quotient(h, h2)),
+                        subgroup.index(ctx.quotient(h2, h)))
+                classes.setdefault(k, []).append((i, j))
+    except ValueError:
+        raise InputError("the subgroup is not closed under products") from None
+    return list(classes.items())
+
+
 def almost_fixed_set(ctx: ActionContext, subgroup: Iterable, threshold) -> AlmostFixedSet:
     """All window vertices whose whole orbit stays valid with diameter <= threshold.
 
-    Every vertex's orbit is measured here, once, into ``orbits``.
+    Every vertex's orbit is measured here, once, into ``orbits``.  A vertex
+    whose images all lie in the window has, per displacement class, one
+    distance d(x, x.k), measured with ``pair_distance`` unless x.k = x; each
+    pair of the class is then valid iff the window's predicate holds for its
+    two images at that distance, and the diameter is the largest distance.
     """
     threshold = Fraction(threshold)
     if threshold < 0:
         raise InputError("threshold must be >= 0")
     subgroup = list(subgroup)
     cut = floor(threshold)  # diameters are integers
+    classes = _displacement_classes(ctx, subgroup)
+    images = [ctx.images(h) for h in subgroup]
+    valid = ctx.graph.valid
     orbits = []
-    for vid in range(ctx.graph.n):
-        vids = orbit(ctx, subgroup, vid)
-        orbits.append(None if vids is None else orbit_diameter(ctx, vids))
+    for x in range(ctx.graph.n):
+        orbit = [image[x] for image in images]
+        if -1 in orbit:
+            orbits.append(None)
+            continue
+        diam = 0
+        for k, pairs in classes:
+            y = images[k][x]
+            d = 0 if y == x else ctx.pair_distance(x, y)[0]
+            if not all(valid(orbit[i], orbit[j], d) for i, j in pairs):
+                diam = None
+                break
+            diam = max(diam, d)
+        orbits.append(diam)
     members = tuple(v for v, diam in enumerate(orbits) if diam is not None and diam <= cut)
     return AlmostFixedSet(threshold=threshold, members=members, orbits=tuple(orbits))
 

@@ -29,10 +29,15 @@ which is an isometry of that graph.  Consequently d(u, v) = |v * u^-1|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import BudgetError, ClosureError, InputError
 from .graphs import FiniteMetricGraph
+
+# array is imported by build_ball, so that a run without a Cayley ball (the
+# Farey and multitwist subcommands) does not map its extension module
+if TYPE_CHECKING:
+    from array import array
 
 DEFAULT_BALL_BUDGET = 2_000_000
 
@@ -306,11 +311,14 @@ class CayleyBall(FiniteMetricGraph):
 
     The ball is the graph window itself: its ``lengths`` are word lengths and
     ``valid`` flags which of its distances are ambient word distances.
+    ``step[s][v]`` is the id of s*v for the symbol of index s, or -1 when s*v
+    lies outside the ball.
     """
 
     oracle: GroupOracle
     vertices: tuple[GroupElement, ...]
     index: dict
+    step: tuple[array, ...]
 
     @property
     def size(self) -> int:
@@ -325,53 +333,94 @@ class CayleyBall(FiniteMetricGraph):
 
 def build_ball(oracle: GroupOracle, radius: int,
                budget: int = DEFAULT_BALL_BUDGET) -> CayleyBall:
-    """BFS from the identity over generator left-multiplication.
+    """BFS from the identity over generator left-multiplication, filling the
+    step table without an oracle product.
 
     Vertex ids are BFS discovery order (generators in alphabet order), so
-    identical inputs build identical balls.  Each vertex's neighbours are
-    recorded as it is processed; the radius-R shell is processed too but
-    discovers nothing, so every (vertex, generator) costs one product.
+    identical inputs build identical balls.  Vertices are processed in id
+    order, the radius-R shell too, and each fills its entry of every
+    ``step[s]``; its neighbours are the entries other than -1.  Write a
+    vertex v = f*p, with f its first letter and p the rest, a normal form of
+    length |v| - 1 whose entries are filled already.  Then s*v is:
+
+    * (sf)*p when s merges with f (s and f lie in one finite factor, or s is
+      the free letter f^-1).  p's first letter merges with no letter of f's
+      factor, so this is p itself when sf = 1 and otherwise the normal form
+      whose id is ``step[sf][p]``.
+    * f*(s*p) when s lies in the central factor B and v ends in a letter of
+      B.  Then f is not in B, s*p = p's word with its last letter b replaced
+      by sb (or dropped) has length at most |p|, and f merges with neither
+      the first letter of v's word between f and b nor a letter of B, so the
+      id is ``step[f][step[s][p]]``, of a word of length at most |v|.
+    * one letter longer otherwise, as nothing merges: s before v's word, or
+      after it for s in B.  That is -1 at radius R; below R the word is
+      formed once and looked up, and is a new vertex if missing.  A word
+      (w, b) ending in B has two lower neighbours, w and (w[1:], b), so it
+      may be found already.
+
+    The first two cases read ids of words no longer than v, which exist; the
+    third sees each edge to the next sphere once, in the order in which the
+    oracle's products would have found it, so the ids are unchanged.
     """
+    from array import array
+
     if radius < 0:
         raise InputError("radius must be >= 0")
-    gens = [GroupElement((s,)) for s in oracle.symbols]
-    multiply = oracle.multiply
+    symbols, center = oracle.symbols, oracle._center
+    letters = [(s,) for s in symbols]
+    central = [s in center for s in symbols]
+    # seams[f][s]: the index of s*f for a letter s that merges with f, -1
+    # when s*f = 1, None when the two do not merge
+    seams = {f: tuple(None if (c := oracle._merge[s].get(f)) is None
+                      else oracle.index[c] if c else -1 for s in symbols)
+             for f in symbols}
+    step = tuple(array("i") for _ in symbols)
     vertices = [oracle.identity]
     index = {oracle.identity: 0}
+    ids = [0]  # ids[j] is the int held by index, shared by the adjacency
     lengths = [0]
     adjacency = []
-    frontier = [oracle.identity]
-    depth = 0
-    while frontier:
-        grow = depth < radius
-        nxt = []
-        for v in frontier:
-            nbrs = []
-            for g in gens:
-                w = multiply(g, v)  # edge v -- s*v
+    v = 0
+    while v < len(vertices):
+        word = vertices[v]
+        grow = lengths[v] < radius
+        if word:
+            rule, f, p = seams[word[0]], oracle.index[word[0]], index[word[1:]]
+            ends_in_b = word[-1] in center
+        else:
+            rule, ends_in_b = (None,) * len(symbols), False
+        entries = []
+        for s, c in enumerate(rule):
+            if c is not None:
+                j = p if c < 0 else ids[step[c][p]]
+            elif ends_in_b and central[s]:
+                j = ids[step[f][step[s][p]]]
+            elif grow:
+                w = GroupElement(word + letters[s] if central[s] else letters[s] + word)
                 j = index.get(w)
                 if j is None:
-                    if not grow:
-                        continue
                     if len(vertices) + 1 > budget:
                         raise BudgetError(
-                            f"ball budget {budget} exceeded after radius {depth}",
-                            radius_reached=depth,
+                            f"ball budget {budget} exceeded after radius {lengths[v]}",
+                            radius_reached=lengths[v],
                         )
                     j = index[w] = len(vertices)
+                    ids.append(j)
                     vertices.append(w)
-                    lengths.append(depth + 1)
-                    nxt.append(w)
-                nbrs.append(j)  # s*v != v, as no generator is the identity
-            # frontiers run in id order, so this is vertex v's entry
-            adjacency.append(tuple(sorted(nbrs)))
-        frontier = nxt
-        depth += 1
+                    lengths.append(lengths[v] + 1)
+            else:
+                j = -1
+            step[s].append(j)
+            entries.append(j)
+        # s*v != v, as no generator is the identity
+        adjacency.append(tuple(sorted(j for j in entries if j >= 0)))
+        v += 1
     return CayleyBall(
         oracle=oracle,
         radius=radius,
         vertices=tuple(vertices),
         index=index,
+        step=step,
         adjacency=tuple(adjacency),
         lengths=tuple(lengths),
     )

@@ -1,5 +1,7 @@
 """Orbits, almost-fixed-point sets, and midpoint certification."""
 
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 from centralizers import (
     CayleyContext,
     FareyContext,
+    GroupOracle,
     InputError,
+    MultiplicationTable,
     act,
     almost_fixed_set,
     almost_fixed_slopes,
@@ -23,15 +27,34 @@ from centralizers import (
     finite_subgroup,
     geodesic_layers,
     midpoint_certify,
-    orbit,
-    orbit_diameter,
     verify_subgroup,
 )
-from centralizers.farey import SUBGROUP_GENERATORS
+from centralizers.farey import IDENTITY_MATRIX, S_MATRIX, SUBGROUP_GENERATORS, T_MATRIX
 from centralizers.fixpoints import ActionContext
 from centralizers.graphs import FiniteMetricGraph
 
 from conftest import make_subgroup
+from test_groups import _s3_table, family
+
+
+def orbit(ctx, subgroup, vid):
+    """{v * h : h in H} as sorted vertex ids; None if an image escapes."""
+    out = {ctx.act(h, vid) for h in subgroup}
+    return None if -1 in out else tuple(sorted(out))
+
+
+def orbit_diameter(ctx, vids):
+    """The max pairwise distance, or None at the first pair whose window
+    distance is not ambient-exact: the reference for the orbit table."""
+    diam = 0
+    for i, u in enumerate(vids):
+        for v in vids[i + 1:]:
+            d, ok = ctx.pair_distance(u, v)
+            if not ok:
+                return None
+            if d > diam:
+                diam = d
+    return diam
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +180,72 @@ def test_cayley_orbit_table_matches_reference(data):
         orbits.append(max(d for _, _, d in pairs) if ok else None)
     afp = almost_fixed_set(CayleyContext(ball), subgroup, threshold)
     assert _table(afp) == _reference_table(orbits, threshold)
+
+
+MATRIX_LETTERS = (S_MATRIX, T_MATRIX, T_MATRIX.inverse())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_quotient_names_the_pair_displacement(data):
+    # d(x.h, x.h2) = d(x, x.k) for k = quotient(h, h2), on any elements: the
+    # other side's quotient would measure the displacement of x.h instead
+    name = data.draw(st.sampled_from(sorted(FINITE_FACTORS)))
+    oracle = builtin_group(name)
+    ctx = CayleyContext(build_ball(oracle, 0))
+    x, h, h2 = (oracle.normalize(data.draw(st.lists(st.sampled_from(oracle.symbols),
+                                                     max_size=6))) for _ in range(3))
+    k = ctx.quotient(h, h2)
+    assert oracle.distance(oracle.multiply(x, h), oracle.multiply(x, h2)) == oracle.distance(
+        x, oracle.multiply(x, k))
+    window = build_window(3)
+    farey = FareyContext(window)
+    h, h2 = (functools.reduce(operator.mul, data.draw(st.lists(
+        st.sampled_from(MATRIX_LETTERS), max_size=6)), IDENTITY_MATRIX) for _ in range(2))
+    k = farey.quotient(h, h2)
+    for slope in window.slopes:
+        assert farey_distance(act(h, slope), act(h2, slope)) == farey_distance(
+            slope, act(k, slope))
+
+
+KLEIN_NAMES = ["1", "k1", "k2", "k3"]
+KLEIN = MultiplicationTable(KLEIN_NAMES, [[KLEIN_NAMES[i ^ j] for j in range(4)]
+                                          for i in range(4)])
+S3 = _s3_table("c")
+# name -> (oracle, its finite factor H, the largest radius drawn); the
+# factor's elements but the identity are letters of the oracle
+LARGE_FACTORS = {
+    "V4*Z2": (GroupOracle("free_product", tables=[KLEIN, MultiplicationTable.cyclic(2, "r")]),
+              KLEIN, 6),
+    "F2xV4": (GroupOracle("direct_product", ("a", "b"), [KLEIN]), KLEIN, 3),
+    "S3*Z2": (family("S3*Z2"), S3, 5),
+    "F2xS3": (family("F2xS3"), S3, 3),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_orbit_table_of_order_4_and_6_matches_pair_reference(data):
+    # a conjugate g*H*g^-1 of a Klein four or S3 factor: the table from
+    # displacements equals the all-pairs reference, with at most |H| - 1
+    # distance calls per vertex
+    oracle, factor, top = LARGE_FACTORS[data.draw(st.sampled_from(sorted(LARGE_FACTORS)))]
+    ball = build_ball(oracle, data.draw(st.integers(0, top)))
+    g = ball.vertices[data.draw(st.integers(0, ball.size - 1))]
+    g_inv = oracle.invert(g)
+    subgroup = verify_subgroup(oracle, {
+        oracle.multiply(oracle.multiply(g, oracle.parse(h)), g_inv) for h in factor.names})
+    assert subgroup.order == factor.order
+    threshold = data.draw(THRESHOLDS)
+    reference = CayleyContext(ball)
+    orbits = []
+    for v in range(ball.size):
+        vids = orbit(reference, subgroup, v)
+        orbits.append(None if vids is None else orbit_diameter(reference, vids))
+    ctx = _DistanceCountingContext(ball)
+    afp = almost_fixed_set(ctx, subgroup, threshold)
+    assert _table(afp) == _reference_table(orbits, threshold)
+    assert ctx.distance_calls <= ball.size * (subgroup.order - 1)
 
 
 @pytest.mark.parametrize("depth", range(7))
@@ -367,6 +456,11 @@ class _RiggedContext(ActionContext):
 
     def act(self, h, vid):
         return h.get(vid, vid)
+
+    def quotient(self, h, h2):
+        # h^-1*h2 as a map; the maps here are involutions, so h^-1 = h
+        n = self.graph.n
+        return {v: w for v in range(n) if (w := self.act(h, self.act(h2, v))) != v}
 
     def pair_distance(self, u, v):
         return abs(u - v), True

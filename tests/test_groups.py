@@ -389,6 +389,19 @@ def test_one_pass_ball_matches_two_pass(name, radius):
         oracle, radius)
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES + tuple(GROUP_FILES))
+@settings(max_examples=10, deadline=None)
+@given(radius=st.integers(0, 4))
+def test_step_table_matches_oracle(name, radius):
+    # every entry is the oracle's s*v looked up in the ball, -1 outside it
+    oracle = family(name)
+    ball = build_ball(oracle, radius)
+    assert len(ball.step) == len(oracle.symbols)
+    for s, row in zip(oracle.symbols, ball.step):
+        g = GroupElement((s,))
+        assert list(row) == [ball.index.get(oracle.multiply(g, v), -1) for v in ball.vertices]
+
+
 def test_ball_budget(f2):
     with pytest.raises(BudgetError) as err:
         build_ball(f2, 9, budget=100)
