@@ -92,9 +92,6 @@ class UniMatrix:
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
-    def __str__(self) -> str:
-        return f"[{self.a},{self.b};{self.c},{self.d}]"
-
 
 IDENTITY_MATRIX = UniMatrix(1, 0, 0, 1)
 S_MATRIX = UniMatrix(0, -1, 1, 0)
@@ -218,16 +215,6 @@ class FareyWindow(FiniteMetricGraph):
     slopes: tuple[Slope, ...]
     index: dict
 
-    @property
-    def size(self) -> int:
-        return len(self.slopes)
-
-    def slope_id(self, s: Slope) -> int:
-        try:
-            return self.index[s]
-        except KeyError:
-            raise InputError(f"slope {s} is not in the window")
-
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """p/q -> -p/q, q/p and -q/p: the stabiliser of the base edge 0/1 --
         1/0 in PGL(2, Z), a Klein four-group, without its identity (Hatcher,
@@ -242,10 +229,11 @@ class FareyWindow(FiniteMetricGraph):
 def build_window(depth: int) -> FareyWindow:
     """Mediant expansion from the base edge 0/1 -- 1/0.
 
-    Each round adds, for every tessellation edge (u, v) found so far, the two
-    slopes adjacent to both endpoints (their mediant and co-mediant).  The
-    window is an ideal polygon triangulated by the edges found, so they are
-    all of its Farey edges and give its adjacency.  A window of more than
+    Each round adds, for every tessellation edge (u, v) the last round found,
+    the two slopes adjacent to both endpoints (their mediant and co-mediant);
+    an older edge's two are in the window already.  The window is an ideal
+    polygon triangulated by the edges found, so they are all of its Farey
+    edges and give its adjacency.  A window of more than
     ``WINDOW_SLOPE_BUDGET`` slopes raises ``BudgetError`` before it is built.
     """
     if depth < 0:
@@ -255,9 +243,10 @@ def build_window(depth: int) -> FareyWindow:
                           f"{WINDOW_SLOPE_BUDGET}-slope budget")
     slopes = {ZERO_SLOPE, INFINITY_SLOPE}
     edges = {(ZERO_SLOPE, INFINITY_SLOPE)}
+    new_edges = set(edges)
     for _ in range(depth):
-        new_edges = set()
-        for u, v in edges:
+        last, new_edges = new_edges, set()
+        for u, v in last:
             for w in (
                 Slope.make(u.p + v.p, u.q + v.q),
                 Slope.make(u.p - v.p, u.q - v.q),
@@ -294,9 +283,8 @@ class FareyContext(ActionContext):
     def quotient(self, matrix: UniMatrix, matrix2: UniMatrix) -> UniMatrix:
         return matrix.inverse() * matrix2
 
-    def pair_distance(self, u: int, v: int) -> tuple[int, bool]:
-        # globally exact, no truncation caveat
-        return farey_distance(self.window.slopes[u], self.window.slopes[v]), True
+    def pair_distance(self, u: int, v: int) -> int:
+        return farey_distance(self.window.slopes[u], self.window.slopes[v])
 
 
 def almost_fixed_slopes(subgroup: FiniteSubgroup, window: FareyWindow,

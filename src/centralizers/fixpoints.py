@@ -56,8 +56,9 @@ class ActionContext:
         for a right action, h^-1*h2 for a left one."""
         raise NotImplementedError
 
-    def pair_distance(self, u: int, v: int) -> tuple[int, bool]:
-        """(distance, ambient-exactness flag) inside the window."""
+    def pair_distance(self, u: int, v: int) -> int:
+        """The ambient distance d(u, v); ``graph.valid`` alone judges whether
+        it is also the window distance."""
         raise NotImplementedError
 
 
@@ -65,9 +66,7 @@ class CayleyContext(ActionContext):
     """A Cayley ball acted on by right multiplication (an isometric action).
 
     Distances use the exact word metric d(u, v) = |v * u^-1|, which agrees
-    with window BFS wherever the window is valid; the validity flag still
-    applies the window predicate so downstream checks never rely on vertices
-    the ball cannot certify.
+    with window BFS wherever the window is valid.
     """
 
     def __init__(self, ball: CayleyBall):
@@ -80,26 +79,24 @@ class CayleyContext(ActionContext):
     def images(self, h: GroupElement) -> list[int]:
         """Every v*h read off the step table: with v = f*p for its first
         letter f, (f*p)*h = f*(p*h), whose id is ``step[f]`` at the id of p*h,
-        found earlier as p = f^-1*v comes before v.  The oracle forms v*h
-        only where p*h has left the ball."""
+        found earlier as p = f^-1*v comes before v.  Only where p*h has left
+        the ball does ``act`` form v*h with the oracle."""
         ball, oracle = self.ball, self.oracle
         vertices, index, step = ball.vertices, ball.index, ball.step
         first = oracle.index
         back = [step[first[oracle.inverse[s]]] for s in oracle.symbols]
         out = [index.get(h, -1)]
-        for v in range(1, ball.size):
+        for v in range(1, ball.n):
             f = first[vertices[v][0]]
             q = out[back[f][v]]
-            out.append(step[f][q] if q >= 0
-                       else index.get(oracle.multiply(vertices[v], h), -1))
+            out.append(step[f][q] if q >= 0 else self.act(h, v))
         return out
 
     def quotient(self, h: GroupElement, h2: GroupElement) -> GroupElement:
         return self.oracle.multiply(h2, self.oracle.invert(h))
 
-    def pair_distance(self, u: int, v: int) -> tuple[int, bool]:
-        d = self.oracle.distance(self.ball.vertices[u], self.ball.vertices[v])
-        return d, self.ball.valid(u, v, d)
+    def pair_distance(self, u: int, v: int) -> int:
+        return self.oracle.distance(self.ball.vertices[u], self.ball.vertices[v])
 
 
 @dataclass(frozen=True)
@@ -180,7 +177,7 @@ def almost_fixed_set(ctx: ActionContext, subgroup: Iterable, threshold) -> Almos
         diam = 0
         for k, pairs in classes:
             y = images[k][x]
-            d = 0 if y == x else ctx.pair_distance(x, y)[0]
+            d = 0 if y == x else ctx.pair_distance(x, y)
             if not all(valid(orbit[i], orbit[j], d) for i, j in pairs):
                 diam = None
                 break

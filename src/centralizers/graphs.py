@@ -45,6 +45,8 @@ class FiniteMetricGraph:
     def n(self) -> int:
         return len(self.adjacency)
 
+    size = n  # the name the reports read
+
     def valid(self, u: int, v: int, d: int) -> bool:
         """Whether the window distance d(u, v) = d is the ambient distance.
 

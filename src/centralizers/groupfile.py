@@ -38,7 +38,8 @@ Format (``#`` starts a comment)::
 
 Table row i lists the products (row element) * (column element) as names, in
 the order of the ``elements`` line.  Non-identity element names, generators and
-their inverses ``g^-1`` must all differ.  A file has at most one ``generators``
+their inverses ``g^-1`` must all differ, and none may be ``1`` or contain ``*``
+or ``,``, which the word syntax reserves.  A file has at most one ``generators``
 line; a line its family has no use for is a ``ParseError``, and so are parts
 that do not fit ``groups.FAMILIES``.
 """

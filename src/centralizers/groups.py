@@ -123,6 +123,11 @@ class GroupOracle:
         # with distinct symbols it is in the alphabet and an involution
         if len(set(symbols)) != len(symbols):
             raise InputError(f"duplicate symbols in alphabet: {tuple(symbols)}")
+        # words print their letters joined by "*" and the identity as "1",
+        # and --subgroup splits its words on ","
+        for s in symbols:
+            if s == "1" or "*" in s or "," in s or s.split() != [s]:
+                raise InputError(f"symbol {s!r} cannot be spelled in a word")
         self.symbols = tuple(symbols)
         self.inverse = inverse
         self.index = {s: i for i, s in enumerate(symbols)}
@@ -319,16 +324,6 @@ class CayleyBall(FiniteMetricGraph):
     vertices: tuple[GroupElement, ...]
     index: dict
     step: tuple[array, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-    def vertex_id(self, x: GroupElement) -> int:
-        try:
-            return self.index[x]
-        except KeyError:
-            raise InputError(f"element {x} is not in the radius-{self.radius} ball")
 
 
 def build_ball(oracle: GroupOracle, radius: int,

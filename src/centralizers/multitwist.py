@@ -91,9 +91,6 @@ class SemidirectElement:
     def is_identity(self) -> bool:
         return self.part == 0 and not any(self.vector)
 
-    def __str__(self) -> str:
-        return f"({','.join(map(str, self.vector))}; {self.action.table.names[self.part]})"
-
 
 def _permute(perm: tuple[int, ...], vector: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * len(vector)

@@ -162,8 +162,8 @@ def test_criterion_4_midpoint_certification():
         afp = almost_fixed_set(ctx, sub, 6 * delta)
         for i, x in enumerate(afp.members):
             for y in afp.members[i + 1:]:
-                d, valid = ctx.pair_distance(x, y)
-                if not valid or d < 20 * delta:
+                d = ctx.pair_distance(x, y)
+                if not ball.valid(x, y, d) or d < 20 * delta:
                     continue
                 cert = midpoint_certify(ctx, afp, x, y, delta)
                 total_pairs += 1

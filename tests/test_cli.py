@@ -333,6 +333,21 @@ def test_undecodable_input_file_exits_2_naming_it(tmp_path, argv):
     assert err.startswith(f"input error: {path}: not UTF-8 text")
 
 
+@pytest.mark.parametrize("text,argv,symbol", [
+    # a letter named 1 printed like the identity: two certificates for "1"
+    ("family finite\nelements e 1\ntable\ne 1\n1 e\nend\n",
+     ["extract", "--subgroup", "1", "--threshold-a", "1", "--c0", "2", "--radius", "2"], "1"),
+    # a letter a*b printed like the product a*b, and --subgroup a*b failed
+    ("family free\ngenerators a*b c\n", ["ball", "--radius", "2"], "a*b"),
+])
+def test_letters_the_word_syntax_cannot_spell_exit_2(tmp_path, text, argv, symbol):
+    path = tmp_path / "group.txt"
+    path.write_text(text)
+    code, out, err = invoke(argv + ["--group-file", str(path)])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"parse error: symbol {symbol!r} cannot be spelled in a word\n"
+
+
 def test_unwritable_out_exits_2(tmp_path):
     for argv in (["ball", "--family", "F2", "--radius", "1",
                   "--out", str(tmp_path / "missing" / "x")],
@@ -405,8 +420,10 @@ print(json.dumps([first, code, peak]))
 """
 
 
-def fresh_peak(argv):
-    """``argv``'s tracemalloc peak, read by ``PEAK_PROBE``; both calls exit 0."""
+def check_fresh_peak(argv, ceiling):
+    """Assert that ``argv``'s tracemalloc peak, read by ``PEAK_PROBE``, is
+    under ``ceiling`` and that both calls exit 0.  The peak is printed next to
+    the ceiling, so ``pytest -rP`` shows the headroom of a passing probe."""
     done = subprocess.run(
         [sys.executable, "-c", PEAK_PROBE, SRC, json.dumps(argv)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
@@ -415,7 +432,8 @@ def fresh_peak(argv):
     assert done.returncode == 0, done.stderr
     first, code, peak = json.loads(done.stdout)
     assert first == code == EXIT_OK
-    return peak
+    print(f"{' '.join(argv)}: peak {peak:,} of {ceiling:,} bytes, {ceiling - peak:,} left")
+    assert peak < ceiling, argv
 
 
 def test_benchmark_extract_peak_memory():
@@ -427,7 +445,7 @@ def test_benchmark_extract_peak_memory():
               "--c0", "2", "--radius", "7"], 5_400_000),
             (["afp", "--family", "F2xZ2", "--subgroup", "t", "--delta", "1/6",
               "--radius", "6", "--certify"], 2_225_000)):
-        assert fresh_peak(argv) < ceiling, argv[0]
+        check_fresh_peak(argv, ceiling)
 
 
 @pytest.mark.parametrize("argv,ceiling", [
@@ -439,7 +457,7 @@ def test_benchmark_farey_peak_memory(argv, ceiling):
     # buffers grown to the largest block; each ceiling is the peak of the
     # per-target passes that came before, rounded down.  The probe loads
     # numpy with its untraced first call
-    assert fresh_peak(argv) < ceiling
+    check_fresh_peak(argv, ceiling)
 
 
 # lines from which the fuzz draws group, action and config file texts

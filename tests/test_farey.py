@@ -264,7 +264,7 @@ def test_window_automorphisms_keep_farey_distances(depth):
 
 def bfs_window_distance(window, s1, s2):
     """Brute-force BFS oracle inside the window (>= the ambient distance)."""
-    src, dst = window.slope_id(s1), window.slope_id(s2)
+    src, dst = window.index[s1], window.index[s2]
     dist = {src: 0}
     queue = deque([src])
     while queue:
@@ -289,8 +289,8 @@ def test_window_bfs_upper_bounds_exact_distance():
 def test_farey_context_exact_distances():
     w = build_window(4)
     ctx = FareyContext(w)
-    d, valid = ctx.pair_distance(0, w.size - 1)
-    assert valid and d == farey_distance(w.slopes[0], w.slopes[w.size - 1])
+    d = ctx.pair_distance(0, w.size - 1)
+    assert w.valid(0, w.size - 1, d) and d == farey_distance(w.slopes[0], w.slopes[w.size - 1])
 
 
 def test_almost_fixed_slopes_frozen_counts():

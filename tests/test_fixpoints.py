@@ -49,8 +49,8 @@ def orbit_diameter(ctx, vids):
     diam = 0
     for i, u in enumerate(vids):
         for v in vids[i + 1:]:
-            d, ok = ctx.pair_distance(u, v)
-            if not ok:
+            d = ctx.pair_distance(u, v)
+            if not ctx.graph.valid(u, v, d):
                 return None
             if d > diam:
                 diam = d
@@ -69,7 +69,7 @@ def h_central(f2xz2):
 
 def test_orbit_is_right_coset(ctx_f2xz2, h_central, f2xz2):
     ball = ctx_f2xz2.ball
-    vid = ball.vertex_id(f2xz2.parse("a"))
+    vid = ball.index[f2xz2.parse("a")]
     orb = orbit(ctx_f2xz2, h_central, vid)
     assert len(orb) == 2
     labels = {str(ball.vertices[v]) for v in orb}
@@ -83,7 +83,7 @@ def test_orbit_escaping_window_is_none(ctx_f2xz2, h_central):
 
 
 def test_orbit_diameter_central(ctx_f2xz2, h_central, f2xz2):
-    vid = ctx_f2xz2.ball.vertex_id(f2xz2.parse("a*b"))
+    vid = ctx_f2xz2.ball.index[f2xz2.parse("a*b")]
     # d(g, g*t) = |t| = 1, central
     assert orbit_diameter(ctx_f2xz2, orbit(ctx_f2xz2, h_central, vid)) == 1
 
@@ -287,7 +287,7 @@ def test_midpoint_certify_preconditions(ctx_f2xz2, h_central):
     delta = Fraction(1, 6)
     afp = almost_fixed_set(ctx_f2xz2, h_central, 6 * delta)
     x, y = afp.members[0], afp.members[1]
-    d, _ = ctx_f2xz2.pair_distance(x, y)
+    d = ctx_f2xz2.pair_distance(x, y)
     if d < 20 * delta:
         with pytest.raises(InputError):
             midpoint_certify(ctx_f2xz2, afp, x, y, delta)
@@ -311,9 +311,10 @@ class _CountingContext(CayleyContext):
 
 def _brute_force_far_pairs(ctx, members, deltas):
     # the all-pairs screen far_pairs replaces, one list per delta
-    measured = [(x, y, *ctx.pair_distance(x, y))
+    measured = [(x, y, ctx.pair_distance(x, y))
                 for i, x in enumerate(members) for y in members[i + 1:]]
-    return [[(x, y, d) for x, y, d, ok in measured if ok and d >= 20 * delta]
+    return [[(x, y, d) for x, y, d in measured
+             if ctx.graph.valid(x, y, d) and d >= 20 * delta]
             for delta in deltas]
 
 
@@ -439,7 +440,7 @@ def test_midpoint_certify_orbit_table(f2xz2, h_central):
     assert cert != midpoint_certify(ctx, afp, *pairs[0], delta)
     # an endpoint whose orbit escapes has no diameter in the table, and
     # either endpoint without one gets the one message
-    deep = ball.vertex_id(f2xz2.parse("a*a*a*a*a"))
+    deep = ball.index[f2xz2.parse("a*a*a*a*a")]
     assert orbit(ctx, h_central, deep) is None and afp.orbits[deep] is None
     for x, y in ((deep, 0), (0, deep)):
         with pytest.raises(InputError) as err:
@@ -463,7 +464,7 @@ class _RiggedContext(ActionContext):
         return {v: w for v in range(n) if (w := self.act(h, self.act(h2, v))) != v}
 
     def pair_distance(self, u, v):
-        return abs(u - v), True
+        return abs(u - v)
 
 
 def test_midpoint_certify_detects_counterexample():

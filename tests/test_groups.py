@@ -93,6 +93,17 @@ def test_family_parts_are_checked():
         GroupOracle("free")
 
 
+@pytest.mark.parametrize("symbol", ["1", "a*b", "a,b", "a b", ""])
+def test_symbols_the_word_syntax_cannot_spell(symbol):
+    # words print their letters joined by "*", the identity as "1", and
+    # --subgroup splits on ","
+    with pytest.raises(InputError, match="cannot be spelled in a word"):
+        GroupOracle("free", [symbol])
+    table = MultiplicationTable(["e", symbol], [["e", symbol], [symbol, "e"]])
+    with pytest.raises(InputError, match="cannot be spelled in a word"):
+        GroupOracle("finite", tables=[table])
+
+
 # --- seam arithmetic against the normal-form reference -----------------------
 
 def _table_text(names, product):
@@ -153,6 +164,15 @@ def test_seam_arithmetic_matches_normal_form(name, data):
     assert oracle.multiply(x, oracle.invert(x)) == oracle.identity
     assert oracle.multiply(x, oracle.identity) == x == oracle.multiply(oracle.identity, x)
     assert oracle.invert(oracle.identity) == oracle.identity
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + tuple(GROUP_FILES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_printed_words_parse_back(name, data):
+    oracle = family(name)
+    w = data.draw(words(oracle))
+    assert oracle.parse(str(w)) == w and "," not in str(w)
 
 
 # --- normalize against a naive rewrite ---------------------------------------
