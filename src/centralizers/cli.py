@@ -16,8 +16,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import multitwist as mt
-from . import farey as fy
 from .errors import (
     BudgetError, InputError, InvariantError, ParseError, ToolkitError,
 )
@@ -35,6 +33,10 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_INVARIANT = 5
 
+# ``farey.SUBGROUP_GENERATORS``' names: the parser offers them without
+# loading ``farey``, which only the ``farey`` command imports
+SUBGROUP_NAMES = ("S4", "ST6", "center2")
+
 
 def _parse_fraction(text: str) -> Fraction:
     try:
@@ -44,7 +46,8 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def load_config_file(path: str) -> dict:
-    """Simple ``key = value`` lines; '#' starts a comment."""
+    """Simple ``key = value`` lines; '#' starts a comment.  A key may appear
+    once, ``-`` and ``_`` counting as the same character."""
     out = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -55,7 +58,10 @@ def load_config_file(path: str) -> dict:
         if "\0" in line:  # no path or flag value holds one
             raise ParseError("NUL byte in a config line", line=lineno)
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in out:
+            raise ParseError(f"duplicate key {key!r}", line=lineno)
+        out[key] = value.strip()
     return out
 
 
@@ -111,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("farey", help="Farey window, distances and orbit profiles")
     add_common(p)
     p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--subgroup-name", choices=tuple(fy.SUBGROUP_GENERATORS), default="S4")
+    p.add_argument("--subgroup-name", choices=SUBGROUP_NAMES, default="S4")
     p.add_argument("--threshold-a", help="orbit-diameter threshold (default 6*window delta)")
     p.add_argument("--delta-mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--delta-samples", type=int, default=5000)
@@ -283,6 +289,8 @@ def _cmd_extract(args, report):
 
 
 def _cmd_farey(args, report):
+    from . import farey as fy
+
     window = fy.build_window(args.depth)
     subgroup = fy.finite_subgroup(args.subgroup_name)
     report.emit("farey_window", depth=args.depth, size=window.size,
@@ -321,18 +329,22 @@ def _cmd_farey(args, report):
     return EXIT_OK
 
 
+# name -> the action built from the ``multitwist`` module, which only the
+# ``multitwist`` command imports
 _BUILTIN_ACTIONS = {
-    "z3-cycle": lambda: mt.cyclic_rotation_action(3),
-    "s3": mt.symmetric3_action,
-    "swap": lambda: mt.cyclic_rotation_action(2, fixed=2),
+    "z3-cycle": lambda mt: mt.cyclic_rotation_action(3),
+    "s3": lambda mt: mt.symmetric3_action(),
+    "swap": lambda mt: mt.cyclic_rotation_action(2, fixed=2),
 }
 
 
 def _cmd_multitwist(args, report):
+    from . import multitwist as mt
+
     if args.action_file:
         action = mt.parse_action(read_text(args.action_file))
     elif args.builtin_action:
-        action = _BUILTIN_ACTIONS[args.builtin_action]()
+        action = _BUILTIN_ACTIONS[args.builtin_action](mt)
     else:
         raise InputError("one of --action-file / --builtin-action is required")
     rep = mt.verify_multitwist_commutation(action)

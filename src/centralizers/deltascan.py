@@ -162,6 +162,9 @@ def _exhaustive_scan(dmat, ok, perms=()) -> DeltaEstimate:
     flat, size = far.ravel(), np.diff(start)
     # 3 * block sides of <= max(size) vertices: index arrays of <= n^2 entries
     block = max(1, n * n // (3 * int(size.max(initial=1))))
+    # the orbit filter's chunks of <= n^2 / 4 pairs: its int64 temporaries,
+    # about 8 arrays at once, hold about two of the scoring's index arrays
+    chunk = max(1, n * n // 4)
     perms = np.array(perms, dtype=np.intp).reshape(-1, n)
     starts = (perms >= np.arange(n)).all(axis=0)  # the x that may start a least triangle
     best, witness, count = 0, None, 0
@@ -173,12 +176,16 @@ def _exhaustive_scan(dmat, ok, perms=()) -> DeltaEstimate:
             continue
         ys, zs = (ys[i] for i in np.nonzero(pairs))  # (y, z) in order
         count += ys.size
-        key, least = (x * n + ys) * n + zs, np.ones(ys.size, dtype=bool)
-        for h in perms:
-            a, b, c = h[x], h[ys], h[zs]
-            lo, hi = np.minimum(np.minimum(b, c), a), np.maximum(np.maximum(b, c), a)
-            least &= key <= (lo * n + (a + b + c - lo - hi)) * n + hi
-        ys, zs = ys[least], zs[least]
+        if len(perms):  # keep the least triangles, chunk by chunk
+            least = np.ones(ys.size, dtype=bool)
+            for e in range(0, ys.size, chunk):
+                y, z, keep = ys[e:e + chunk], zs[e:e + chunk], least[e:e + chunk]
+                key = (x * n + y) * n + z
+                for h in perms:
+                    a, b, c = h[x], h[y], h[z]
+                    lo, hi = np.minimum(np.minimum(b, c), a), np.maximum(np.maximum(b, c), a)
+                    keep &= key <= (lo * n + (a + b + c - lo - hi)) * n + hi
+            ys, zs = ys[least], zs[least]
         for a in range(0, ys.size, block):
             y, z = ys[a:a + block], zs[a:a + block]
             xy, xz, yz = pid[x, y], pid[x, z], pid[y, z]
@@ -192,6 +199,32 @@ def _exhaustive_scan(dmat, ok, perms=()) -> DeltaEstimate:
             if thin[j] > best:
                 best, witness = int(thin[j]), (x, int(y[j]), int(z[j]))
     return DeltaEstimate(best, count, witness, "exhaustive")
+
+
+def _sample3(bits, n):
+    """``rng.sample(range(n), 3)`` for n >= 3, drawn from ``bits``, the
+    generator's ``getrandbits``, exactly as ``sample`` draws: each pick below
+    a bound m takes k-bit ints, k = m.bit_length(), until one is below m.
+    For n <= 21 ``sample`` picks from a pool that shrinks by one, its last
+    member moving into the gap; above, it draws again while a pick repeats."""
+    if n <= 21:
+        pool, picks = list(range(n)), []
+        for m in range(n, n - 3, -1):
+            k = m.bit_length()
+            j = bits(k)
+            while j >= m:
+                j = bits(k)
+            picks.append(pool[j])
+            pool[j] = pool[m - 1]
+        return picks
+    k, x, y, z = n.bit_length(), n, n, n
+    while x >= n:
+        x = bits(k)
+    while y >= n or y == x:
+        y = bits(k)
+    while z >= n or z == x or z == y:
+        z = bits(k)
+    return [x, y, z]
 
 
 def _sampled_scan(graph, samples, seed) -> DeltaEstimate:
@@ -208,11 +241,11 @@ def _sampled_scan(graph, samples, seed) -> DeltaEstimate:
     # places of the two sides that score it
     need = dmat.nbytes + (8 + 4 * 3 * 7) * min(samples, total)
     _check_budget(need, what := f"a sample of {min(samples, total)} triangles")
-    rng, seen, drawn, attempts = random.Random(seed), set(), [], 0
+    bits, seen, drawn, attempts = random.Random(seed).getrandbits, set(), [], 0
     # a triangle is met at most once, so the draw ends once every one has been
     while len(drawn) < samples and attempts < samples * 20 and len(seen) < total:
         attempts += 1
-        x, y, z = sorted(rng.sample(range(n), 3))
+        x, y, z = sorted(_sample3(bits, n))
         key = (x * n + y) * n + z
         if key not in seen:
             seen.add(key)

@@ -19,9 +19,11 @@ from centralizers.cli import (
     EXIT_INVARIANT,
     EXIT_NONE_FOUND,
     EXIT_OK,
+    SUBGROUP_NAMES,
     load_config_file,
     run,
 )
+from centralizers.errors import ParseError
 from centralizers.groupfile import BUILTIN_NAMES
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -291,6 +293,22 @@ def test_load_config_file(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("# comment\nradius = 4   # trailing\n\nthreshold-a = 1\n")
     assert load_config_file(str(cfg)) == {"radius": "4", "threshold_a": "1"}
+
+
+@pytest.mark.parametrize("second", ["radius = 5", "threshold_a = 2"])
+def test_repeated_config_key_exits_2(tmp_path, second):
+    # the second spelling collides with threshold-a once '-' reads as '_'
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"radius = 3\nthreshold-a = 1\n{second}\nfamily = F2\n")
+    key = second.split()[0]
+    with pytest.raises(ParseError, match=f"^line 3: duplicate key '{key}'$"):
+        load_config_file(str(cfg))
+    code, out, err = invoke(["ball", "--config", str(cfg)])
+    assert (code, out, err) == (EXIT_INPUT, "", f"parse error: line 3: duplicate key '{key}'\n")
+
+
+def test_subgroup_name_choices_are_the_farey_subgroups():
+    assert SUBGROUP_NAMES == tuple(farey.SUBGROUP_GENERATORS)
 
 
 def test_identical_runs_are_byte_identical():
@@ -617,6 +635,41 @@ def test_numpy_loads_only_for_the_delta_scan(names, loaded):
     seen = json.loads(done.stdout)
     assert [code for code, _ in seen[1:]] == [EXIT_OK] * len(names)
     assert [numpy for _, numpy in seen] == loaded
+
+
+# one CLI process: the package's modules loaded by the import, then by one call
+MODULES_PROBE = """
+import io, json, sys
+sys.path.insert(0, sys.argv[1])
+import centralizers.cli as cli
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("centralizers."))
+imported = loaded()
+code = cli.run(json.loads(sys.argv[2]), stdout=io.StringIO(), stderr=io.StringIO())
+print(json.dumps([code, imported, sorted(set(loaded()) - set(imported))]))
+"""
+
+CLI_MODULES = ["centralizers." + name for name in
+               ("cli", "errors", "extraction", "fixpoints", "graphs", "groupfile", "groups")]
+
+
+@pytest.mark.parametrize("name,added", [
+    ("ball", []),
+    ("afp", []),
+    ("extract", []),
+    ("delta", ["deltascan"]),
+    ("farey", ["deltascan", "farey"]),
+    ("multitwist", ["multitwist"]),
+])
+def test_each_subcommand_loads_only_what_it_runs(name, added):
+    done = subprocess.run(
+        [sys.executable, "-c", MODULES_PROBE, SRC, json.dumps(README_CALLS[name])],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [EXIT_OK, CLI_MODULES,
+                                       ["centralizers." + m for m in added]]
 
 
 def test_readme_library_example_runs():

@@ -29,7 +29,7 @@ from centralizers import (
 )
 from centralizers import graphs
 from centralizers.cli import EXIT_BUDGET, EXIT_INVARIANT, run as cli_run
-from centralizers.deltascan import _exhaustive_scan, _target_rows
+from centralizers.deltascan import _exhaustive_scan, _sample3, _target_rows
 from centralizers.graphs import distance_matrix
 
 
@@ -418,6 +418,18 @@ def assert_sampled_scan_matches_reference(graph, samples, seed):
     assert est.mode == "sampled" and est.seed == seed
     assert (est.delta, est.triangles, est.witness) == \
         per_triangle_sampled_delta(graph, samples, seed)
+
+
+def test_sample3_draws_what_random_sample_draws():
+    # both of sample's branches (a shrinking pool up to n = 21, redraws
+    # above), bounds just under and over powers of two, and the same state
+    # of the generator afterwards
+    for n in [*range(3, 70), 128, 512, 1000, 65537]:
+        for seed in range(40):
+            ref, rng = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                assert _sample3(rng.getrandbits, n) == ref.sample(range(n), 3), (n, seed)
+            assert rng.getstate() == ref.getstate()
 
 
 @st.composite

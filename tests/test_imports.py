@@ -1,7 +1,12 @@
-"""Every module reads each name it imports."""
+"""Every module reads each name it imports, and the package serves its exports."""
 
 import ast
+import importlib
 import os
+
+import pytest
+
+import centralizers
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "centralizers")
@@ -45,3 +50,37 @@ def test_no_module_imports_a_name_it_never_reads():
         if names:
             unused[os.path.relpath(path, ROOT)] = names
     assert unused == {}
+
+
+# the names ``centralizers`` has exported since it imported every submodule
+EXPORTS = {
+    "errors": ["BudgetError", "ClosureError", "GraphError", "InputError", "InvariantError",
+               "ParseError", "ToolkitError"],
+    "extraction": ["CentralizerCertificate", "ConstantsReport", "compute_constants",
+                   "extract_centralizers", "measure_constants", "order_lower_bound",
+                   "verify_centralizer"],
+    "farey": ["FareyContext", "FareyWindow", "Slope", "UniMatrix", "act", "adjacent",
+              "almost_fixed_slopes", "build_window", "farey_distance", "finite_subgroup",
+              "intersection_number", "orbit_diameter_profile"],
+    "fixpoints": ["AlmostFixedSet", "CayleyContext", "MidpointCertificate",
+                  "almost_fixed_set", "far_pairs", "midpoint_certify"],
+    "graphs": ["DeltaEstimate", "FiniteMetricGraph", "all_geodesics", "bfs_distances",
+               "estimate_delta", "geodesic_layers"],
+    "groupfile": ["builtin_group", "load_group", "parse_group"],
+    "groups": ["CayleyBall", "FiniteSubgroup", "GroupElement", "GroupOracle",
+               "MultiplicationTable", "build_ball", "verify_subgroup"],
+    "multitwist": ["PermutationAction", "SemidirectElement", "build_T", "commutes",
+                   "parse_action", "verify_multitwist_commutation"],
+}
+
+
+def test_package_exports_resolve_to_their_submodules_objects():
+    names = [name for names in EXPORTS.values() for name in names]
+    assert sorted(centralizers.__all__) == sorted(names)
+    assert set(names) <= set(dir(centralizers))
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"centralizers.{module}")
+        for name in names:
+            assert getattr(centralizers, name) is getattr(home, name), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        centralizers.no_such_name
