@@ -1,204 +1,363 @@
-"""The thin-triangle delta scans behind ``graphs.estimate_delta``, on numpy arrays.
+"""The thin-triangle delta scans behind ``graphs.estimate_delta``, on int bitsets.
+
+A vertex set is a Python int, bit v for vertex v.  ``graphs.distance_matrix``
+gives each vertex's distance spheres, and the scans ask, for t = 0, 1, ...,
+whether some valid triangle has a side thicker than t: delta is the first t
+for which none has.  Side (p, q) of a triangle with third vertex r is thicker
+than t iff some w on a p-q geodesic lies in F_t(p, r) and in F_t(q, r),
+where F_t(w, r) is the set of vertices v with far(w, r)[v] > t and
+far(w, r)[v] is the worst case, over the w-r geodesics g, of d(v, g):
+
+- F_t(r, r) = {v : d(v, r) > t};
+- F_t(w, r) = {v : d(v, w) > t} & the union of F_t(s, r) over the
+  neighbours s of w one step closer to r.
+
+far is symmetric, so F_t(w, r) = F_t(r, w).  The rows F_t(w, r) toward a
+target r are built layer by layer outward from r, over the union of the
+intervals to the partners r needs them for.  A pass at threshold t scores:
+
+- a list of triangles side by side, grouped by opposite vertex: a sample,
+  and the first PROBE triangles before a pass by columns or over a sample;
+- the valid triangles one by one, with each pair's interval and far set
+  kept, when there are at most n^2 of them;
+- more valid triangles by columns, many third vertices at once.
 
 ``estimate_delta`` imports this module on its first call, so the subcommands
-that never scan for delta neither load numpy nor compile the scans.
+that never scan for delta do not compile the scans.
 """
 
 from __future__ import annotations
 
 import random
-
-import numpy as np
+from itertools import islice
 
 from . import graphs
 from .errors import InvariantError
-from .graphs import DeltaEstimate, FiniteMetricGraph, _check_budget
+from .graphs import DeltaEstimate, FiniteMetricGraph, _check_budget, _set_bytes, _table_bytes
+
+# the triangles tested directly, in order, before each full pass: a pass at
+# a threshold below delta usually stops here
+PROBE = 32
 
 
-def _ragged(starts, lengths):
-    """The ranges starts[i] : starts[i] + lengths[i], one after another."""
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum(), dtype=ends.dtype)
+def _members(x: int) -> list[int]:
+    """The vertices of the set x, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
-def _narrow(dmat):
-    """``dmat`` in the far type, the narrowest that holds -max - 1 (a far
-    value is a distance or -1); no copy if it has that type already."""
-    return dmat.astype(np.min_scalar_type(-int(dmat.max()) - 1), copy=False)
+def _distance(spheres: list[int], v: int) -> int:
+    """d(u, v), from u's spheres; v must be in u's component."""
+    for k, sphere in enumerate(spheres):
+        if sphere >> v & 1:
+            return k
+    raise InvariantError(f"vertex {v} is in no sphere")
 
 
-def _distances(graph: FiniteMetricGraph):
-    """The distance matrix in the far type, and ``graph.valid_pairs`` of it."""
-    dmat = graphs.distance_matrix(graph)  # looked up there, where perfbench's tracer wraps it
-    return _narrow(dmat), graph.valid_pairs(dmat)
+def _interval(sp: list[int], sq: list[int], d: int) -> int:
+    """The geodesic interval {w : d(p, w) + d(w, q) = d} of p and q, d = d(p, q)."""
+    out = 0
+    for k in range(d + 1):
+        out |= sp[k] & sq[d - k]
+    return out
 
 
-def _intervals(dmat, ps, qs, need, what, union=None):
-    """Pair i's geodesic interval {w : d(p, w) + d(w, q) = d(p, q)} as
-    verts[start[i]:start[i + 1]], ascending, in the narrowest unsigned ids,
-    from one mask per n pairs (p, q) = (ps[i], qs[i]); ``union[q]``, if
-    given, gets the union of q's intervals.  The chunks and their join are
-    held, with ``need`` bytes, to the budget."""
-    n, vtype = len(dmat), np.min_scalar_type(len(dmat) - 1)
-    start, chunks = np.zeros(len(ps) + 1, dtype=np.int64), []
-    need += start.nbytes
-    for a in range(0, len(ps), n):
-        p, q = ps[a:a + n], qs[a:a + n]
-        # d(p, q) - d(p, w) wraps only past the largest distance, to no distance
-        i, w = np.divmod(np.flatnonzero(dmat[q] == dmat[p, q, None] - dmat[p]), n)
-        need += 2 * len(w) * vtype.itemsize
-        _check_budget(need, what)
-        start[a + 1:a + 1 + len(p)] = np.bincount(i, minlength=len(p))
-        chunks.append(w.astype(vtype))
-        if union is not None:
-            union[q[i], w] = True
-    return np.concatenate(chunks or [np.empty(0, vtype)]), np.cumsum(start, out=start)
+def _pair_interval(spheres, p: int, q: int) -> int:
+    """The geodesic interval of p and q, from ``distance_matrix``'s result."""
+    if isinstance(spheres, list):
+        sp = spheres[p]
+        return _interval(sp, spheres[q], _distance(sp, q))
+    return spheres.interval(p, q)
 
 
-def _far_rows(dmat):
-    """``fill(rows, w, q, find)`` sets rows[i] to far(w[i], q[i]), the worst
-    case over w-q geodesics g of d(., g), by distance d(w[i], q[i]) >= 1 and
-    in blocks of at most n nodes: far(q, q) = d(., q) and far(w, q) is the
-    min of d(., w) and the max of far(s, q) over the neighbours s of w with
-    d(s, q) = d(w, q) - 1.  ``find(s, q)`` is the row of far(s, q), or -1.
-    far is symmetric, so a node that misses a row steps from q towards w
-    instead; a miss then too raises ``InvariantError``.  A block's rows are
-    kept in two buffers of the far type, grown to the largest block.
-    """
-    n = len(dmat)
-    src, nbr = np.nonzero(dmat == 1)  # every edge, both ways round, by end
-    heads, deg = np.searchsorted(src, np.arange(n)), np.bincount(src, minlength=n)
-    buffers = np.empty((2, 0, n), dtype=dmat.dtype)
-
-    def closer(w, q, k, find):
-        """The rows of the nodes' closer sub-pairs, node by node, and where
-        each node's begin; a node that misses one is turned round in place."""
-        for turn in (False, True):
-            j = np.repeat(np.arange(len(w)), deg[w])
-            s = nbr[_ragged(heads[w], deg[w])]
-            keep = dmat[s, q[j]] == k - 1
-            ids, j = find(s[keep], q[j[keep]]), j[keep]
-            missed = j[ids < 0]
-            if not missed.size:
-                return ids, np.searchsorted(j, np.arange(len(w) + 1))
-            if turn:
-                raise InvariantError(f"a sub-pair of ({w[missed[0]]}, {q[missed[0]]}) one "
-                                     "step closer from either end has no far row")
-            w[missed], q[missed] = q[missed], w[missed]
-
-    def fill(rows, w, q, find):
-        nonlocal buffers
-        d = dmat[w, q]
-        count = np.bincount(d, minlength=2)
-        if len(buffers[0]) < min(n, count[1:].max()):
-            buffers = np.empty((2, min(n, count[1:].max()), n), dtype=dmat.dtype)
-        order, ends = np.argsort(d, kind="stable"), np.cumsum(count).tolist()
-        for k in range(1, len(ends)):
-            for a in range(ends[k - 1], ends[k], n):
-                at = order[a:min(a + n, ends[k])]
-                ww, qq, (out, got) = w[at], q[at], buffers[:, :len(at)]
-                if k == 1:  # q is the one closer neighbour
-                    np.take(dmat, qq, axis=0, out=out, mode="clip")
-                else:  # round r takes each node's r-th closer row, if it has one
-                    ids, first = closer(ww, qq, k, find)
-                    many = np.diff(first)
-                    np.take(rows, ids[first[:-1]], axis=0, out=out, mode="clip")
-                    for r in range(1, int(many.max())):
-                        i = np.flatnonzero(many > r)
-                        np.take(rows, ids[first[i] + r], axis=0, out=got[:len(i)], mode="clip")
-                        out[i] = np.maximum(out[i], got[:len(i)])
-                np.minimum(out, np.take(dmat, ww, axis=0, out=got, mode="clip"), out=out)
-                rows[at] = out
-
-    return fill
+def _count(valid: list[int]) -> int:
+    """The number of valid triangles x < y < z."""
+    count = 0
+    for x, row in enumerate(valid):
+        for y in _members(row >> x + 1):
+            y += x + 1
+            count += ((row & valid[y]) >> y + 1).bit_count()
+    return count
 
 
-def _target_rows(dmat, ok):
-    """``pid``, ``far`` rows and intervals of the valid pairs p < q.
-
-    ``far`` is the whole state of ``_far_rows``: a closer sub-pair of a valid
-    pair is valid.  On a window with base lengths and radius R, a pair (p, q)
-    is valid when min(|p|, |q|) + d(p, q) <= R.  If |q| <= |p|, a neighbour s
-    of p one step closer to q has min(|s|, |q|) + d(s, q) < |q| + d(p, q) <= R.
-    Otherwise |s| <= |p| + 1, as base lengths are distances from a point, so
-    |s| + d(s, q) <= |p| + 1 + d(p, q) - 1 <= R.  For other lengths the
-    first case still holds stepping from the end of larger length, and
-    ``_far_rows`` steps from q wherever stepping from p misses a valid pair.
-    Without a radius every connected pair is valid.
-    """
-    dmat, n = _narrow(dmat), len(dmat)
-    qs, ps = np.nonzero(np.tril(ok, -1))  # grouped by target q
-    what = f"the exhaustive scan of {len(ps)} pairs"
-    # the int64 pair index, a far row per pair and _far_rows' two buffers
-    need = dmat.nbytes + 8 * n * n + (len(ps) + 2 * n) * n * dmat.itemsize
-    _check_budget(need, what)
-    verts, start = _intervals(dmat, ps, qs, need, what)
-    pid = np.full((n, n), -1, dtype=np.int64)
-    pid[ps, qs] = pid[qs, ps] = np.arange(len(ps))
-    far = np.empty((len(ps), n), dtype=dmat.dtype)
-    _far_rows(dmat)(far, ps, qs, lambda s, q: pid[s, q])
-    return pid, far, verts, start
+def _triangles(valid: list[int]):
+    """The keys (x * n + y) * n + z of the valid triangles x < y < z, in order."""
+    n = len(valid)
+    for x, row in enumerate(valid):
+        for y in _members(row >> x + 1):
+            y += x + 1
+            base = (x * n + y) * n + y + 1
+            for z in _members((row & valid[y]) >> y + 1):
+                yield base + z
 
 
-def _exhaustive_scan(dmat, ok, perms=()) -> DeltaEstimate:
-    """Every valid triangle x < y < z, all (y, z) of an x in a few passes, each
-    side read only on its interval; the witness is the first triangle in
-    (x, y, z) order that reaches the final delta.
+def _vertices(key: int, n: int) -> tuple[int, int, int]:
+    xy, z = divmod(key, n)
+    return (*divmod(xy, n), z)
 
-    Every valid triangle is counted, but with automorphisms ``perms`` only the
-    *least* ones are scored: those no greater, in (x, y, z) order, than the
-    sorted image of the triangle under any g in ``perms``.  An automorphism
-    keeps distances, validity and geodesic intervals, so a triangle and its
-    images are valid together and equally thin.  The least triangle of an
-    orbit of the group the perms generate is least, so the maximum over
-    least triangles is delta.  The witness W, the first triangle reaching
-    delta, is least as well: an image smaller than W would be a valid
-    triangle reaching delta before it.  So the first scored triangle reaching
-    delta is W.  An x with g(x) < x for some g starts no least triangle, as
-    the sorted image of any x < y < z then begins below x.
-    """
-    n = len(dmat)
-    pid, far, verts, start = _target_rows(dmat, ok)
-    flat, size = far.ravel(), np.diff(start)
-    # 3 * block sides of <= max(size) vertices: index arrays of <= n^2 entries
-    block = max(1, n * n // (3 * int(size.max(initial=1))))
-    # the orbit filter's chunks of <= n^2 / 4 pairs: its int64 temporaries,
-    # about 8 arrays at once, hold about two of the scoring's index arrays
-    chunk = max(1, n * n // 4)
-    perms = np.array(perms, dtype=np.intp).reshape(-1, n)
-    starts = (perms >= np.arange(n)).all(axis=0)  # the x that may start a least triangle
-    best, witness, count = 0, None, 0
-    for x in range(n):
-        ys = np.flatnonzero(ok[x, x + 1:]) + (x + 1)
-        pairs = np.triu(ok[np.ix_(ys, ys)], 1)
-        if not starts[x]:
-            count += int(np.count_nonzero(pairs))
+
+def _grow(outside: list[int], adjacency) -> list[int]:
+    """The complements of the balls one step wider: ~ball_{t+1}(v), from
+    ~ball_t of v and of its neighbours."""
+    out = []
+    for far, neighbours in zip(outside, adjacency):
+        for u in neighbours:
+            far &= outside[u]
+        out.append(far)
+    return out
+
+
+def _span(ends: int, sr: list[int], around: list[int]) -> int:
+    """The union of the geodesic intervals from r to the vertices of ``ends``,
+    walked inward from r's last sphere: a vertex at distance k from r is in
+    it if it is an end or a neighbour of a vertex in it at distance k + 1.
+    ``around[v]`` is the set of v's neighbours."""
+    span = near = 0
+    for sphere in reversed(sr):
+        layer = sphere & (ends | near)
+        span |= layer
+        near = 0
+        while layer:
+            low = layer & -layer
+            near |= around[low.bit_length() - 1]
+            layer ^= low
+    return span
+
+
+def _rows_toward(r: int, span: int, sr: list[int], t: int, outside, adjacency) -> list[int]:
+    """F_t(w, r) for the w in ``span``, built layer by layer outward from r,
+    as a list indexed by w that is empty elsewhere.  ``span`` must hold every
+    vertex one step closer to r of each of its members, as a union of
+    geodesic intervals to r does.  ``outside[w]`` is ~ball_t(w)."""
+    rows = [0] * len(outside)
+    for sphere in sr[t + 1:]:
+        rows[r] |= sphere
+    for layer in sr[1:]:
+        layer &= span
+        if not layer:
+            break
+        # a neighbour of w in the same layer or further out has no row yet
+        ws, new = _members(layer), []
+        for w in ws:
+            far = 0
+            for s in adjacency[w]:
+                far |= rows[s]
+            new.append(far & outside[w])
+        for w, far in zip(ws, new):
+            rows[w] = far
+    return rows
+
+
+def _groups(tris: list[int], n: int) -> dict:
+    """The side index: the triangles of ``tris`` by each of their vertices,
+    which is opposite one of their sides."""
+    groups: dict = {}
+    for i, key in enumerate(tris):
+        for v in _vertices(key, n):
+            groups.setdefault(v, []).append(i)
+    return groups
+
+
+def _first_thick(tris, groups, n, spheres, t, outside, adjacency, around) -> int:
+    """The index of the first triangle of ``tris`` thicker than t, or -1.
+
+    Side by side, grouped by the opposite vertex r: the rows toward r are
+    built once for the group, over the intervals from r to the group's other
+    vertices; with ``SphereRows``, from r's spheres, built once."""
+    first = len(tris)
+    for r, group in groups.items():
+        sides, ends = [], 0
+        for i in group:
+            if i < first:
+                xy, z = divmod(tris[i], n)
+                x, y = divmod(xy, n)
+                a, b = (y, z) if r == x else (x, z) if r == y else (x, y)
+                sides.append((a, b, i))
+                ends |= 1 << a | 1 << b
+        if not sides:
             continue
-        ys, zs = (ys[i] for i in np.nonzero(pairs))  # (y, z) in order
-        count += ys.size
-        if len(perms):  # keep the least triangles, chunk by chunk
-            least = np.ones(ys.size, dtype=bool)
-            for e in range(0, ys.size, chunk):
-                y, z, keep = ys[e:e + chunk], zs[e:e + chunk], least[e:e + chunk]
-                key = (x * n + y) * n + z
-                for h in perms:
-                    a, b, c = h[x], h[y], h[z]
-                    lo, hi = np.minimum(np.minimum(b, c), a), np.maximum(np.maximum(b, c), a)
-                    keep &= key <= (lo * n + (a + b + c - lo - hi)) * n + hi
-            ys, zs = ys[least], zs[least]
-        for a in range(0, ys.size, block):
-            y, z = ys[a:a + block], zs[a:a + block]
-            xy, xz, yz = pid[x, y], pid[x, z], pid[y, z]
-            # a side's thinness: max over its interval of min(far of the others)
-            side, f, g = (np.concatenate(t) for t in ((xy, xz, yz), (xz, xy, xy), (yz, yz, xz)))
-            m = size[side]
-            v = verts[_ragged(start[side], m)]
-            low = np.minimum(flat[np.repeat(f * n, m) + v], flat[np.repeat(g * n, m) + v])
-            thin = np.maximum.reduceat(low, np.cumsum(m) - m).reshape(3, -1).max(axis=0)
-            j = int(thin.argmax())
-            if thin[j] > best:
-                best, witness = int(thin[j]), (x, int(y[j]), int(z[j]))
-    return DeltaEstimate(best, count, witness, "exhaustive")
+        sr = spheres[r]
+        rows = _rows_toward(r, _span(ends, sr, around), sr, t, outside, adjacency)
+        for a, b, i in sides:
+            if i < first:
+                far = rows[a] & rows[b]
+                if far and _pair_interval(spheres, a, b) & far:
+                    first = i
+    return first if first < len(tris) else -1
+
+
+def _pair_intervals(n, spheres, valid) -> dict:
+    """The interval of every valid pair p < q, keyed p * n + q."""
+    out = {}
+    for q, sq in enumerate(spheres):
+        for d, sphere in enumerate(sq):
+            for p in _members(sphere & valid[q] & ((1 << q) - 1)):
+                out[p * n + q] = _interval(spheres[p], sq, d)
+    return out
+
+
+def _ordered_first(n, spheres, valid, t, outside, adjacency, around, intervals) -> int | None:
+    """The key of the first valid triangle in (x, y, z) order thicker than t,
+    or None, triangle by triangle, reading each side's interval from
+    ``intervals``.  F_t(p, q) is kept for every valid p below q, all of a
+    target q's rows built at once when first read."""
+    far, filled = {}, bytearray(n)
+
+    def fill(q):
+        ends, sq = valid[q] & ((1 << q) - 1), spheres[q]
+        rows = _rows_toward(q, _span(ends, sq, around), sq, t, outside, adjacency)
+        for p in _members(ends):
+            far[p * n + q] = rows[p]
+        filled[q] = 1
+
+    for x, row in enumerate(valid):
+        for y in _members(row >> x + 1):
+            y += x + 1
+            xy = x * n + y
+            if not filled[y]:
+                fill(y)
+            fxy, ixy = far[xy], intervals[xy]
+            for z in _members((row & valid[y]) >> y + 1):
+                z += y + 1
+                if not filled[z]:
+                    fill(z)
+                fxz, fyz = far[x * n + z], far[y * n + z]
+                if ixy & fxz & fyz or fxy & (intervals[x * n + z] & fyz | intervals[y * n + z] & fxz):
+                    return xy * n + z
+    return None
+
+
+def _transpose(rows: list[int]) -> list[int]:
+    """The transpose of a 2^k x 2^k bit matrix, in place: bit c of row i
+    becomes bit i of row c.  Each round swaps the off-diagonal blocks of
+    every 2j x 2j block at once, for j = 2^(k-1), ..., 1 (Warren, *Hacker's
+    Delight*, 2nd ed., section 7-3)."""
+    j = len(rows) >> 1
+    mask = (1 << j) - 1  # the low j bits of every 2j-bit block
+    while j:
+        for k in range(0, len(rows), 2 * j):
+            for i in range(k, k + j):
+                a, b = rows[i], rows[i + j]
+                x = ((a >> j) ^ b) & mask
+                if x:
+                    rows[i], rows[i + j] = a ^ (x << j), b ^ x
+        j >>= 1
+        mask ^= mask << j
+    return rows
+
+
+def _dense_first(n, spheres, valid, t, outside, adjacency, around):
+    """The key of the least valid triangle thicker than t, or None, by columns.
+
+    For each target q its rows F_t(r, q) = F_t(q, r), r a valid partner, are
+    turned into columns C_q[w] = {r : w in F_t(q, r)}.  A valid pair p < q has
+    a side thicker than t opposite every r in the union of C_p[w] & C_q[w]
+    over its interval; both columns hold only valid partners, so each such r
+    closes a valid triangle, and the least r the least one through the pair."""
+    size, cols, best = 1 << (n - 1).bit_length(), [None] * n, None
+    for q in range(n):
+        if not valid[q]:
+            continue
+        sq = spheres[q]
+        rows = _rows_toward(q, _span(valid[q], sq, around), sq, t, outside, adjacency)
+        partner = format(valid[q], f"0{size}b")[::-1]
+        col = cols[q] = _transpose([row if bit == "1" else 0 for row, bit in zip(rows, partner)]
+                                   + [0] * (size - n))
+        for d, sphere in enumerate(sq):
+            for p in _members(sphere & valid[q] & ((1 << q) - 1)):
+                # an end is in none of its own far sets
+                interval = _interval(spheres[p], sq, d) & ~(1 << p | 1 << q)
+                other, hit = cols[p], 0
+                while interval:
+                    low = interval & -interval
+                    w = low.bit_length() - 1
+                    hit |= other[w] & col[w]
+                    interval ^= low
+                if hit:
+                    r = (hit & -hit).bit_length() - 1
+                    x, y, z = sorted((p, q, r))
+                    key = (x * n + y) * n + z
+                    if best is None or key < best:
+                        best = key
+    return best
+
+
+def _least_thin(graph, *passes) -> tuple[int, int | None]:
+    """delta, and the key of the witness: t grows from 0 while one of the
+    ``passes``, each ``pass(t, outside) -> key or None`` with ``outside[v]``
+    = ~ball_t(v), finds a triangle thicker than t, the first pass first; the
+    last triangle found is the witness."""
+    outside = [~(1 << v) for v in range(graph.n)]
+    t, witness = 0, None
+    while True:
+        for scan in passes:
+            key = scan(t, outside)
+            if key is not None:
+                break
+        else:
+            return t, witness
+        t, witness, outside = t + 1, key, _grow(outside, graph.adjacency)
+
+
+def _listed(tris, n, spheres, adjacency, around) -> list:
+    """The passes over the triangle list ``tris``, grouped by opposite vertex:
+    the first PROBE triangles, then all of them if there are more."""
+
+    def scan(part):
+        groups = _groups(part, n)
+
+        def first(t, outside):
+            i = _first_thick(part, groups, n, spheres, t, outside, adjacency, around)
+            return part[i] if i >= 0 else None
+        return first
+
+    return [scan(tris[:PROBE])] + ([scan(tris)] if len(tris) > PROBE else [])
+
+
+def _exhaustive_scan(graph: FiniteMetricGraph) -> DeltaEstimate:
+    """Every valid triangle x < y < z; the witness is the first one in
+    (x, y, z) order that is thicker than delta - 1.
+
+    With at most n^2 valid triangles they are scored one by one, with each
+    valid pair's interval and far set kept, a dict entry each; with more,
+    by columns.  Before the spheres, n^2 such entries' keys must fit the
+    budget."""
+    n, key = graph.n, _set_bytes(2 * graph.n.bit_length())
+    _check_budget(n * n * key, f"the exhaustive scan of {n} vertices")
+    spheres = graphs.distance_matrix(graph)  # looked up there, where perfbench's tracer wraps it
+    valid = graph.valid_rows(spheres)
+    count, unit = _count(valid), _set_bytes(n)
+    held = _table_bytes(spheres, n) + n * unit  # and the valid rows
+    around = [sum(1 << u for u in a) for a in graph.adjacency]
+    if count > n * n:
+        size = 1 << (n - 1).bit_length()
+        _check_budget(held + n * size * unit, f"the columns of {n} targets")
+
+        def dense(t, outside):
+            return _dense_first(n, spheres, valid, t, outside, graph.adjacency, around)
+
+        head = list(islice(_triangles(valid), PROBE))
+        passes = _listed(head, n, spheres, graph.adjacency, around) + [dense]
+    else:
+        # per valid pair, a dict entry for its interval and one for its far
+        # set: the set, the key and the hash
+        pairs = sum(map(int.bit_count, valid)) // 2
+        _check_budget(held + 2 * pairs * (unit + key + 8),
+                      f"the exhaustive scan of {count} triangles")
+        intervals = _pair_intervals(n, spheres, valid)
+
+        def ordered(t, outside):
+            return _ordered_first(n, spheres, valid, t, outside, graph.adjacency, around,
+                                  intervals)
+
+        passes = [ordered]
+    delta, witness = _least_thin(graph, *passes)
+    return DeltaEstimate(delta, count, None if witness is None else _vertices(witness, n),
+                         "exhaustive")
 
 
 def _sample3(bits, n):
@@ -227,20 +386,24 @@ def _sample3(bits, n):
     return [x, y, z]
 
 
-def _sampled_scan(graph, samples, seed) -> DeltaEstimate:
+def _sampled_scan(graph: FiniteMetricGraph, samples: int, seed: int) -> DeltaEstimate:
     """Up to ``samples`` distinct valid triangles x < y < z drawn at random,
-    each side scored as in ``_exhaustive_scan`` from far values gathered
-    batch by batch.  A batch is as many targets q as fit their nodes (w, q),
-    w on the interval of one of q's sampled pairs, into n rows; the nodes
-    are closed under the step of ``_far_rows``, which fills the rows.  The
-    witness is the first triangle in draw order that reaches the final delta."""
-    (dmat, ok), n = _distances(graph), graph.n
+    scanned side by side, grouped by opposite vertex.  The witness is the
+    first triangle in draw order that is thicker than delta - 1.
+
+    The spheres are kept while they take at most 16 n^2 bytes, four times
+    an n x n matrix of 4-byte ints; past that, a long-diameter window, each
+    vertex keeps a row of distances, and a group builds its vertices'
+    spheres from their rows."""
+    n = graph.n
     total = n * (n - 1) * (n - 2) // 6
-    # per triangle: its int64 draw key and, per side, its int32 pair id,
-    # interval length and score offset, and the int32 pair ids and batch-order
-    # places of the two sides that score it
-    need = dmat.nbytes + (8 + 4 * 3 * 7) * min(samples, total)
+    # per triangle: its key in the draw list and the seen set, and its three
+    # side-index slots
+    need = min(samples, total) * (_set_bytes(3 * n.bit_length()) + 16 + 3 * 8)
     _check_budget(need, what := f"a sample of {min(samples, total)} triangles")
+    spheres = graphs.distance_matrix(graph, keep=16 * n * n)
+    _check_budget(need + _table_bytes(spheres, n) + n * _set_bytes(n), what)  # and the valid rows
+    valid = graph.valid_rows(spheres)
     bits, seen, drawn, attempts = random.Random(seed).getrandbits, set(), [], 0
     # a triangle is met at most once, so the draw ends once every one has been
     while len(drawn) < samples and attempts < samples * 20 and len(seen) < total:
@@ -249,60 +412,10 @@ def _sampled_scan(graph, samples, seed) -> DeltaEstimate:
         key = (x * n + y) * n + z
         if key not in seen:
             seen.add(key)
-            if ok[x, y] and ok[x, z] and ok[y, z]:
+            if valid[x] >> y & 1 and valid[x] >> z & 1 and valid[y] >> z & 1:
                 drawn.append(key)
-    if not drawn:
-        return DeltaEstimate(0, 0, None, "sampled", seed)
-    tri = np.array(drawn)
-    del seen, ok, drawn
-    x, y, z = np.unravel_index(tri, (n, n, n))
-    # entry 3t + a is side a (xy, xz or yz) of triangle t; a pair keyed by
-    # target first, the sorted pairs come grouped by target
-    pairs, side = np.unique(np.stack([y * n + x, z * n + x, z * n + y], axis=1),
-                            return_inverse=True)
-    del x, y, z
-    qs, ps = (v.astype(np.int32) for v in np.divmod(pairs, n))
-    del pairs
-    side = side.ravel().astype(np.int32)
-    # an entry scores the min of its two other sides' far rows on its interval:
-    # item 2e + b reads the b-th of them, in the batch of its pair's target
-    other = side.reshape(-1, 3)[:, [1, 2, 0, 2, 0, 1]].ravel()
-    order = np.argsort(qs[other]).astype(np.int32)
-    at = np.searchsorted(qs[other[order]], np.arange(n + 1))
-    # the union of each target's intervals, a batch's rows, _far_rows' two buffers
-    need += n * n * (1 + 3 * dmat.itemsize)
-    _check_budget(need, what)
-    fill, nodes = _far_rows(dmat), np.zeros((n, n), dtype=bool)
-    verts, start = _intervals(dmat, ps, qs, need, what, nodes)
-    size = np.diff(start).astype(np.int32)[side]
-    off = np.concatenate(([0], np.cumsum(size, dtype=np.int32)))
-    # one far value per side and vertex of its interval
-    _check_budget(need + start.nbytes + verts.nbytes + int(off[-1]) * dmat.itemsize, what)
-    targets = qs[np.flatnonzero(np.diff(qs, prepend=-1))]
-    nodes[targets, targets] = False  # far(q, q) = d(., q) needs no row
-    rows = np.empty((n, n), dtype=dmat.dtype)
-    ends = np.concatenate(([0], np.cumsum(np.count_nonzero(nodes, axis=1)[targets])))
-    low = np.full(int(off[-1]), np.iinfo(dmat.dtype).max, dtype=dmat.dtype)
-
-    def find(s, q):  # the batch's row of node (s, q), or -1
-        i = np.searchsorted(keys, q * n + s)
-        return np.where(keys[np.minimum(i, len(keys) - 1)] == q * n + s, i, -1)
-
-    a = 0
-    while a < len(targets):
-        b = int(np.searchsorted(ends, ends[a] + n, side="right")) - 1
-        t, w = np.nonzero(nodes[targets[a:b]])
-        t = targets[a:b][t]
-        keys = t * n + w  # ascending: row r of the batch is node keys[r]
-        fill(rows, w, t, find)
-        i = order[at[targets[a]]:at[targets[b - 1] + 1]]
-        e = i // 2
-        k = size[e]
-        got = rows[np.repeat(find(ps[other[i]], qs[other[i]]), k),
-                   verts[_ragged(start[side[e]], k)]]
-        np.minimum.at(low, _ragged(off[e], k), got)
-        a = b
-    thin = np.maximum.reduceat(low, off[:-1]).reshape(-1, 3).max(axis=1)
-    j = int(thin.argmax())
-    witness = tuple(map(int, np.unravel_index(tri[j], (n, n, n)))) if thin[j] > 0 else None
-    return DeltaEstimate(int(thin[j]), len(thin), witness, "sampled", seed)
+    del seen
+    around = [sum(1 << u for u in a) for a in graph.adjacency]
+    delta, witness = _least_thin(graph, *_listed(drawn, n, spheres, graph.adjacency, around))
+    return DeltaEstimate(delta, len(drawn), None if witness is None else _vertices(witness, n),
+                         "sampled", seed)

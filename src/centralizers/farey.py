@@ -215,16 +215,6 @@ class FareyWindow(FiniteMetricGraph):
     slopes: tuple[Slope, ...]
     index: dict
 
-    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
-        """p/q -> -p/q, q/p and -q/p: the stabiliser of the base edge 0/1 --
-        1/0 in PGL(2, Z), a Klein four-group, without its identity (Hatcher,
-        *Topology of Numbers*).  They keep intersection numbers and the base
-        edge, so they map the window grown from it onto itself; an image
-        missing from the window would be -1, which the delta scan refuses."""
-        return tuple(tuple(self.index.get(Slope.make(*image(s.p, s.q)), -1) for s in self.slopes)
-                     for image in (lambda p, q: (-p, q), lambda p, q: (q, p),
-                                   lambda p, q: (-q, p)))
-
 
 def build_window(depth: int) -> FareyWindow:
     """Mediant expansion from the base edge 0/1 -- 1/0.

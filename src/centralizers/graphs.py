@@ -10,21 +10,19 @@ the validity flag used everywhere downstream.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import BudgetError, GraphError, InputError, InvariantError
+from .errors import BudgetError, GraphError, InputError
 
-# numpy is imported by the functions that use it and with ``deltascan``, on
-# the first delta call: the other subcommands never load it
-if TYPE_CHECKING:
-    import numpy as np
-
-# bytes the delta scan may hold in its n^2-or-larger arrays: the distance
-# matrix with its BFS bitsets, the two buffers of the far-row blocks and the
-# interval index, and also the pair index and ``far`` rows when exhaustive,
-# the node marks, a batch's rows and the sample's arrays when sampled
+# bytes the delta scan may hold in its tables, each vertex set counted at
+# ``_set_bytes``: the distance spheres, the valid rows, and also the
+# columns or the triangle list when exhaustive, the draw and the side index
+# when sampled
 DELTA_MEMORY_BUDGET = 256 * 2**20
 
 
@@ -57,22 +55,28 @@ class FiniteMetricGraph:
             return True
         return min(self.lengths[u], self.lengths[v]) + d <= self.radius
 
-    def valid_pairs(self, dmat: np.ndarray) -> np.ndarray:
-        """``valid`` over a whole distance matrix; unreachable pairs are false."""
-        import numpy as np
-
-        ok = dmat >= 0
-        if self.radius is not None:
-            lengths = np.asarray(self.lengths, dtype=dmat.dtype)
-            reach = np.minimum.outer(lengths, lengths)
-            reach += dmat
-            ok &= reach <= self.radius
-        return ok
-
-    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
-        """Vertex maps, each the tuple of vertex images, that the exhaustive
-        delta scan checks to be automorphisms and then uses; none by default."""
-        return ()
+    def valid_rows(self, spheres) -> list[int]:
+        """``valid`` over each vertex's spheres, from ``distance_matrix``: row
+        u is the set of v != u with valid(u, v, d(u, v)).  Sphere k of u is
+        valid whole while k <= R - |u|; past that, just its v with |v| <= R - k.
+        """
+        lengths = self.lengths or (0,) * self.n
+        order = sorted(range(self.n), key=lengths.__getitem__)
+        keys, short = [lengths[v] for v in order], [0]  # short[i]: order[:i]
+        for v in order:
+            short.append(short[-1] | 1 << v)
+        rows = []
+        for u, length in enumerate(lengths):
+            row = 0
+            for k, sphere in enumerate(spheres[u]):
+                if self.radius is None or k <= self.radius - length:
+                    row |= sphere
+                elif self.radius - k >= keys[0]:
+                    row |= sphere & short[bisect_right(keys, self.radius - k)]
+                else:
+                    break
+            rows.append(row & ~(1 << u))
+        return rows
 
 
 def bfs_distances(graph: FiniteMetricGraph, source: int) -> list[int]:
@@ -99,49 +103,85 @@ def _check_budget(nbytes: int, what: str) -> None:
         )
 
 
-def distance_matrix(graph: FiniteMetricGraph) -> np.ndarray:
-    """All-pairs distances as int32; -1 for unreachable pairs.
+def _set_bytes(bits: int) -> int:
+    """What an int of up to ``bits`` bits takes, with its 8-byte slot in a list."""
+    return sys.getsizeof((1 << bits) - 1) + 8
+
+
+def _rows_bytes(n: int) -> int:
+    """What ``SphereRows`` holds for n vertices: a row of 2-byte ints each."""
+    return n * (sys.getsizeof(array("h")) + 2 * n + 8)
+
+
+def _table_bytes(spheres, n: int) -> int:
+    """What ``distance_matrix``'s result holds, as its budget counts it."""
+    if isinstance(spheres, SphereRows):
+        return _rows_bytes(n)
+    return sum(map(len, spheres)) * _set_bytes(n)
+
+
+class SphereRows:
+    """Each vertex's distances as a row of 2-byte ints (-1 for unreachable),
+    and its spheres, as ``distance_matrix`` gives them, built from the row
+    each time they are read."""
+
+    def __init__(self, graph: FiniteMetricGraph):
+        self.rows = [array("h", bfs_distances(graph, v)) for v in range(graph.n)]
+
+    def interval(self, p: int, q: int) -> int:
+        """The geodesic interval {w : d(p, w) + d(w, q) = d(p, q)}, read off
+        the two rows."""
+        rp, rq = self.rows[p], self.rows[q]
+        d = rp[q]
+        return sum(1 << w for w, (a, b) in enumerate(zip(rp, rq)) if a + b == d)
+
+    def __getitem__(self, v: int) -> list[int]:
+        row = self.rows[v]
+        spheres = [0] * (max(row) + 1)
+        for u, d in enumerate(row):
+            if d >= 0:
+                spheres[d] |= 1 << u
+        return spheres
+
+
+def distance_matrix(graph: FiniteMetricGraph, keep: Optional[int] = None):
+    """Each vertex's distance spheres: ``spheres[v][k]`` is the set of
+    vertices at distance k from v, bit u for vertex u, for k up to v's
+    eccentricity in its component; a vertex outside it is in none.
 
     One BFS from every source at once, on bitsets (Then et al., "The More the
-    Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014): bit
-    s of vertex v's row says that v was reached from s.  A level ORs the
-    frontier rows of each vertex's neighbours, keeps the bits not seen yet
-    and writes them, unpacked, into the matrix.  Every array is counted
-    against ``DELTA_MEMORY_BUDGET`` before the first is allocated.
+    Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014):
+    ball_k(v) is ball_{k-1}(v) ORed with ball_{k-1}(u) for each neighbour u,
+    and its new bits are sphere k.  A vertex whose ball stops growing is done.
+    Before each level its spheres are counted at ``_set_bytes(n)`` each, on
+    top of the two lists of n balls, against ``DELTA_MEMORY_BUDGET``.  If
+    ``keep`` is given and the spheres would take more than ``keep`` bytes,
+    the distances are kept as rows instead, in a ``SphereRows``.
     """
-    n, words = graph.n, -(-graph.n // 64)
-    # an isolated vertex reads its own row, as reduceat would misread an empty
-    # segment: what a vertex hands itself was seen a level earlier
-    sizes = [len(a) or 1 for a in graph.adjacency]
-    # the matrix, the frontier, seen and new bitsets, the gathered neighbour
-    # rows and one unpacked level
-    _check_budget(4 * n * n + 8 * words * (3 * n + sum(sizes)) + n * n,
-                  f"the distance matrix of {n} vertices")
-    import numpy as np
-
-    nbr = np.fromiter((u for v, a in enumerate(graph.adjacency) for u in a or (v,)),
-                      dtype=np.intp, count=sum(sizes))
-    heads = np.cumsum([0] + sizes[:-1])  # where each vertex's neighbours begin
-    out = np.full((n, n), -1, dtype=np.int32)
-    np.fill_diagonal(out, 0)
-    # little-endian words, so that bit s of a row is bit s % 8 of its byte s // 8
-    seen = np.zeros((n, words), dtype="<u8")
-    v = np.arange(n)
-    seen.view(np.uint8)[v, v >> 3] = 1 << (v & 7)
-    frontier, new = seen.copy(), np.empty_like(seen)
-    gathered = np.empty((len(nbr), words), dtype=seen.dtype)
-    for level in range(1, n):
-        np.take(frontier, nbr, axis=0, out=gathered)
-        np.bitwise_or.reduceat(gathered, heads, axis=0, out=new)
-        new |= seen
-        new ^= seen  # the bits reached first at this level
-        if not new.any():
-            break
-        seen |= new
-        np.copyto(out, level, where=np.unpackbits(new.view(np.uint8), axis=1, count=n,
-                                                 bitorder="little").view(bool))
-        frontier, new = new, frontier
-    return out
+    n, adj = graph.n, graph.adjacency
+    unit = _set_bytes(n)
+    need = 2 * n * unit
+    _check_budget(need, f"the distance spheres of {n} vertices")
+    ball = [1 << v for v in range(n)]
+    spheres = [[b] for b in ball]
+    active = [v for v in range(n) if adj[v]]
+    while active:
+        need += len(active) * unit
+        if keep is not None and need > keep:
+            _check_budget(_rows_bytes(n), f"the distance rows of {n} vertices")
+            return SphereRows(graph)
+        _check_budget(need, f"the distance spheres of {n} vertices")
+        grown, still = ball[:], []
+        for v in active:
+            b = old = ball[v]
+            for u in adj[v]:
+                b |= ball[u]
+            if b != old:
+                grown[v] = b
+                spheres[v].append(b ^ old)
+                still.append(v)
+        ball, active = grown, still
+    return spheres
 
 
 def all_geodesics(graph: FiniteMetricGraph, x: int, y: int,
@@ -214,20 +254,6 @@ class DeltaEstimate:
         }
 
 
-def _checked_automorphisms(graph: FiniteMetricGraph) -> tuple:
-    """``graph.automorphisms()``, once each is checked to permute the vertices,
-    to map every adjacency list onto its image's and, on a window with a
-    radius, to keep ``lengths``; any other map raises ``InvariantError``."""
-    perms, adj, lengths = graph.automorphisms(), graph.adjacency, graph.lengths
-    for g in perms:
-        if sorted(g) != list(range(graph.n)) or any(
-                sorted(g[u] for u in adj[v]) != sorted(adj[g[v]])
-                or graph.radius is not None and lengths[g[v]] != lengths[v]
-                for v in range(graph.n)):
-            raise InvariantError("a vertex map from automorphisms() is not an automorphism")
-    return perms
-
-
 def estimate_delta(graph: FiniteMetricGraph, mode: str = "exhaustive",
                    samples: int = 10000, seed: int = 0) -> DeltaEstimate:
     """Thin-triangle delta over the window's valid geodesic triangles.
@@ -235,10 +261,8 @@ def estimate_delta(graph: FiniteMetricGraph, mode: str = "exhaustive",
     Convention: delta is the least value such that each side of a geodesic
     triangle lies in the delta-neighborhood of the union of the other two,
     taking the worst case over every geodesic per side.  Exhaustive over a
-    window means exact for that window; it skips every triangle that a map of
-    the checked ``graph.automorphisms()`` takes to a smaller one.  The arrays
-    of the scan are held to ``DELTA_MEMORY_BUDGET`` bytes; a window over it
-    raises ``BudgetError``.
+    window means exact for that window.  The tables of the scan are held to
+    ``DELTA_MEMORY_BUDGET`` bytes; a window over it raises ``BudgetError``.
     """
     if graph.n == 0:
         raise InputError("empty window")
@@ -246,9 +270,9 @@ def estimate_delta(graph: FiniteMetricGraph, mode: str = "exhaustive",
         raise InputError(f"unknown delta mode {mode!r}")
     if samples < 0:
         raise InputError(f"samples must be >= 0, got {samples}")
-    # the scans and numpy load here, outside the distance matrix's time
-    from .deltascan import _distances, _exhaustive_scan, _sampled_scan
+    # the scans load here, outside the distance matrix's time
+    from .deltascan import _exhaustive_scan, _sampled_scan
 
     if mode == "exhaustive":
-        return _exhaustive_scan(*_distances(graph), _checked_automorphisms(graph))
+        return _exhaustive_scan(graph)
     return _sampled_scan(graph, samples, seed)

@@ -53,3 +53,16 @@ def corpus():
         subgroups = [make_subgroup(oracle, spec) for spec in specs]
         out.append((name, oracle, subgroups))
     return out
+
+
+def window_symmetries(window):
+    """p/q -> -p/q, q/p and -q/p as vertex maps of a Farey window: the
+    stabiliser of the base edge 0/1 -- 1/0 in PGL(2, Z), a Klein four-group,
+    without its identity (Hatcher, *Topology of Numbers*).  They keep
+    intersection numbers and the base edge, so they map the window grown
+    from it onto itself."""
+    from centralizers import Slope
+
+    return tuple(tuple(window.index[Slope.make(*image(s.p, s.q))] for s in window.slopes)
+                 for image in (lambda p, q: (-p, q), lambda p, q: (q, p),
+                               lambda p, q: (-q, p)))

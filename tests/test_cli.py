@@ -25,6 +25,7 @@ from centralizers.cli import (
 )
 from centralizers.errors import ParseError
 from centralizers.groupfile import BUILTIN_NAMES
+from test_golden_streams import EXHAUSTIVE_CAYLEY, GOLDEN
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -467,14 +468,15 @@ def test_benchmark_extract_peak_memory():
 
 
 @pytest.mark.parametrize("argv,ceiling", [
-    (["farey", "--depth", "6"], 2_385_000),
-    (["farey", "--depth", "8", "--delta-mode", "sampled", "--delta-samples", "5000"], 2_872_000),
+    (["farey", "--depth", "6"], 1_025_000),
+    (["farey", "--depth", "8", "--delta-mode", "sampled", "--delta-samples", "5000"], 1_580_000),
 ])
 def test_benchmark_farey_peak_memory(argv, ceiling):
-    # the scans keep distances in the far type and build far rows in two
-    # buffers grown to the largest block; each ceiling is the peak of the
-    # per-target passes that came before, rounded down.  The probe loads
-    # numpy with its untraced first call
+    # the scans hold vertex sets as int bitsets: each vertex's spheres, the
+    # columns of every target when exhaustive, the draw and its side index
+    # when sampled, and the far rows toward one target at a time; each
+    # ceiling is the peak of the int-bitset scans (936,170 and 1,442,340
+    # bytes) with under 10% headroom
     check_fresh_peak(argv, ceiling)
 
 
@@ -596,16 +598,18 @@ def test_every_subcommand_exits_with_documented_codes(inputs):
         assert out == ""
 
 
-# one CLI process: after the import and after each call, its exit code and
-# whether numpy is loaded
-NUMPY_PROBE = """
-import io, json, sys
+# one CLI process with numpy unimportable: each call's exit code and the
+# sha256 digests of its stdout and stderr
+NO_NUMPY_PROBE = """
+import hashlib, io, json, sys
+sys.modules["numpy"] = None  # import numpy now raises ImportError
 sys.path.insert(0, sys.argv[1])
 import centralizers.cli as cli
-seen = [[None, "numpy" in sys.modules]]
+seen = []
 for argv in json.loads(sys.argv[2]):
-    code = cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO())
-    seen.append([code, "numpy" in sys.modules])
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(argv, stdout=out, stderr=err)
+    seen.append([code] + [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)])
 print(json.dumps(seen))
 """
 
@@ -621,11 +625,27 @@ README_CALLS = {
 }
 
 
+# one CLI process: after the import and after each call, its exit code and
+# whether numpy is loaded
+NUMPY_PROBE = """
+import io, json, sys
+sys.path.insert(0, sys.argv[1])
+import centralizers.cli as cli
+seen = [[None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[2]):
+    code = cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO())
+    seen.append([code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
 @pytest.mark.parametrize("names,loaded", [
-    (["ball", "extract", "afp", "multitwist", "delta"], [False, False, False, False, False, True]),
-    (["farey"], [False, True]),
+    (["ball", "extract", "afp", "multitwist", "delta"], [False, False, False, False, False, False]),
+    (["farey"], [False, False]),
 ])
 def test_numpy_loads_only_for_the_delta_scan(names, loaded):
+    # the delta scan was numpy's one user; it now holds vertex sets as int
+    # bitsets, so neither it nor any other call loads numpy
     done = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE, SRC, json.dumps([README_CALLS[n] for n in names])],
         capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
@@ -635,6 +655,25 @@ def test_numpy_loads_only_for_the_delta_scan(names, loaded):
     seen = json.loads(done.stdout)
     assert [code for code, _ in seen[1:]] == [EXIT_OK] * len(names)
     assert [numpy for _, numpy in seen] == loaded
+
+
+def test_package_runs_without_numpy():
+    # the six README calls and a sampled delta scan; four of them have golden
+    # digests, which must not change without numpy
+    golden = {tuple(argv): [out, err] for argv, out, err in GOLDEN + EXHAUSTIVE_CAYLEY}
+    calls = list(README_CALLS.values()) + [GOLDEN[0][0]]
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_PROBE, SRC, json.dumps(calls)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert [code for code, _, _ in seen] == [EXIT_OK] * len(calls)
+    digests = {tuple(argv): digest for argv, (_, *digest) in zip(calls, seen)}
+    assert [digests[argv] for argv in golden if argv in digests] == [
+        golden[argv] for argv in golden if argv in digests]
+    assert len(golden.keys() & digests.keys()) == 4
 
 
 # one CLI process: the package's modules loaded by the import, then by one call

@@ -31,6 +31,7 @@ from centralizers.farey import (
     ZERO_SLOPE,
 )
 from centralizers.graphs import bfs_distances
+from conftest import window_symmetries
 
 
 def slopes_strategy():
@@ -251,7 +252,7 @@ def test_window_automorphisms_keep_farey_distances(depth):
     # p/q -> -p/q, q/p, -q/p: three distinct permutations of the window, past
     # depth 0, where 0/1 and 1/0 are fixed by the first
     w = build_window(depth)
-    perms = w.automorphisms()
+    perms = window_symmetries(w)
     assert len(perms) == 3
     if depth:
         assert len(set(perms)) == 3 and tuple(range(w.size)) not in perms

@@ -3,7 +3,9 @@
 import io
 import itertools
 import random
+import sys
 import tracemalloc
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,11 +16,9 @@ from hypothesis import strategies as st
 from centralizers import (
     BudgetError,
     CayleyContext,
-    FareyWindow,
     FiniteMetricGraph,
     GraphError,
     InputError,
-    InvariantError,
     all_geodesics,
     bfs_distances,
     build_ball,
@@ -28,9 +28,17 @@ from centralizers import (
     geodesic_layers,
 )
 from centralizers import graphs
-from centralizers.cli import EXIT_BUDGET, EXIT_INVARIANT, run as cli_run
-from centralizers.deltascan import _exhaustive_scan, _sample3, _target_rows
-from centralizers.graphs import distance_matrix
+from centralizers.cli import EXIT_BUDGET, run as cli_run
+from centralizers.deltascan import (
+    _grow,
+    _pair_interval,
+    _rows_toward,
+    _sample3,
+    _span,
+    _transpose,
+)
+from centralizers.graphs import SphereRows, distance_matrix
+from conftest import window_symmetries
 
 
 def cycle_graph(n):
@@ -67,6 +75,12 @@ def brute_force_geodesics(graph, x, y):
             if v not in path:
                 stack.append((v, path + (v,)))
     return sorted(out)
+
+
+def distance_array(graph):
+    """All-pairs BFS distances as an n x n array, -1 for unreachable pairs."""
+    return np.array([bfs_distances(graph, s) for s in range(graph.n)],
+                    dtype=np.int64).reshape(graph.n, graph.n)
 
 
 def grid_graph(k):
@@ -144,18 +158,18 @@ def test_window_validity_against_bfs(f2):
 
 
 def test_one_validity_predicate(f2xz2):
-    # the window predicate and its matrix form agree, and the word metric
-    # is the window distance wherever the predicate holds
+    # the window predicate and the scan's valid rows agree, and the word
+    # metric is the window distance wherever the predicate holds
     ball = build_ball(f2xz2, 3)
     assert isinstance(ball, FiniteMetricGraph)
     assert isinstance(build_window(2), FiniteMetricGraph)
     ctx = CayleyContext(ball)
-    dmat = distance_matrix(ball)
-    ok = ball.valid_pairs(dmat)
+    dmat = distance_array(ball)
+    rows = ball.valid_rows(distance_matrix(ball))
     flags = set()
     for u, v in itertools.product(range(ball.size), repeat=2):
         valid = ball.valid(u, v, dmat[u, v])
-        assert ok[u, v] == valid
+        assert rows[u] >> v & 1 == (valid and u != v)
         if valid:
             assert ctx.pair_distance(u, v) == dmat[u, v]
         flags.add(valid)
@@ -206,13 +220,13 @@ def test_delta_exact_beyond_64_geodesics():
     # corner-to-corner pairs of the 5x5 grid have C(8, 4) = 70 geodesics
     g = grid_graph(5)
     assert len(all_geodesics(g, 0, 24, cap=10**6)[0]) == 70
-    dmat = distance_matrix(g)
-    pid, far, _, _ = _target_rows(dmat, g.valid_pairs(dmat))
+    dmat, spheres, outside = distance_array(g), distance_matrix(g), outsides(g, 8)
     for p, q in itertools.combinations(range(g.n), 2):
         paths, _ = all_geodesics(g, p, q, cap=10**6)
         worst = np.max([dmat[:, list(path)].min(axis=1) for path in paths], axis=0)
         assert np.array_equal(PairData(g, dmat, p, q).far, worst)
-        assert np.array_equal(far[pid[p, q]], worst)
+        for t in range(int(worst.max()) + 1):
+            assert far_sets(g, spheres, q, [p], t, outside[t]) == [as_set(worst > t)]
     est = estimate_delta(g)
     assert est.delta == 4
     assert est.to_record()["geodesics_capped"] is False
@@ -258,9 +272,31 @@ def triangle_thinness(sides) -> int:
     return worst
 
 
+def as_set(mask):
+    """The int bitset of the true entries of a boolean array."""
+    return sum(1 << int(v) for v in np.flatnonzero(mask))
+
+
+def outsides(graph, top):
+    """outside[t][v] = ~ball_t(v), the scan's far-set mask, for t = 0..top."""
+    out = [[~(1 << v) for v in range(graph.n)]]
+    while len(out) <= top:
+        out.append(_grow(out[-1], graph.adjacency))
+    return out
+
+
+def far_sets(graph, spheres, q, partners, t, outside):
+    """F_t(p, q) for each p in ``partners``: the scan's rows toward q, over
+    the intervals from q to the partners; ``outside`` is ``outsides(...)[t]``."""
+    around = [sum(1 << u for u in a) for a in graph.adjacency]
+    span = _span(sum(1 << p for p in partners), spheres[q], around)
+    rows = _rows_toward(q, span, spheres[q], t, outside, graph.adjacency)
+    return [rows[p] for p in partners]
+
+
 def per_triangle_delta(graph):
     """Reference: every valid x < y < z in order, one ``triangle_thinness`` each."""
-    dmat = distance_matrix(graph)
+    dmat = distance_array(graph)
 
     def valid(u, v):
         return dmat[u, v] >= 0 and graph.valid(u, v, dmat[u, v])
@@ -373,7 +409,7 @@ def test_batched_scan_past_int8_distances():
     # a-p127 and 128 from side p127-p128: a store that wrapped 128 to -128
     # would score this, the only 1-thin triangle, 0.
     graph = int8_tail_graph()
-    assert distance_matrix(graph).max() == 130
+    assert distance_array(graph).max() == 130
     est = estimate_delta(graph)
     assert (est.delta, est.triangles, est.witness) == per_triangle_delta(graph)
     assert (est.delta, est.triangles, est.witness) == (1, graph.n - 2, (0, 1, 2))
@@ -385,8 +421,9 @@ def sampled_thinness(graph, samples, seed):
     """Reference draw: the valid triangles of a seeded sample in draw order,
     each with its ``triangle_thinness``.  It stops only on the sample count or
     on 20 * samples attempts, never on having met every triangle."""
-    dmat = distance_matrix(graph)
-    ok = graph.valid_pairs(dmat)
+    dmat = distance_array(graph)
+    ok = (dmat >= 0) & np.array([[graph.valid(u, v, dmat[u, v]) for v in range(graph.n)]
+                                  for u in range(graph.n)], dtype=bool).reshape(dmat.shape)
     rng = random.Random(seed)
     out, seen, attempts = [], set(), 0
     while len(out) < samples and attempts < samples * 20:
@@ -473,6 +510,117 @@ def test_sampled_scan_past_int8_distances():
     assert_sampled_scan_matches_reference(graph, 3000, seed=2)
 
 
+@st.composite
+def reference_cases(draw):
+    """A graph for both scans, with a sample count and a seed: ``scan_cases``,
+    such a graph with up to 3 vertices of degree 0 relabelled in, n in
+    {0, 1, 2}, a Cayley ball or a Farey window."""
+    kind = draw(st.sampled_from(["scan", "lone", "tiny", "cayley", "farey"]))
+    if kind == "tiny":
+        n = draw(st.integers(0, 2))
+        graph = graph_from_edges(n, [(0, 1)] if n == 2 and draw(st.booleans()) else [])
+    elif kind == "cayley":
+        family, top = draw(st.sampled_from([("F1", 8), ("F2", 3), ("F2xZ2", 2), ("F2xZ3", 2),
+                                            ("Z2*Z2", 6), ("Z2*Z3", 5)]))
+        graph = build_ball(builtin_group(family), draw(st.integers(0, top)))
+    elif kind == "farey":
+        graph = build_window(draw(st.integers(0, 3)))
+    else:
+        graph = draw(scan_cases())
+    if kind == "lone":
+        n, lone = graph.n, draw(st.integers(1, 3))
+        label = draw(st.permutations(range(n + lone)))
+        edges = [(label[u], label[v]) for u, around in enumerate(graph.adjacency) for v in around]
+        lengths = None
+        if graph.radius is not None:
+            lengths = [draw(st.integers(0, 4)) for _ in range(n + lone)]
+            for v in range(n):
+                lengths[label[v]] = graph.lengths[v]
+            lengths = tuple(lengths)
+        graph = graph_from_edges(n + lone, edges, lengths, graph.radius)
+    return graph, draw(st.integers(0, 60)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reference_cases())
+def test_both_scans_match_the_per_triangle_reference(case):
+    graph, samples, seed = case
+    if graph.n == 0:
+        for mode in ("exhaustive", "sampled"):
+            with pytest.raises(InputError):
+                estimate_delta(graph, mode=mode, samples=samples, seed=seed)
+        return
+    assert_scan_matches_reference(graph)
+    assert_sampled_scan_matches_reference(graph, samples, seed)
+
+
+def test_sampled_scan_on_a_path_longer_than_the_recursion_limit():
+    # a diameter of 1,299 > the default recursion limit: the spheres would
+    # take far more than 16 n^2 bytes, so the scan reads distance rows
+    graph = path_graph(1300)
+    assert isinstance(distance_matrix(graph, keep=16 * 1300 * 1300), SphereRows)
+    assert sys.getrecursionlimit() < 1299
+    est = estimate_delta(graph, mode="sampled", samples=20, seed=1)
+    assert (est.delta, est.triangles, est.witness) == (0, 20, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan_cases())
+def test_sphere_rows_give_the_intervals_of_the_spheres(graph):
+    spheres, rows = distance_matrix(graph), SphereRows(graph)
+    dmat = distance_array(graph)
+    for p, q in itertools.combinations(range(graph.n), 2):
+        if dmat[p, q] >= 0:
+            assert rows.interval(p, q) == _pair_interval(spheres, p, q) == as_set(
+                dmat[p] + dmat[q] == dmat[p, q])
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan_cases(), st.lists(st.integers(-3, 9), min_size=20, max_size=20),
+       st.integers(-2, 8))
+def test_valid_rows_are_valid_on_every_pair(graph, lengths, radius):
+    # any lengths, negative ones too, and any radius
+    window = FiniteMetricGraph(adjacency=graph.adjacency, lengths=tuple(lengths[:graph.n]),
+                               radius=radius)
+    dmat = distance_array(window)
+    for g in (graph, window):
+        rows = g.valid_rows(distance_matrix(g))
+        assert rows == [as_set([dmat[u, v] >= 0 and u != v and g.valid(u, v, dmat[u, v])
+                                for v in range(g.n)]) for u in range(g.n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sampled_cases())
+def test_sampled_scan_on_rows_matches_the_scan_on_spheres(case):
+    # keep=-1 turns every graph with an edge over to distance rows
+    graph, samples, seed = case
+    spheres = estimate_delta(graph, mode="sampled", samples=samples, seed=seed)
+    matrix = graphs.distance_matrix
+    graphs.distance_matrix = lambda g, keep=None: matrix(g, keep=-1)
+    try:
+        rows = estimate_delta(graph, mode="sampled", samples=samples, seed=seed)
+    finally:
+        graphs.distance_matrix = matrix
+    assert rows == spheres
+
+
+def test_farey_delta_window_over_budget_exits_3():
+    # a depth-12 window has 8,192 slopes: its n^2 triangle keys alone are
+    # over the budget, so the scan stops before its first sphere
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["farey", "--depth", "3", "--delta-depth", "12"]
+    assert cli_run(argv, stdout=out, stderr=err) == EXIT_BUDGET
+    assert err.getvalue().startswith("budget error:") and out.getvalue() == ""
+
+
+def test_transpose_moves_bit_c_of_row_i_to_bit_i_of_row_c():
+    rng = random.Random(7)
+    for size in (1, 2, 4, 8, 64, 128):
+        rows = [rng.getrandbits(size) for _ in range(size)]
+        assert _transpose(list(rows)) == [sum((rows[i] >> c & 1) << i for i in range(size))
+                                          for c in range(size)]
+
+
 def test_sampled_witness_is_the_first_maximum_in_draw_order():
     # every triangle of the 8-cycle is drawn, and several are 1-thin: the
     # witness is the first of those drawn, not the least in vertex order
@@ -499,22 +647,15 @@ def test_sampled_draw_ends_once_every_triangle_is_drawn(graph):
 def test_sampled_budget_covers_the_sample(monkeypatch):
     # every one of the 10-cycle's C(10, 3) = 120 triangles is drawn
     graph, n, triangles = cycle_graph(10), 10, 120
-    dmat = distance_matrix(graph)
-    # before the draw: int8 distances and 92 bytes a triangle
-    before = n * n + 92 * triangles
-    # the targets' bool node marks, then int8 rows: a batch's and the two
-    # buffers of the far-row blocks
-    rows = n * n + 3 * n * n
-    # interval index over all 45 pairs: int64 offsets and uint8 vertex ids;
-    # a pair at distance d < 5 has d + 1 interval vertices, an antipodal one all 10
-    intervals = 8 * 46 + 10 * (2 + 3 + 4 + 5) + 5 * 10
-    # one int8 score per triangle side and vertex of its interval, held with
-    # the joined index (its chunks, held with their join, take less)
-    size = {d: d + 1 for d in range(5)} | {5: 10}
-    scores = sum(size[dmat[p, q]] for tri in itertools.combinations(range(n), 3)
-                 for p, q in itertools.combinations(tri, 2))
-    assert scores > 10 * (2 + 3 + 4 + 5) + 5 * 10
-    need = before + rows + intervals + scores
+    # before the draw, per triangle: a key below 2^12 with its list slot, its
+    # hash and key slots in the seen set and three side-index slots
+    before = triangles * (sys.getsizeof(2**12 - 1) + 8 + 16 + 3 * 8)
+    # the spheres would take more than 16 n^2 bytes, so each vertex keeps a
+    # row of n 2-byte distances; then the valid rows, a set of n bits each
+    assert isinstance(distance_matrix(graph, keep=16 * n * n), SphereRows)
+    rows = n * (sys.getsizeof(array("h")) + 2 * n + 8)
+    valid = n * (sys.getsizeof(2**n - 1) + 8)
+    need = before + rows + valid
     monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", need)
     assert estimate_delta(graph, mode="sampled", samples=10**9).triangles == triangles
     monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", need - 1)
@@ -530,9 +671,14 @@ def test_sampled_budget_covers_the_sample(monkeypatch):
 # --- the bitset distance matrix against per-source BFS ------------------------
 
 def assert_matrix_matches_bfs(graph):
-    dmat = distance_matrix(graph)
-    assert dmat.dtype == np.int32 and dmat.shape == (graph.n, graph.n)
-    assert dmat.tolist() == [bfs_distances(graph, s) for s in range(graph.n)]
+    """Each vertex's spheres are its BFS distance classes, up to its
+    eccentricity, and ``SphereRows`` builds the same from its rows."""
+    spheres = distance_matrix(graph)
+    assert isinstance(spheres, list) and len(spheres) == graph.n
+    for v, row in enumerate(bfs_distances(graph, s) for s in range(graph.n)):
+        row = np.array(row)
+        assert spheres[v] == [as_set(row == k) for k in range(row.max() + 1)]
+    assert [SphereRows(graph)[v] for v in range(graph.n)] == spheres
 
 
 @st.composite
@@ -561,12 +707,12 @@ def test_distance_matrix_matches_per_source_bfs(graph):
 @pytest.mark.parametrize("n", [63, 64, 65, 129])
 def test_distance_matrix_at_word_boundaries(n):
     # a path on n - 1 vertices, then a vertex of degree 0: n - 2 levels, and
-    # the last source in the last bit of a word, the first of one, or past it
+    # the last source in the last bit of a 64-bit word, the first of one, or past it
     graph = graph_from_edges(n, [(i, i + 1) for i in range(n - 2)])
-    dmat = distance_matrix(graph)
+    spheres = distance_matrix(graph)
     assert_matrix_matches_bfs(graph)
-    assert dmat[0, n - 2] == n - 2 and dmat[n - 1, n - 1] == 0
-    assert (dmat[n - 1, :-1] == -1).all() and (dmat[:-1, n - 1] == -1).all()
+    assert spheres[0][n - 2] == 1 << (n - 2) and spheres[n - 1] == [1 << (n - 1)]
+    assert not any(sphere >> (n - 1) for v in range(n - 1) for sphere in spheres[v])
 
 
 @pytest.mark.parametrize("depth", range(7))
@@ -581,17 +727,22 @@ def test_distance_matrix_on_cayley_windows(family, radius):
 
 
 def test_distance_matrix_budget_is_exact(monkeypatch):
-    # a cycle on 1..998 and vertices 0 and 999 of degree 0: 16 words a row
-    n, words = 1000, 16
-    graph = graph_from_edges(n, [(i, i % 998 + 1) for i in range(1, 999)])
-    matrix = 4 * n * n  # int32
-    bitsets = 3 * 8 * words * n  # frontier, seen and new
-    gathered = 8 * words * (2 * 998 + 2)  # a row per edge end, its own per lone vertex
-    level = n * n  # one level, unpacked to a byte a pair
-    need = matrix + bitsets + gathered + level
+    # a cycle on 1..98 and vertices 0 and 99 of degree 0
+    n = 100
+    graph = graph_from_edges(n, [(i, i % 98 + 1) for i in range(1, 99)])
+    unit = sys.getsizeof(2**n - 1) + 8  # a set of n bits, with its list slot
+    balls = 2 * n * unit  # the balls of the last level and of the next
+    # a cycle vertex has a sphere at levels 0..49 and is counted at each of
+    # levels 1..50, the last finding nothing new; a lone vertex at none
+    need = balls + 98 * 50 * unit
     monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", need)
     assert_matrix_matches_bfs(graph)
+    assert isinstance(distance_matrix(graph, keep=need), list)
+    assert isinstance(distance_matrix(graph, keep=need - 1), SphereRows)
     monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", need - 1)
+    with pytest.raises(BudgetError):
+        distance_matrix(graph)
+    monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", balls - 1)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError) as refused:
@@ -599,24 +750,31 @@ def test_distance_matrix_budget_is_exact(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert "the distance matrix of 1000 vertices" in str(refused.value)
-    assert peak < 8 * words * n  # refused before the first bitset
+    assert "the distance spheres of 100 vertices" in str(refused.value)
+    assert peak < n * unit  # refused before the first ball
 
 
 # --- far rows by target against the per-pair rows -----------------------------
 
-def assert_target_rows_match_pair_data(graph):
-    """Every valid pair's row and interval equal ``PairData``'s; no other pair has one."""
-    dmat = distance_matrix(graph)
-    ok = graph.valid_pairs(dmat)
-    pid, far, verts, start = _target_rows(dmat, ok)
-    assert np.array_equal(pid >= 0, ok & ~np.eye(graph.n, dtype=bool))
-    assert np.array_equal(pid, pid.T) and len(far) == len(start) - 1 == np.triu(ok, 1).sum()
-    for p, q in zip(*np.nonzero(np.triu(ok, 1))):
-        ref = PairData(graph, dmat, int(p), int(q))
-        i = pid[p, q]
-        assert np.array_equal(far[i], ref.far)
-        assert np.array_equal(verts[start[i]:start[i + 1]], ref.verts)
+def assert_target_rows_match_pair_data(graph, thresholds=None):
+    """For each target q, the rows toward q over the intervals to its valid
+    partners p hold, at each threshold t, the vertices where ``PairData``'s
+    far row of (p, q) exceeds t (every t up to the largest far value, or
+    ``thresholds``)."""
+    dmat, spheres = distance_array(graph), distance_matrix(graph)
+    far = {(p, q): PairData(graph, dmat, p, q).far
+           for p, q in itertools.combinations(range(graph.n), 2)
+           if dmat[p, q] >= 0 and graph.valid(p, q, dmat[p, q])}
+    if not far:
+        return
+    if thresholds is None:
+        thresholds = range(int(max(row.max() for row in far.values())) + 1)
+    outside = outsides(graph, max(thresholds))
+    for q in range(graph.n):
+        partners = [p for p in range(graph.n) if (min(p, q), max(p, q)) in far]
+        for t in thresholds:
+            assert far_sets(graph, spheres, q, partners, t, outside[t]) == [
+                as_set(far[min(p, q), max(p, q)] > t) for p in partners]
 
 
 @settings(max_examples=150, deadline=None)
@@ -637,53 +795,21 @@ def test_target_rows_on_cayley_windows(family, radius):
 
 
 def test_target_rows_past_int8_distances():
+    # far values up to 130: a mask or a row that wrapped past 127 would lose them
     graph = int8_tail_graph()
-    dmat = distance_matrix(graph)
-    assert _target_rows(dmat, graph.valid_pairs(dmat))[1].dtype == np.int16
+    assert distance_array(graph).max() == 130
+    assert_target_rows_match_pair_data(graph, thresholds=(0, 1, 2, 126, 127, 128, 129))
+
+
+def test_target_rows_through_pairs_that_are_not_valid():
+    # on the path 0-1-2-3 with |0| = 0, |1| = |2| = |3| = 5 and radius 3 the
+    # valid pairs are (0, 1), (0, 2) and (0, 3): the row of (0, 3) steps
+    # through (1, 3) and (2, 3), which are not valid, and still has its row
+    graph = FiniteMetricGraph(adjacency=path_graph(4).adjacency, lengths=(0, 5, 5, 5),
+                              radius=3)
+    assert [p for p in range(1, 4) if graph.valid(0, p, p)] == [1, 2, 3]
+    assert not graph.valid(1, 3, 2) and not graph.valid(2, 3, 1)
     assert_target_rows_match_pair_data(graph)
-
-
-@dataclass(frozen=True, eq=False, kw_only=True)
-class PrunedGraph(FiniteMetricGraph):
-    """A graph whose valid pairs leave out the pairs ``dropped``."""
-
-    dropped: tuple = ()
-
-    def valid_pairs(self, dmat):
-        ok = super().valid_pairs(dmat)
-        for u, v in self.dropped:
-            ok[u, v] = ok[v, u] = False
-        return ok
-
-
-def test_target_rows_step_from_the_other_end_round_a_missing_sub_pair():
-    # on the path 0-1-2-3, (0, 3) steps to (1, 3) from 0 or to (0, 2) from 3
-    graph = PrunedGraph(adjacency=path_graph(4).adjacency, dropped=((1, 3),))
-    assert_target_rows_match_pair_data(graph)
-
-
-def test_a_pair_without_a_sub_pair_either_way_is_an_invariant_error():
-    graph = PrunedGraph(adjacency=path_graph(4).adjacency, dropped=((1, 3), (0, 2)))
-    with pytest.raises(InvariantError, match=r"\(0, 3\)|\(3, 0\)"):
-        estimate_delta(graph)
-
-
-def test_farey_window_missing_sub_pairs_exits_5(monkeypatch):
-    # one pair at distance 2 loses every sub-pair one step closer, from both
-    # ends; a scan that read a missing pair id would read the last far row
-    def valid_pairs(self, dmat):
-        ok = FiniteMetricGraph.valid_pairs(self, dmat)
-        p, q = (int(v) for v in np.argwhere(dmat == 2)[0])
-        for s in np.flatnonzero(dmat[p] == 1):
-            if dmat[s, q] == 1:
-                ok[s, q] = ok[q, s] = ok[p, s] = ok[s, p] = False
-        return ok
-
-    monkeypatch.setattr(FareyWindow, "valid_pairs", valid_pairs)
-    out, err = io.StringIO(), io.StringIO()
-    assert cli_run(["farey", "--depth", "3"], stdout=out, stderr=err) == EXIT_INVARIANT
-    assert out.getvalue() == "" and "no far row" in err.getvalue()
-    assert err.getvalue().startswith("internal error:") and "Traceback" not in err.getvalue()
 
 
 def test_exhaustive_scan_on_depth_7_farey_window():
@@ -708,24 +834,54 @@ def test_delta_budget_checked_before_allocation():
 
 
 def test_delta_budget_covers_far_rows(monkeypatch):
-    graph = cycle_graph(40)  # 780 valid pairs of 40 int8 far values each
-    fixed = (1 + 8) * 40 * 40  # int8 distance matrix and int64 pair index
-    # int8 rows: one per pair, and the two n x n buffers of the far-row blocks
-    rows = (780 + 2 * 40) * 40
-    # interval index: int64 offsets and uint8 vertex ids, held twice (the
-    # chunks and their join); a pair at distance d < 20 has d + 1 interval
-    # vertices, each of the 20 antipodal pairs all 40
-    intervals = 8 * 781 + 2 * (40 * sum(d + 1 for d in range(1, 20)) + 20 * 40)
-    need = fixed + rows + intervals
+    # C(40, 3) = 9,880 valid triangles, more than n^2: scanned by columns
+    graph, n = cycle_graph(40), 40
+    unit = sys.getsizeof(2**n - 1) + 8  # a set of n bits, with its list slot
+    # before the spheres: n^2 dict keys below 2^12, with their slots, as
+    # many as a side index of every pair, for intervals and far sets, holds
+    keys = n * n * (sys.getsizeof(2**12 - 1) + 8)
+    # each vertex's spheres of radius 0..20, the valid rows, and a column of
+    # 64 slots, n rounded up to a power of two, for each of the n targets
+    need = (n * 21 + n) * unit + n * 64 * unit
+    assert keys < need
     monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", need - 1)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="the columns of 40 targets"):
         estimate_delta(graph)
     assert estimate_delta(graph, mode="sampled", samples=10).triangles == 10
     monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", need)
     assert estimate_delta(graph).triangles == 40 * 39 * 38 // 6
-    # without the interval index the rows alone fit, so the second check raises
-    monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", fixed + rows)
-    with pytest.raises(BudgetError):
+    # the keys are checked before the first sphere
+    monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", keys - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="the exhaustive scan of 40 vertices"):
+            estimate_delta(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 21 * unit  # less than the spheres
+
+
+def test_delta_budget_covers_the_side_index(monkeypatch, z2z2):
+    # a ball has fewer valid triangles than n^2: they are scored one by one,
+    # with an interval and a far set kept per valid pair
+    graph = build_ball(z2z2, 6)
+    n, dmat = graph.n, distance_array(graph)
+    delta, count, _ = per_triangle_delta(graph)
+    pairs = sum(1 for p, q in itertools.combinations(range(n), 2)
+                if dmat[p, q] >= 0 and graph.valid(p, q, dmat[p, q]))
+    unit = sys.getsizeof(2**n - 1) + 8  # a set of n bits, with its list slot
+    key = sys.getsizeof(2 ** (2 * n.bit_length()) - 1) + 8  # a key below n^2, likewise
+    assert count <= n * n
+    # the spheres of radius 0..eccentricity and the valid rows, and two dict
+    # entries a valid pair: set, key and hash
+    spheres = sum(int(row.max()) + 1 for row in dmat) * unit
+    need = spheres + n * unit + 2 * pairs * (unit + key + 8)
+    assert n * n * key < need  # past the check of n^2 keys before the spheres
+    monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", need)
+    assert (estimate_delta(graph).delta, estimate_delta(graph).triangles) == (delta, count)
+    monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", need - 1)
+    with pytest.raises(BudgetError, match=f"the exhaustive scan of {count} triangles"):
         estimate_delta(graph)
 
 
@@ -743,32 +899,47 @@ def test_farey_depth_10_exceeds_delta_budget():
     assert out.getvalue() == ""
 
 
-# --- one triangle per orbit of the graph's automorphisms -----------------------
+# --- the witness is least in its orbit under the graph's automorphisms --------
 
 @dataclass(frozen=True, eq=False, kw_only=True)
 class SymmetricGraph(FiniteMetricGraph):
-    """A graph that hands the delta scan the vertex maps it is given."""
+    """A graph with vertex maps, each the tuple of vertex images, that are
+    automorphisms of it."""
 
     symmetries: tuple = ()
 
-    def automorphisms(self):
-        return self.symmetries
 
-
-def assert_orbit_scan_matches_full_scan(graph):
-    """The scan over least triangles gives the delta, count and witness of the
-    scan over every triangle."""
-    dmat = distance_matrix(graph)
-    full = _exhaustive_scan(dmat, graph.valid_pairs(dmat))
+def assert_orbit_scan_matches_full_scan(graph, symmetries=None, reference=True):
+    """Thinness is an isometry invariant, so the witness W, the first triangle
+    reaching delta, is least in its orbit: the sorted image of W under each
+    automorphism is a valid triangle as thick as W and no less than it.  With
+    ``reference``, delta, count and witness are also the per-triangle scan's."""
     est = estimate_delta(graph)
-    assert (est.delta, est.triangles, est.witness) == (full.delta, full.triangles, full.witness)
+    if reference:
+        assert (est.delta, est.triangles, est.witness) == per_triangle_delta(graph)
+    dmat = distance_array(graph)
+    for g in graph.symmetries if symmetries is None else symmetries:
+        assert sorted(g) == list(range(graph.n))
+        for v in range(graph.n):
+            assert sorted(g[u] for u in graph.adjacency[v]) == sorted(graph.adjacency[g[v]])
+            assert graph.lengths is None or graph.lengths[g[v]] == graph.lengths[v]
+        if est.witness is None:
+            continue
+        image = tuple(sorted(g[v] for v in est.witness))
+        sides = ((image[0], image[1]), (image[0], image[2]), (image[1], image[2]))
+        assert image >= est.witness
+        assert all(dmat[p, q] >= 0 and graph.valid(p, q, dmat[p, q]) for p, q in sides)
+        assert triangle_thinness(tuple(PairData(graph, dmat, p, q) for p, q in sides)) == est.delta
     return est
 
 
 @pytest.mark.parametrize("depth", range(8))
 def test_orbit_scan_on_farey_windows(depth):
-    est = assert_orbit_scan_matches_full_scan(build_window(depth))
-    assert est.triangles == (2 ** (depth + 1)) * (2 ** (depth + 1) - 1) * (2 ** (depth + 1) - 2) // 6
+    window = build_window(depth)
+    est = assert_orbit_scan_matches_full_scan(window, window_symmetries(window),
+                                              reference=depth <= 3)
+    n = 2 ** (depth + 1)
+    assert est.triangles == n * (n - 1) * (n - 2) // 6
 
 
 def dihedral(n):
@@ -822,35 +993,3 @@ def prism_windows(draw):
 @given(prism_windows())
 def test_orbit_scan_on_prism_windows(graph):
     assert_orbit_scan_matches_full_scan(graph)
-
-
-@pytest.mark.parametrize("bad", [
-    (0, 0, 2, 3, 4, 5),  # not a permutation
-    (0, 1, 2, 3, 4),  # too short
-    (1, 0, 2, 3, 4, 5),  # swaps two vertices with other neighbours
-])
-def test_a_map_that_is_no_automorphism_is_an_invariant_error(bad):
-    graph = SymmetricGraph(adjacency=cycle_graph(6).adjacency, symmetries=(bad,))
-    with pytest.raises(InvariantError):
-        estimate_delta(graph)
-    # the sampled scan reads no automorphisms
-    assert estimate_delta(graph, mode="sampled", samples=5).triangles == 5
-
-
-def test_an_automorphism_must_keep_window_lengths():
-    # a rotation of the cycle keeps its adjacency but not lengths from vertex 0
-    rotate = tuple((i + 1) % 6 for i in range(6))
-    graph = SymmetricGraph(adjacency=cycle_graph(6).adjacency, lengths=(0, 1, 2, 3, 2, 1),
-                           radius=3, symmetries=(rotate,))
-    with pytest.raises(InvariantError):
-        estimate_delta(graph)
-
-
-def test_farey_window_with_a_false_automorphism_exits_5(monkeypatch):
-    # a transposition of 0/1 and 1/0 alone is no automorphism of the window
-    monkeypatch.setattr(FareyWindow, "automorphisms",
-                        lambda self: ((1, 0) + tuple(range(2, self.n)),))
-    out, err = io.StringIO(), io.StringIO()
-    assert cli_run(["farey", "--depth", "3"], stdout=out, stderr=err) == EXIT_INVARIANT
-    assert out.getvalue() == "" and "delta" not in err.getvalue()
-    assert err.getvalue().startswith("internal error:") and "Traceback" not in err.getvalue()
