@@ -21,6 +21,7 @@ from .errors import (
 )
 from .extraction import (
     ORDER_CHECK_BOUND, compute_constants, extract_centralizers, measure_constants,
+    printable_bits,
 )
 from .fixpoints import CayleyContext, almost_fixed_set, far_pairs, midpoint_certify
 from .graphs import estimate_delta
@@ -39,10 +40,14 @@ SUBGROUP_NAMES = ("S4", "ST6", "center2")
 
 
 def _parse_fraction(text: str) -> Fraction:
+    """A rational that prints, and so does 6 times it, the a of ``--delta``."""
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"cannot parse rational {text!r}") from exc
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) + 3 > printable_bits():
+        raise InputError(f"rational {text!r} is too long to print")
+    return value
 
 
 def load_config_file(path: str) -> dict:

@@ -14,12 +14,14 @@ far(w, r)[v] is the worst case, over the w-r geodesics g, of d(v, g):
 
 far is symmetric, so F_t(w, r) = F_t(r, w).  The rows F_t(w, r) toward a
 target r are built layer by layer outward from r, over the union of the
-intervals to the partners r needs them for.  A pass at threshold t scores:
+intervals to the partners r needs them for, which the same call walks
+first.  A pass at threshold t scores:
 
 - a list of triangles side by side, grouped by opposite vertex: a sample,
   and the first PROBE triangles before a pass by columns or over a sample;
-- the valid triangles one by one, with each pair's interval and far set
-  kept, when there are at most n^2 of them;
+- the valid triangles one by one, with each pair's far set kept, and its
+  interval, found when that far set is first built and kept for every t,
+  when there are at most n^2 of them;
 - more valid triangles by columns, many third vertices at once.
 
 ``estimate_delta`` imports this module on its first call, so the subcommands
@@ -29,6 +31,7 @@ that never scan for delta do not compile the scans.
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import islice
 
 from . import graphs
@@ -111,11 +114,15 @@ def _grow(outside: list[int], adjacency) -> list[int]:
     return out
 
 
-def _span(ends: int, sr: list[int], around: list[int]) -> int:
-    """The union of the geodesic intervals from r to the vertices of ``ends``,
-    walked inward from r's last sphere: a vertex at distance k from r is in
-    it if it is an end or a neighbour of a vertex in it at distance k + 1.
-    ``around[v]`` is the set of v's neighbours."""
+def _rows_toward(r: int, ends: int, sr: list[int], t: int, outside, adjacency,
+                 around) -> list[int]:
+    """F_t(w, r) for the w in the span of ``ends``, built layer by layer
+    outward from r, as a list indexed by w that is empty elsewhere.  The span
+    is the union of the geodesic intervals from r to the vertices of ``ends``,
+    walked inward from r's last sphere: a vertex at distance k from r is in it
+    if it is an end or a neighbour of a vertex in it at distance k + 1.  So it
+    holds every vertex one step closer to r of each of its members.
+    ``outside[w]`` is ~ball_t(w) and ``around[v]`` the set of v's neighbours."""
     span = near = 0
     for sphere in reversed(sr):
         layer = sphere & (ends | near)
@@ -125,14 +132,6 @@ def _span(ends: int, sr: list[int], around: list[int]) -> int:
             low = layer & -layer
             near |= around[low.bit_length() - 1]
             layer ^= low
-    return span
-
-
-def _rows_toward(r: int, span: int, sr: list[int], t: int, outside, adjacency) -> list[int]:
-    """F_t(w, r) for the w in ``span``, built layer by layer outward from r,
-    as a list indexed by w that is empty elsewhere.  ``span`` must hold every
-    vertex one step closer to r of each of its members, as a union of
-    geodesic intervals to r does.  ``outside[w]`` is ~ball_t(w)."""
     rows = [0] * len(outside)
     for sphere in sr[t + 1:]:
         rows[r] |= sphere
@@ -152,66 +151,23 @@ def _rows_toward(r: int, span: int, sr: list[int], t: int, outside, adjacency) -
     return rows
 
 
-def _groups(tris: list[int], n: int) -> dict:
-    """The side index: the triangles of ``tris`` by each of their vertices,
-    which is opposite one of their sides."""
-    groups: dict = {}
-    for i, key in enumerate(tris):
-        for v in _vertices(key, n):
-            groups.setdefault(v, []).append(i)
-    return groups
-
-
-def _first_thick(tris, groups, n, spheres, t, outside, adjacency, around) -> int:
-    """The index of the first triangle of ``tris`` thicker than t, or -1.
-
-    Side by side, grouped by the opposite vertex r: the rows toward r are
-    built once for the group, over the intervals from r to the group's other
-    vertices; with ``SphereRows``, from r's spheres, built once."""
-    first = len(tris)
-    for r, group in groups.items():
-        sides, ends = [], 0
-        for i in group:
-            if i < first:
-                xy, z = divmod(tris[i], n)
-                x, y = divmod(xy, n)
-                a, b = (y, z) if r == x else (x, z) if r == y else (x, y)
-                sides.append((a, b, i))
-                ends |= 1 << a | 1 << b
-        if not sides:
-            continue
-        sr = spheres[r]
-        rows = _rows_toward(r, _span(ends, sr, around), sr, t, outside, adjacency)
-        for a, b, i in sides:
-            if i < first:
-                far = rows[a] & rows[b]
-                if far and _pair_interval(spheres, a, b) & far:
-                    first = i
-    return first if first < len(tris) else -1
-
-
-def _pair_intervals(n, spheres, valid) -> dict:
-    """The interval of every valid pair p < q, keyed p * n + q."""
-    out = {}
-    for q, sq in enumerate(spheres):
-        for d, sphere in enumerate(sq):
-            for p in _members(sphere & valid[q] & ((1 << q) - 1)):
-                out[p * n + q] = _interval(spheres[p], sq, d)
-    return out
-
-
 def _ordered_first(n, spheres, valid, t, outside, adjacency, around, intervals) -> int | None:
     """The key of the first valid triangle in (x, y, z) order thicker than t,
-    or None, triangle by triangle, reading each side's interval from
-    ``intervals``.  F_t(p, q) is kept for every valid p below q, all of a
-    target q's rows built at once when first read."""
+    or None, triangle by triangle.  F_t(p, q) is kept for every valid p below
+    q, all of a target q's rows built at once when first read; the interval
+    of each such pair goes into ``intervals``, which every threshold shares,
+    when its far row is first built."""
     far, filled = {}, bytearray(n)
 
     def fill(q):
         ends, sq = valid[q] & ((1 << q) - 1), spheres[q]
-        rows = _rows_toward(q, _span(ends, sq, around), sq, t, outside, adjacency)
-        for p in _members(ends):
-            far[p * n + q] = rows[p]
+        rows = _rows_toward(q, ends, sq, t, outside, adjacency, around)
+        for d, sphere in enumerate(sq):
+            for p in _members(sphere & ends):
+                pq = p * n + q
+                far[pq] = rows[p]
+                if pq not in intervals:
+                    intervals[pq] = _interval(spheres[p], sq, d)
         filled[q] = 1
 
     for x, row in enumerate(valid):
@@ -263,7 +219,7 @@ def _dense_first(n, spheres, valid, t, outside, adjacency, around):
         if not valid[q]:
             continue
         sq = spheres[q]
-        rows = _rows_toward(q, _span(valid[q], sq, around), sq, t, outside, adjacency)
+        rows = _rows_toward(q, valid[q], sq, t, outside, adjacency, around)
         partner = format(valid[q], f"0{size}b")[::-1]
         col = cols[q] = _transpose([row if bit == "1" else 0 for row, bit in zip(rows, partner)]
                                    + [0] * (size - n))
@@ -303,16 +259,41 @@ def _least_thin(graph, *passes) -> tuple[int, int | None]:
         t, witness, outside = t + 1, key, _grow(outside, graph.adjacency)
 
 
-def _listed(tris, n, spheres, adjacency, around) -> list:
-    """The passes over the triangle list ``tris``, grouped by opposite vertex:
-    the first PROBE triangles, then all of them if there are more."""
+def _grouped_passes(tris: list[int], n, spheres, adjacency, around) -> list:
+    """The passes over the triangle list ``tris``, side by side, grouped by
+    opposite vertex: one over the first PROBE triangles, then one over all of
+    them if there are more.  A pass gives the first triangle of its list
+    thicker than t, or None.  Its side index lists the triangles by each of
+    their vertices, which is opposite one of their sides; the rows toward r
+    are built once for r's group, over the intervals from r to the group's
+    other vertices, and with ``SphereRows`` from r's spheres, built once."""
 
     def scan(part):
-        groups = _groups(part, n)
+        groups: dict = {}
+        for i, key in enumerate(part):
+            for v in _vertices(key, n):
+                groups.setdefault(v, []).append(i)
 
         def first(t, outside):
-            i = _first_thick(part, groups, n, spheres, t, outside, adjacency, around)
-            return part[i] if i >= 0 else None
+            first = len(part)
+            for r, group in groups.items():
+                sides, ends = [], 0
+                for i in group:
+                    if i < first:
+                        xy, z = divmod(part[i], n)
+                        x, y = divmod(xy, n)
+                        a, b = (y, z) if r == x else (x, z) if r == y else (x, y)
+                        sides.append((a, b, i))
+                        ends |= 1 << a | 1 << b
+                if not sides:
+                    continue
+                rows = _rows_toward(r, ends, spheres[r], t, outside, adjacency, around)
+                for a, b, i in sides:
+                    if i < first:
+                        far = rows[a] & rows[b]
+                        if far and _pair_interval(spheres, a, b) & far:
+                            first = i
+            return part[first] if first < len(part) else None
         return first
 
     return [scan(tris[:PROBE])] + ([scan(tris)] if len(tris) > PROBE else [])
@@ -336,25 +317,17 @@ def _exhaustive_scan(graph: FiniteMetricGraph) -> DeltaEstimate:
     if count > n * n:
         size = 1 << (n - 1).bit_length()
         _check_budget(held + n * size * unit, f"the columns of {n} targets")
-
-        def dense(t, outside):
-            return _dense_first(n, spheres, valid, t, outside, graph.adjacency, around)
-
         head = list(islice(_triangles(valid), PROBE))
-        passes = _listed(head, n, spheres, graph.adjacency, around) + [dense]
+        dense = partial(_dense_first, n, spheres, valid, adjacency=graph.adjacency, around=around)
+        passes = _grouped_passes(head, n, spheres, graph.adjacency, around) + [dense]
     else:
         # per valid pair, a dict entry for its interval and one for its far
         # set: the set, the key and the hash
         pairs = sum(map(int.bit_count, valid)) // 2
         _check_budget(held + 2 * pairs * (unit + key + 8),
                       f"the exhaustive scan of {count} triangles")
-        intervals = _pair_intervals(n, spheres, valid)
-
-        def ordered(t, outside):
-            return _ordered_first(n, spheres, valid, t, outside, graph.adjacency, around,
-                                  intervals)
-
-        passes = [ordered]
+        passes = [partial(_ordered_first, n, spheres, valid, adjacency=graph.adjacency,
+                          around=around, intervals={})]
     delta, witness = _least_thin(graph, *passes)
     return DeltaEstimate(delta, count, None if witness is None else _vertices(witness, n),
                          "exhaustive")
@@ -416,6 +389,7 @@ def _sampled_scan(graph: FiniteMetricGraph, samples: int, seed: int) -> DeltaEst
                 drawn.append(key)
     del seen
     around = [sum(1 << u for u in a) for a in graph.adjacency]
-    delta, witness = _least_thin(graph, *_listed(drawn, n, spheres, graph.adjacency, around))
+    passes = _grouped_passes(drawn, n, spheres, graph.adjacency, around)
+    delta, witness = _least_thin(graph, *passes)
     return DeltaEstimate(delta, len(drawn), None if witness is None else _vertices(witness, n),
                          "sampled", seed)

@@ -20,6 +20,7 @@ the conjugate p_i * h * p_i^-1), and certificates take the form g_i^-1 * g_c
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -57,6 +58,14 @@ class ConstantsReport:
         }
 
 
+def printable_bits() -> int:
+    """The most bits an int may have and still print in decimal, at most
+    ``sys.get_int_max_str_digits()`` digits (4,300, the default, when that is
+    0 or missing): an int below 2^b has no more for b <= digits * log2(10)."""
+    digits = getattr(sys, "get_int_max_str_digits", int)() or 4300
+    return digits * 3321928 // 10**6
+
+
 def compute_constants(c0: int, c1: int, c2: int, c3: int, delta,
                       a: int = 0, formula: str = "cayley") -> ConstantsReport:
     """Exact N = ((C0+1)*C3^C0 + 1)*C1*C2^C0 and D = N + 12*delta + offset."""
@@ -68,11 +77,19 @@ def compute_constants(c0: int, c1: int, c2: int, c3: int, delta,
         raise InputError("delta must be >= 0")
     if formula not in ("cayley", "surface"):
         raise InputError(f"unknown D formula {formula!r}")
+    # N > (C2*C3)^C0 >= 2^(C0 * (bits(C2*C3) - 1)): refused before the powers
+    # are built when that alone is too long to print
+    bits = printable_bits()
+    too_long = BudgetError(f"N or D would take more than {bits} bits, too long to print")
+    if c0 * ((c2 * c3).bit_length() - 1) >= bits:
+        raise too_long
     n = ((c0 + 1) * c3 ** c0 + 1) * c1 * c2 ** c0
-    offset = 4 if formula == "cayley" else 10
+    d = n + 12 * delta + (4 if formula == "cayley" else 10)
+    if max(n.bit_length(), d.numerator.bit_length(), d.denominator.bit_length()) > bits:
+        raise too_long
     return ConstantsReport(
         c0=c0, c1=c1, c2=c2, c3=c3, a=a, delta=delta,
-        n=n, d=n + 12 * delta + offset, formula=formula,
+        n=n, d=d, formula=formula,
     )
 
 

@@ -372,9 +372,7 @@ def build_ball(oracle: GroupOracle, radius: int,
     step = tuple(array("i") for _ in symbols)
     vertices = [oracle.identity]
     index = {oracle.identity: 0}
-    ids = [0]  # ids[j] is the int held by index, shared by the adjacency
     lengths = [0]
-    adjacency = []
     v = 0
     while v < len(vertices):
         word = vertices[v]
@@ -384,12 +382,11 @@ def build_ball(oracle: GroupOracle, radius: int,
             ends_in_b = word[-1] in center
         else:
             rule, ends_in_b = (None,) * len(symbols), False
-        entries = []
         for s, c in enumerate(rule):
             if c is not None:
-                j = p if c < 0 else ids[step[c][p]]
+                j = p if c < 0 else step[c][p]
             elif ends_in_b and central[s]:
-                j = ids[step[f][step[s][p]]]
+                j = step[f][step[s][p]]
             elif grow:
                 w = GroupElement(word + letters[s] if central[s] else letters[s] + word)
                 j = index.get(w)
@@ -400,16 +397,22 @@ def build_ball(oracle: GroupOracle, radius: int,
                             radius_reached=lengths[v],
                         )
                     j = index[w] = len(vertices)
-                    ids.append(j)
                     vertices.append(w)
                     lengths.append(lengths[v] + 1)
             else:
                 j = -1
             step[s].append(j)
-            entries.append(j)
-        # s*v != v, as no generator is the identity
-        adjacency.append(tuple(sorted(j for j in entries if j >= 0)))
         v += 1
+    # v's neighbours are the u with some step[s][u] = v (s*u = v iff s^-1*v = u),
+    # met in increasing order, each once, as the ints that index holds; each
+    # list gives way to its tuple in place, so the two are never all held
+    adjacency = [[] for _ in vertices]
+    for u, column in zip(index.values(), zip(*step)):
+        for j in column:
+            if j >= 0:
+                adjacency[j].append(u)
+    for v, around in enumerate(adjacency):
+        adjacency[v] = tuple(around)
     return CayleyBall(
         oracle=oracle,
         radius=radius,

@@ -192,6 +192,27 @@ def test_order_bound_0_exits_2_whatever_the_input(argv):
         EXIT_INPUT, "", "input error: order-check bound must be >= 1\n")
 
 
+AFP_R2 = ["afp", "--family", "F2xZ2", "--subgroup", "t", "--radius", "2"]
+EXTRACT_R2 = ["extract", "--family", "F2xZ2", "--subgroup", "t", "--c0", "2", "--radius", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--family", "F2xZ2", "--subgroup", "t", "--threshold-a", "1", "--c0", "99999",
+     "--radius", "2"],
+    AFP_R2 + ["--threshold-a", "1e5000"],
+    AFP_R2 + ["--threshold-a", "1e-5000"],
+    AFP_R2 + ["--delta", "1e5000"],
+    AFP_R2 + ["--delta", "1e-5000"],
+    EXTRACT_R2 + ["--threshold-a", "1e5000"],
+    EXTRACT_R2 + ["--threshold-a", "1", "--delta", "1e5000"],
+    ["farey", "--depth", "2", "--threshold-a", "1e5000"],
+])
+def test_numbers_too_long_to_print_exit_2_or_3(argv):
+    # each used to raise Python's int-to-str digit limit as a traceback, exit 1
+    code, out, err = invoke(argv)
+    assert code in (EXIT_INPUT, EXIT_BUDGET) and out == "" and "Traceback" not in err
+
+
 # values argparse rejects for an int or a choice flag
 ILL_TYPED = ["abc", "1.5", "", "0x3", "-", "--", "both"]
 
@@ -534,15 +555,17 @@ def cli_run_inputs(draw):
         matching = {"F2xZ2": "t", "F2xZ3": "u,u*u", "Z2*Z2": "r", "Z2*Z3": "s,s*s"}
         argv += ["--subgroup", matching.get(family, "") if draw(st.booleans())
                  else draw(st.sampled_from(subgroups))]
-        thresholds = st.sampled_from(["0", "1", "2", "1/2", "-1", "x", "1/0"])
+        thresholds = st.sampled_from(["0", "1", "2", "1/2", "-1", "x", "1/0", "1e5000",
+                                      "1e-5000"])
         if command == "extract" or draw(st.booleans()):
             argv += ["--threshold-a", draw(thresholds)]
         if draw(st.booleans()):
-            argv += ["--delta", draw(st.sampled_from(["0", "1/6", "1", "-1/6", "y"]))]
+            argv += ["--delta", draw(st.sampled_from(["0", "1/6", "1", "-1/6", "y", "1e5000",
+                                                      "1e-5000"]))]
     if command == "afp" and draw(st.booleans()):
         argv += ["--certify"]
     if command == "extract":
-        argv += ["--c0", str(draw(st.integers(0, 3))),
+        argv += ["--c0", str(draw(st.integers(0, 3) | st.just(99999))),
                  "--order-bound", str(draw(st.integers(0, 10**6))),
                  "--formula", draw(st.sampled_from(["cayley", "surface"]))]
     if command == "farey":
@@ -553,7 +576,7 @@ def cli_run_inputs(draw):
         if draw(st.booleans()):
             argv += ["--delta-depth", draw(small)]
         if draw(st.booleans()):
-            argv += ["--threshold-a", draw(st.sampled_from(["0", "1", "5/2", "z"]))]
+            argv += ["--threshold-a", draw(st.sampled_from(["0", "1", "5/2", "z", "1e5000"]))]
     if command == "multitwist":
         source = draw(st.sampled_from(["file", "builtin", "neither"]))
         if source == "file":
@@ -643,9 +666,9 @@ print(json.dumps(seen))
     (["ball", "extract", "afp", "multitwist", "delta"], [False, False, False, False, False, False]),
     (["farey"], [False, False]),
 ])
-def test_numpy_loads_only_for_the_delta_scan(names, loaded):
-    # the delta scan was numpy's one user; it now holds vertex sets as int
-    # bitsets, so neither it nor any other call loads numpy
+def test_no_call_loads_numpy(names, loaded):
+    # neither the import nor any README call loads numpy: the delta scan, once
+    # its one user, holds vertex sets as int bitsets
     done = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE, SRC, json.dumps([README_CALLS[n] for n in names])],
         capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),

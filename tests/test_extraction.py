@@ -67,6 +67,16 @@ def test_compute_constants_validation():
         compute_constants(1, 1, 1, 1, 0, formula="nope")
 
 
+def test_compute_constants_refuses_what_cannot_print():
+    # C0 = 5000 over a 6-vertex a-ball: a 3,895-digit N, which still prints
+    assert len(str(compute_constants(5000, 1, 6, 1, 0).n)) == 3895
+    for c0 in (99999, 10**9):  # 10**9 would build a power of gigabits
+        with pytest.raises(BudgetError):
+            compute_constants(c0, 1, 6, 1, 0)
+    with pytest.raises(BudgetError):  # D's numerator holds delta's denominator
+        compute_constants(1, 1, 1, 1, Fraction(1, 10**4400))
+
+
 def brute_force_c2(ball, a):
     """The largest window a-ball over the core vertices, one BFS per vertex."""
     dists = [bfs_distances(ball, p) for p in range(ball.size)]

@@ -34,7 +34,6 @@ from centralizers.deltascan import (
     _pair_interval,
     _rows_toward,
     _sample3,
-    _span,
     _transpose,
 )
 from centralizers.graphs import SphereRows, distance_matrix
@@ -289,8 +288,8 @@ def far_sets(graph, spheres, q, partners, t, outside):
     """F_t(p, q) for each p in ``partners``: the scan's rows toward q, over
     the intervals from q to the partners; ``outside`` is ``outsides(...)[t]``."""
     around = [sum(1 << u for u in a) for a in graph.adjacency]
-    span = _span(sum(1 << p for p in partners), spheres[q], around)
-    rows = _rows_toward(q, span, spheres[q], t, outside, graph.adjacency)
+    rows = _rows_toward(q, sum(1 << p for p in partners), spheres[q], t, outside,
+                        graph.adjacency, around)
     return [rows[p] for p in partners]
 
 
