@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -70,6 +71,17 @@ def load_config_file(path: str) -> dict:
     return out
 
 
+# each parser is built once a process: a build leaves argparse's objects in
+# reference cycles, which only the cyclic collector frees, when it next runs
+@functools.cache
+def _config_finder() -> argparse.ArgumentParser:
+    """The parser that finds ``--config`` before the full parse."""
+    find = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    find.add_argument("--config")
+    return find
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="centralizers",
@@ -399,10 +411,8 @@ def _config_flags(config: dict) -> list[str]:
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse argv once, with the ``--config`` file's flags spliced in right
     after the subcommand, so that the flags typed after it win."""
-    find = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    find.add_argument("--config")
     try:
-        path = find.parse_known_args(argv)[0].config
+        path = _config_finder().parse_known_args(argv)[0].config
     except argparse.ArgumentError:  # a bare --config: the real parse reports it
         path = None
     if path:

@@ -18,7 +18,7 @@ intervals to the partners r needs them for, which the same call walks
 first.  A pass at threshold t scores:
 
 - a list of triangles side by side, grouped by opposite vertex: a sample,
-  and the first PROBE triangles before a pass by columns or over a sample;
+  and the first PROBE triangles before a pass by columns;
 - the valid triangles one by one, with each pair's far set kept, and its
   interval, found when that far set is first built and kept for every t,
   when there are at most n^2 of them;
@@ -38,8 +38,8 @@ from . import graphs
 from .errors import InvariantError
 from .graphs import DeltaEstimate, FiniteMetricGraph, _check_budget, _set_bytes, _table_bytes
 
-# the triangles tested directly, in order, before each full pass: a pass at
-# a threshold below delta usually stops here
+# the triangles tested directly, in order, before each pass by columns: a
+# pass at a threshold below delta usually stops here
 PROBE = 32
 
 
@@ -259,44 +259,39 @@ def _least_thin(graph, *passes) -> tuple[int, int | None]:
         t, witness, outside = t + 1, key, _grow(outside, graph.adjacency)
 
 
-def _grouped_passes(tris: list[int], n, spheres, adjacency, around) -> list:
-    """The passes over the triangle list ``tris``, side by side, grouped by
-    opposite vertex: one over the first PROBE triangles, then one over all of
-    them if there are more.  A pass gives the first triangle of its list
-    thicker than t, or None.  Its side index lists the triangles by each of
-    their vertices, which is opposite one of their sides; the rows toward r
-    are built once for r's group, over the intervals from r to the group's
-    other vertices, and with ``SphereRows`` from r's spheres, built once."""
+def _grouped_pass(tris: list[int], n, spheres, adjacency, around):
+    """The pass over the triangle list ``tris``, side by side, grouped by
+    opposite vertex: it gives the first triangle of the list thicker than t,
+    or None.  Its side index lists the triangles by each of their vertices,
+    which is opposite one of their sides; the rows toward r are built once
+    for r's group, over the intervals from r to the group's other vertices,
+    and with ``SphereRows`` from r's spheres, built once."""
+    groups: dict = {}
+    for i, key in enumerate(tris):
+        for v in _vertices(key, n):
+            groups.setdefault(v, []).append(i)
 
-    def scan(part):
-        groups: dict = {}
-        for i, key in enumerate(part):
-            for v in _vertices(key, n):
-                groups.setdefault(v, []).append(i)
-
-        def first(t, outside):
-            first = len(part)
-            for r, group in groups.items():
-                sides, ends = [], 0
-                for i in group:
-                    if i < first:
-                        xy, z = divmod(part[i], n)
-                        x, y = divmod(xy, n)
-                        a, b = (y, z) if r == x else (x, z) if r == y else (x, y)
-                        sides.append((a, b, i))
-                        ends |= 1 << a | 1 << b
-                if not sides:
-                    continue
-                rows = _rows_toward(r, ends, spheres[r], t, outside, adjacency, around)
-                for a, b, i in sides:
-                    if i < first:
-                        far = rows[a] & rows[b]
-                        if far and _pair_interval(spheres, a, b) & far:
-                            first = i
-            return part[first] if first < len(part) else None
-        return first
-
-    return [scan(tris[:PROBE])] + ([scan(tris)] if len(tris) > PROBE else [])
+    def first(t, outside):
+        first = len(tris)
+        for r, group in groups.items():
+            sides, ends = [], 0
+            for i in group:
+                if i < first:
+                    xy, z = divmod(tris[i], n)
+                    x, y = divmod(xy, n)
+                    a, b = (y, z) if r == x else (x, z) if r == y else (x, y)
+                    sides.append((a, b, i))
+                    ends |= 1 << a | 1 << b
+            if not sides:
+                continue
+            rows = _rows_toward(r, ends, spheres[r], t, outside, adjacency, around)
+            for a, b, i in sides:
+                if i < first:
+                    far = rows[a] & rows[b]
+                    if far and _pair_interval(spheres, a, b) & far:
+                        first = i
+        return tris[first] if first < len(tris) else None
+    return first
 
 
 def _exhaustive_scan(graph: FiniteMetricGraph) -> DeltaEstimate:
@@ -319,7 +314,7 @@ def _exhaustive_scan(graph: FiniteMetricGraph) -> DeltaEstimate:
         _check_budget(held + n * size * unit, f"the columns of {n} targets")
         head = list(islice(_triangles(valid), PROBE))
         dense = partial(_dense_first, n, spheres, valid, adjacency=graph.adjacency, around=around)
-        passes = _grouped_passes(head, n, spheres, graph.adjacency, around) + [dense]
+        passes = [_grouped_pass(head, n, spheres, graph.adjacency, around), dense]
     else:
         # per valid pair, a dict entry for its interval and one for its far
         # set: the set, the key and the hash
@@ -389,7 +384,6 @@ def _sampled_scan(graph: FiniteMetricGraph, samples: int, seed: int) -> DeltaEst
                 drawn.append(key)
     del seen
     around = [sum(1 << u for u in a) for a in graph.adjacency]
-    passes = _grouped_passes(drawn, n, spheres, graph.adjacency, around)
-    delta, witness = _least_thin(graph, *passes)
+    delta, witness = _least_thin(graph, _grouped_pass(drawn, n, spheres, graph.adjacency, around))
     return DeltaEstimate(delta, len(drawn), None if witness is None else _vertices(witness, n),
                          "sampled", seed)

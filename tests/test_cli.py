@@ -1,5 +1,6 @@
 """End-to-end CLI runs: records, exit codes, config files, determinism."""
 
+import gc
 import io
 import json
 import os
@@ -339,6 +340,22 @@ def test_identical_runs_are_byte_identical():
     assert invoke(argv)[1] == invoke(argv)[1]
 
 
+def test_successful_runs_leave_no_cyclic_garbage():
+    # the parsers are built once a process, by the first call: each build
+    # leaves objects in reference cycles (about 455), which a memory probe
+    # counted or not as the collector happened to run
+    argv = ["ball", "--family", "F2", "--radius", "2"]
+    invoke(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            assert invoke(argv)[0] == EXIT_OK
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_config_file_supplies_required_flags(tmp_path):
     cfg = tmp_path / "extract.cfg"
     cfg.write_text("family = Z2*Z3\nsubgroup = r\nthreshold-a = 1\nc0 = 2\nradius = 6\n")
@@ -442,15 +459,25 @@ def test_multitwist_vector_budget_exits_3_before_the_walk(tmp_path, monkeypatch)
     assert err == "budget error: 1953125 exponent vectors exceed the budget of 390625\n"
 
 
+def run_python(code, *args, **env):
+    """``python -c code *args`` in a fresh interpreter, with ``src`` first on
+    its path and no bytecode written, its output captured as text."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                 PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+                 **env),
+    )
+
+
 # a call's tracemalloc peak in a fresh interpreter: the call is made once
 # untraced first, and the traced one writes its report to the null device, so
 # that only what a call holds counts, not a first call's lazy imports, a copy
 # of its output or what the tests run before it left behind
 PEAK_PROBE = """
 import io, json, os, sys, tracemalloc
-sys.path.insert(0, sys.argv[1])
 from centralizers.cli import run
-argv = json.loads(sys.argv[2])
+argv = json.loads(sys.argv[1])
 with open(os.devnull, "w", encoding="utf-8") as sink:
     first = run(argv, stdout=sink, stderr=io.StringIO())
     tracemalloc.start()
@@ -464,11 +491,7 @@ def check_fresh_peak(argv, ceiling):
     """Assert that ``argv``'s tracemalloc peak, read by ``PEAK_PROBE``, is
     under ``ceiling`` and that both calls exit 0.  The peak is printed next to
     the ceiling, so ``pytest -rP`` shows the headroom of a passing probe."""
-    done = subprocess.run(
-        [sys.executable, "-c", PEAK_PROBE, SRC, json.dumps(argv)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
-        timeout=120,
-    )
+    done = run_python(PEAK_PROBE, json.dumps(argv))
     assert done.returncode == 0, done.stderr
     first, code, peak = json.loads(done.stdout)
     assert first == code == EXIT_OK
@@ -621,21 +644,6 @@ def test_every_subcommand_exits_with_documented_codes(inputs):
         assert out == ""
 
 
-# one CLI process with numpy unimportable: each call's exit code and the
-# sha256 digests of its stdout and stderr
-NO_NUMPY_PROBE = """
-import hashlib, io, json, sys
-sys.modules["numpy"] = None  # import numpy now raises ImportError
-sys.path.insert(0, sys.argv[1])
-import centralizers.cli as cli
-seen = []
-for argv in json.loads(sys.argv[2]):
-    out, err = io.StringIO(), io.StringIO()
-    code = cli.run(argv, stdout=out, stderr=err)
-    seen.append([code] + [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)])
-print(json.dumps(seen))
-"""
-
 README_CALLS = {
     "ball": ["ball", "--family", "F2", "--radius", "4"],
     "extract": ["extract", "--family", "F2xZ3", "--subgroup", "u,u*u", "--threshold-a", "1",
@@ -646,69 +654,25 @@ README_CALLS = {
     "delta": ["delta", "--family", "Z2*Z3", "--radius", "6"],
     "farey": ["farey", "--depth", "6", "--subgroup-name", "S4"],
 }
+CALLS = {**README_CALLS, "sampled delta": GOLDEN[0][0]}
+GOLDEN_DIGESTS = {tuple(argv): [out, err] for argv, out, err in GOLDEN + EXHAUSTIVE_CAYLEY}
 
-
-# one CLI process: after the import and after each call, its exit code and
-# whether numpy is loaded
-NUMPY_PROBE = """
-import io, json, sys
-sys.path.insert(0, sys.argv[1])
-import centralizers.cli as cli
-seen = [[None, "numpy" in sys.modules]]
-for argv in json.loads(sys.argv[2]):
-    code = cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO())
-    seen.append([code, "numpy" in sys.modules])
-print(json.dumps(seen))
-"""
-
-
-@pytest.mark.parametrize("names,loaded", [
-    (["ball", "extract", "afp", "multitwist", "delta"], [False, False, False, False, False, False]),
-    (["farey"], [False, False]),
-])
-def test_no_call_loads_numpy(names, loaded):
-    # neither the import nor any README call loads numpy: the delta scan, once
-    # its one user, holds vertex sets as int bitsets
-    done = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, SRC, json.dumps([README_CALLS[n] for n in names])],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    seen = json.loads(done.stdout)
-    assert [code for code, _ in seen[1:]] == [EXIT_OK] * len(names)
-    assert [numpy for _, numpy in seen] == loaded
-
-
-def test_package_runs_without_numpy():
-    # the six README calls and a sampled delta scan; four of them have golden
-    # digests, which must not change without numpy
-    golden = {tuple(argv): [out, err] for argv, out, err in GOLDEN + EXHAUSTIVE_CAYLEY}
-    calls = list(README_CALLS.values()) + [GOLDEN[0][0]]
-    done = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_PROBE, SRC, json.dumps(calls)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    seen = json.loads(done.stdout)
-    assert [code for code, _, _ in seen] == [EXIT_OK] * len(calls)
-    digests = {tuple(argv): digest for argv, (_, *digest) in zip(calls, seen)}
-    assert [digests[argv] for argv in golden if argv in digests] == [
-        golden[argv] for argv in golden if argv in digests]
-    assert len(golden.keys() & digests.keys()) == 4
-
-
-# one CLI process: the package's modules loaded by the import, then by one call
-MODULES_PROBE = """
-import io, json, sys
-sys.path.insert(0, sys.argv[1])
+# one CLI call in a fresh interpreter: its exit code, the sha256 digests of
+# its stdout and stderr, the package's modules loaded by the import and those
+# added by the call, numpy among them if it was loaded; numpy is imported
+# last, so a call that left it unloaded never tried to import it
+CALL_PROBE = """
+import hashlib, io, json, sys
 import centralizers.cli as cli
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("centralizers."))
+    return {m for m in sys.modules if m.startswith("centralizers.") or m == "numpy"}
 imported = loaded()
-code = cli.run(json.loads(sys.argv[2]), stdout=io.StringIO(), stderr=io.StringIO())
-print(json.dumps([code, imported, sorted(set(loaded()) - set(imported))]))
+out, err = io.StringIO(), io.StringIO()
+code = cli.run(json.loads(sys.argv[1]), stdout=out, stderr=err)
+added = loaded() - imported
+import numpy
+print(json.dumps([code, *(hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)),
+                  sorted(imported), sorted(added)]))
 """
 
 CLI_MODULES = ["centralizers." + name for name in
@@ -722,16 +686,18 @@ CLI_MODULES = ["centralizers." + name for name in
     ("delta", ["deltascan"]),
     ("farey", ["deltascan", "farey"]),
     ("multitwist", ["multitwist"]),
+    ("sampled delta", ["deltascan"]),
 ])
 def test_each_subcommand_loads_only_what_it_runs(name, added):
-    done = subprocess.run(
-        [sys.executable, "-c", MODULES_PROBE, SRC, json.dumps(README_CALLS[name])],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
-        timeout=120,
-    )
+    # no call loads numpy, though it is importable: the package runs the same
+    # where it is not, the delta scans holding vertex sets as int bitsets
+    done = run_python(CALL_PROBE, json.dumps(CALLS[name]))
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [EXIT_OK, CLI_MODULES,
-                                       ["centralizers." + m for m in added]]
+    code, *digests, imported, loaded = json.loads(done.stdout)
+    assert (code, imported, loaded) == (EXIT_OK, CLI_MODULES,
+                                        ["centralizers." + m for m in added])
+    if name not in ("ball", "extract", "multitwist"):  # the four with golden digests
+        assert digests == GOLDEN_DIGESTS[tuple(CALLS[name])]
 
 
 def test_readme_library_example_runs():
@@ -739,12 +705,7 @@ def test_readme_library_example_runs():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
         readme = f.read()
     block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
-    done = subprocess.run(
-        [sys.executable, "-c", block.split("```", 1)[0]],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-                 PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))),
-    )
+    done = run_python(block.split("```", 1)[0])
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.splitlines()) == 3
 
@@ -755,12 +716,8 @@ def test_closure_error_names_one_pair_under_every_hash_seed():
     argv = ["afp", "--family", "F2", "--subgroup", "a,b", "--threshold-a", "1", "--radius", "2"]
     runs = set()
     for seed in range(6):
-        done = subprocess.run(
-            [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
-             "from centralizers.cli import main; sys.argv[1:] = sys.argv[2:]; main()", SRC, *argv],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED=str(seed)),
-        )
+        done = run_python("from centralizers.cli import main; main()", *argv,
+                          PYTHONHASHSEED=str(seed))
         runs.add((done.returncode, done.stdout, done.stderr))
     assert runs == {(EXIT_INPUT, "", "input error: not closed: a * a = a*a is missing "
                                      "from the set\n")}
