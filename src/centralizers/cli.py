@@ -410,14 +410,27 @@ def _config_flags(config: dict) -> list[str]:
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse argv once, with the ``--config`` file's flags spliced in right
-    after the subcommand, so that the flags typed after it win."""
+    after the subcommand, so that the flags typed after it win.  argparse
+    expands an abbreviated key as it does a flag, so each key is then
+    resolved to the flag it names, as argparse does: its exact dest, or else
+    the one dest it begins.  Two keys that name one flag are a ParseError."""
     try:
         path = _config_finder().parse_known_args(argv)[0].config
     except argparse.ArgumentError:  # a bare --config: the real parse reports it
         path = None
     if path:
+        config = load_config_file(path)
         at = next((i + 1 for i, arg in enumerate(argv) if not arg.startswith("-")), 0)
-        argv = argv[:at] + _config_flags(load_config_file(path)) + argv[at:]
+        args = build_parser().parse_args(argv[:at] + _config_flags(config) + argv[at:])
+        dests = [d for d in vars(args) if d != "subcommand"]
+        named = {}
+        for key in config:
+            dest = key if key in dests else next((d for d in dests if d.startswith(key)), key)
+            if dest in named:
+                raise ParseError(f"keys {named[dest]!r} and {key!r} both name "
+                                 f"--{dest.replace('_', '-')}")
+            named[dest] = key
+        return args
     return build_parser().parse_args(argv)
 
 

@@ -12,9 +12,7 @@ import itertools
 import json
 import random
 import time
-from collections import deque
 from fractions import Fraction
-from math import gcd
 
 from centralizers import (
     CayleyContext,
@@ -42,6 +40,7 @@ from centralizers.cli import run as cli_run
 from centralizers.farey import S_MATRIX, T_MATRIX
 
 from conftest import make_subgroup
+from reference import constant_n, diameter, distances, slope_grid
 
 
 def report(number, detail):
@@ -59,15 +58,8 @@ def test_criterion_1_constant_formula():
         delta = Fraction(rng.randint(0, 20), 2)
         rep = compute_constants(c0, c1, c2, c3, delta)
         # independent evaluation: explicit repeated multiplication
-        p3 = 1
-        for _ in range(c0):
-            p3 *= c3
-        p2 = 1
-        for _ in range(c0):
-            p2 *= c2
-        n_expected = ((c0 + 1) * p3 + 1) * c1 * p2
-        assert rep.n == n_expected
-        assert rep.d == n_expected + 12 * delta + 4
+        assert rep.n == constant_n(c0, c1, c2, c3)
+        assert rep.d == rep.n + 12 * delta + 4
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     report(1, f"50 random inputs exact in {elapsed:.3f}s")
@@ -198,32 +190,12 @@ def test_criterion_5_delta_baselines():
 def test_criterion_6_farey_oracle_agreement():
     """Exact distance matches brute-force BFS for all |p|, |q| <= 30."""
     start = time.monotonic()
-    verts = [Slope(1, 0)] + [
-        Slope(p, q)
-        for q in range(1, 31)
-        for p in range(-30, 31)
-        if gcd(abs(p), q) == 1
-    ]
+    grid, adj = slope_grid(30)
+    verts = [Slope(p, q) for p, q in grid]
     n = len(verts)
-    adj = [[] for _ in range(n)]
-    for i in range(n):
-        s = verts[i]
-        for j in range(i + 1, n):
-            t = verts[j]
-            if abs(s.p * t.q - s.q * t.p) == 1:
-                adj[i].append(j)
-                adj[j].append(i)
     pairs = 0
     for i in range(n):
-        dist = [-1] * n
-        dist[i] = 0
-        queue = deque([i])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
+        dist = distances(adj, i)
         for j in range(i + 1, n):
             assert farey_distance(verts[i], verts[j]) == dist[j]
             pairs += 1
@@ -245,14 +217,6 @@ def test_criterion_6_farey_oracle_agreement():
 
 # -- 7 -------------------------------------------------------------------------
 
-def afp_diameter(window, members):
-    slopes = [window.slopes[v] for v in members]
-    return max(
-        (farey_distance(u, v) for u, v in itertools.combinations(slopes, 2)),
-        default=0,
-    )
-
-
 def test_criterion_7_contrapositive_illustration():
     """<S> (finite centralizer) has an eventually constant almost-fixed-set
     diameter across window depths; <-I> (acts trivially) keeps growing."""
@@ -269,8 +233,8 @@ def test_criterion_7_contrapositive_illustration():
         threshold = Fraction(6 * est.delta)
         afp_s = almost_fixed_slopes(finite_subgroup("S4"), window, threshold)
         afp_c = almost_fixed_slopes(finite_subgroup("center2"), window, threshold)
-        diam_s.append(afp_diameter(window, afp_s.members))
-        diam_c.append(afp_diameter(window, afp_c.members))
+        diam_s.append(diameter([window.slopes[v] for v in afp_s.members], farey_distance))
+        diam_c.append(diameter([window.slopes[v] for v in afp_c.members], farey_distance))
     assert len(set(diam_s[1:])) == 1  # eventually constant
     assert all(a < b for a, b in zip(diam_c, diam_c[1:]))  # strictly growing
     elapsed = time.monotonic() - start

@@ -330,6 +330,23 @@ def test_repeated_config_key_exits_2(tmp_path, second):
     assert (code, out, err) == (EXIT_INPUT, "", f"parse error: line 3: duplicate key '{key}'\n")
 
 
+def test_config_keys_naming_one_flag_exit_2(tmp_path):
+    # argparse expands an abbreviated key as it does a typed flag: 'radiu'
+    # names --radius, so the last of the two would win unseen
+    cfg = tmp_path / "c.cfg"
+    for first, second, flag in (("radius", "radiu", "radius"), ("rad", "radius", "radius"),
+                                ("threshold_a", "thr", "threshold-a")):
+        cfg.write_text(f"family = F2xZ2\nsubgroup = t\n{first} = 1\n{second} = 2\n")
+        code, out, err = invoke(["afp", "--config", str(cfg)])
+        assert (code, out, err) == (
+            EXIT_INPUT, "", f"parse error: keys {first!r} and {second!r} both name --{flag}\n")
+    # an abbreviated key alone sets its flag, and a typed flag still wins
+    cfg.write_text("family = F2\nrad = 2\n")
+    for typed, radius in (([], 2), (["--radius", "1"], 1)):
+        out = invoke(["ball", "--config", str(cfg), *typed])[1]
+        assert records_of(out)[0]["config"]["radius"] == radius
+
+
 def test_subgroup_name_choices_are_the_farey_subgroups():
     assert SUBGROUP_NAMES == tuple(farey.SUBGROUP_GENERATORS)
 
@@ -658,19 +675,17 @@ CALLS = {**README_CALLS, "sampled delta": GOLDEN[0][0]}
 GOLDEN_DIGESTS = {tuple(argv): [out, err] for argv, out, err in GOLDEN + EXHAUSTIVE_CAYLEY}
 
 # one CLI call in a fresh interpreter: its exit code, the sha256 digests of
-# its stdout and stderr, the package's modules loaded by the import and those
-# added by the call, numpy among them if it was loaded; numpy is imported
-# last, so a call that left it unloaded never tried to import it
+# its stdout and stderr, and the package's modules loaded by the import and
+# those added by the call
 CALL_PROBE = """
 import hashlib, io, json, sys
 import centralizers.cli as cli
 def loaded():
-    return {m for m in sys.modules if m.startswith("centralizers.") or m == "numpy"}
+    return {m for m in sys.modules if m.startswith("centralizers.")}
 imported = loaded()
 out, err = io.StringIO(), io.StringIO()
 code = cli.run(json.loads(sys.argv[1]), stdout=out, stderr=err)
 added = loaded() - imported
-import numpy
 print(json.dumps([code, *(hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)),
                   sorted(imported), sorted(added)]))
 """
@@ -689,8 +704,6 @@ CLI_MODULES = ["centralizers." + name for name in
     ("sampled delta", ["deltascan"]),
 ])
 def test_each_subcommand_loads_only_what_it_runs(name, added):
-    # no call loads numpy, though it is importable: the package runs the same
-    # where it is not, the delta scans holding vertex sets as int bitsets
     done = run_python(CALL_PROBE, json.dumps(CALLS[name]))
     assert done.returncode == 0, done.stderr
     code, *digests, imported, loaded = json.loads(done.stdout)

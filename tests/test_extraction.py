@@ -12,7 +12,6 @@ from centralizers import (
     CayleyContext,
     InputError,
     almost_fixed_set,
-    bfs_distances,
     build_ball,
     builtin_group,
     compute_constants,
@@ -26,17 +25,7 @@ from centralizers.extraction import _general_path, _specialized_path
 from centralizers.groups import GroupOracle
 from centralizers.groupfile import BUILTIN_NAMES
 from conftest import make_subgroup
-
-
-def independent_n(c0, c1, c2, c3):
-    # literal big-integer evaluation, no shared code path
-    pow_c3 = 1
-    for _ in range(c0):
-        pow_c3 *= c3
-    pow_c2 = 1
-    for _ in range(c0):
-        pow_c2 *= c2
-    return ((c0 + 1) * pow_c3 + 1) * c1 * pow_c2
+from reference import constant_n, distances
 
 
 def test_compute_constants_known_values():
@@ -54,7 +43,7 @@ def test_compute_constants_random_cross_check():
         c = [rng.randint(1, 9) for _ in range(4)]
         delta = Fraction(rng.randint(0, 8), 2)
         rep = compute_constants(*c, delta)
-        assert rep.n == independent_n(*c)
+        assert rep.n == constant_n(*c)
         assert rep.d == rep.n + 12 * delta + 4
 
 
@@ -79,11 +68,8 @@ def test_compute_constants_refuses_what_cannot_print():
 
 def brute_force_c2(ball, a):
     """The largest window a-ball over the core vertices, one BFS per vertex."""
-    dists = [bfs_distances(ball, p) for p in range(ball.size)]
-    return max(
-        (sum(1 for d in dists[p] if 0 <= d <= a)
-         for p in range(ball.size) if ball.lengths[p] + a <= ball.radius)
-    )
+    return max(sum(1 for d in distances(ball.adjacency, p) if 0 <= d <= a)
+               for p in range(ball.size) if ball.lengths[p] + a <= ball.radius)
 
 
 @pytest.mark.parametrize("family,radius", [("F2xZ2", 5), ("F2xZ3", 4),

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from collections import deque
 from fractions import Fraction
 from math import gcd
 
@@ -30,8 +29,8 @@ from centralizers.farey import (
     T_MATRIX,
     ZERO_SLOPE,
 )
-from centralizers.graphs import bfs_distances
 from conftest import window_symmetries
+from reference import distances, farey_edges
 
 
 def slopes_strategy():
@@ -153,36 +152,6 @@ def test_farey_distance_invariant_under_action():
         assert farey_distance(act(m, s), act(m, t)) == farey_distance(s, t)
 
 
-def test_farey_distance_agrees_with_bfs_small():
-    # independent oracle: BFS over every slope with |p|, |q| <= 8
-    verts = [INFINITY_SLOPE] + [
-        Slope(p, q)
-        for q in range(1, 9)
-        for p in range(-8, 9)
-        if gcd(abs(p), q) == 1
-    ]
-    idx = {s: i for i, s in enumerate(verts)}
-    adj = [[] for _ in verts]
-    for (i, s), (j, t) in itertools.combinations(enumerate(verts), 2):
-        if adjacent(s, t):
-            adj[i].append(j)
-            adj[j].append(i)
-    from collections import deque
-
-    for i, s in enumerate(verts):
-        dist = [-1] * len(verts)
-        dist[i] = 0
-        queue = deque([i])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        for j in range(i + 1, len(verts)):
-            assert farey_distance(s, verts[j]) == dist[j]
-
-
 # --- finite subgroups and windows ----------------------------------------------
 
 def test_finite_subgroups():
@@ -219,22 +188,11 @@ def test_window_adjacency_matches_intersection_one():
             assert adjacent(w.slopes[u], w.slopes[v])
 
 
-def pairwise_adjacency(window):
-    """The n^2 reference: every pair of window slopes tested for adjacency."""
-    slopes = window.slopes
-    adjacency = [[] for _ in slopes]
-    for i, u in enumerate(slopes):
-        for j in range(i + 1, len(slopes)):
-            if adjacent(u, slopes[j]):
-                adjacency[i].append(j)
-                adjacency[j].append(i)
-    return tuple(tuple(a) for a in adjacency)
-
-
 @pytest.mark.parametrize("depth", range(11))
 def test_window_adjacency_from_mediant_edges(depth):
+    # the n^2 reference: every pair of window slopes tested for adjacency
     w = build_window(depth)
-    assert w.adjacency == pairwise_adjacency(w)
+    assert w.adjacency == tuple(map(tuple, farey_edges([(s.p, s.q) for s in w.slopes])))
 
 
 @pytest.mark.parametrize("depth", range(9))
@@ -242,7 +200,7 @@ def test_window_distances_are_farey_distances(depth):
     # the window is convex: every distance inside it is the ambient one
     w = build_window(depth)
     for u in range(w.size):
-        row = bfs_distances(w, u)
+        row = distances(w.adjacency, u)
         for v in range(u + 1, w.size):
             assert row[v] == farey_distance(w.slopes[u], w.slopes[v])
 
@@ -263,28 +221,14 @@ def test_window_automorphisms_keep_farey_distances(depth):
                     == farey_distance(w.slopes[u], w.slopes[v]))
 
 
-def bfs_window_distance(window, s1, s2):
-    """Brute-force BFS oracle inside the window (>= the ambient distance)."""
-    src, dst = window.index[s1], window.index[s2]
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        if u == dst:
-            return dist[u]
-        for v in window.adjacency[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    raise AssertionError(f"{s1} and {s2} are disconnected inside the window")
-
-
 def test_window_bfs_upper_bounds_exact_distance():
+    # a window path is an ambient path; two slopes the window does not
+    # connect read -1, and fail
     w = build_window(5)
     rng = random.Random(2)
     for _ in range(60):
         s, t = rng.choice(w.slopes), rng.choice(w.slopes)
-        assert bfs_window_distance(w, s, t) >= farey_distance(s, t)
+        assert distances(w.adjacency, w.index[s])[w.index[t]] >= farey_distance(s, t)
 
 
 def test_farey_context_exact_distances():

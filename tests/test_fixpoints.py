@@ -18,14 +18,12 @@ from centralizers import (
     act,
     almost_fixed_set,
     almost_fixed_slopes,
-    bfs_distances,
     build_ball,
     build_window,
     builtin_group,
     far_pairs,
     farey_distance,
     finite_subgroup,
-    geodesic_layers,
     midpoint_certify,
     verify_subgroup,
 )
@@ -34,27 +32,8 @@ from centralizers.fixpoints import ActionContext
 from centralizers.graphs import FiniteMetricGraph
 
 from conftest import make_subgroup
+from reference import diameter, exact, midpoint_certificate, orbit, orbit_diameter
 from test_groups import _s3_table, family
-
-
-def orbit(ctx, subgroup, vid):
-    """{v * h : h in H} as sorted vertex ids; None if an image escapes."""
-    out = {ctx.act(h, vid) for h in subgroup}
-    return None if -1 in out else tuple(sorted(out))
-
-
-def orbit_diameter(ctx, vids):
-    """The max pairwise distance, or None at the first pair whose window
-    distance is not ambient-exact: the reference for the orbit table."""
-    diam = 0
-    for i, u in enumerate(vids):
-        for v in vids[i + 1:]:
-            d = ctx.pair_distance(u, v)
-            if not ctx.graph.valid(u, v, d):
-                return None
-            if d > diam:
-                diam = d
-    return diam
 
 
 @pytest.fixture(scope="module")
@@ -70,22 +49,26 @@ def h_central(f2xz2):
 def test_orbit_is_right_coset(ctx_f2xz2, h_central, f2xz2):
     ball = ctx_f2xz2.ball
     vid = ball.index[f2xz2.parse("a")]
-    orb = orbit(ctx_f2xz2, h_central, vid)
+    orb = orbit(ball, h_central, vid)
     assert len(orb) == 2
     labels = {str(ball.vertices[v]) for v in orb}
     assert labels == {"a", "a*t"}
+    # the context's images give every vertex the same orbit, -1 where it escapes
+    columns = zip(*(ctx_f2xz2.images(h) for h in h_central))
+    assert [orbit(ball, h_central, v) for v in range(ball.size)] == [
+        None if -1 in ids else tuple(sorted(ids)) for ids in map(set, columns)]
 
 
 def test_orbit_escaping_window_is_none(ctx_f2xz2, h_central):
     ball = ctx_f2xz2.ball
     deep = max(range(ball.size), key=lambda v: ball.lengths[v])
-    assert orbit(ctx_f2xz2, h_central, deep) is None
+    assert orbit(ball, h_central, deep) is None
 
 
 def test_orbit_diameter_central(ctx_f2xz2, h_central, f2xz2):
     vid = ctx_f2xz2.ball.index[f2xz2.parse("a*b")]
     # d(g, g*t) = |t| = 1, central
-    assert orbit_diameter(ctx_f2xz2, orbit(ctx_f2xz2, h_central, vid)) == 1
+    assert orbit_diameter(ctx_f2xz2.ball, h_central, vid) == 1
 
 
 def test_almost_fixed_set_monotone_in_threshold(ctx_f2xz2, h_central):
@@ -168,16 +151,7 @@ def test_cayley_orbit_table_matches_reference(data):
     subgroup = verify_subgroup(
         oracle, {oracle.multiply(oracle.multiply(g, h), g_inv) for h in powers})
     threshold = data.draw(THRESHOLDS)
-    orbits = []
-    for v in ball.vertices:
-        images = [oracle.multiply(v, h) for h in subgroup]
-        if any(w not in ball.index for w in images):
-            orbits.append(None)
-            continue
-        pairs = [(ball.index[u], ball.index[w], oracle.distance(u, w))
-                 for u in images for w in images]
-        ok = all(ball.valid(*pair) for pair in pairs)
-        orbits.append(max(d for _, _, d in pairs) if ok else None)
+    orbits = [orbit_diameter(ball, subgroup, v) for v in range(ball.size)]
     afp = almost_fixed_set(CayleyContext(ball), subgroup, threshold)
     assert _table(afp) == _reference_table(orbits, threshold)
 
@@ -237,12 +211,8 @@ def test_orbit_table_of_order_4_and_6_matches_pair_reference(data):
         oracle.multiply(oracle.multiply(g, oracle.parse(h)), g_inv) for h in factor.names})
     assert subgroup.order == factor.order
     threshold = data.draw(THRESHOLDS)
-    reference = CayleyContext(ball)
-    orbits = []
-    for v in range(ball.size):
-        vids = orbit(reference, subgroup, v)
-        orbits.append(None if vids is None else orbit_diameter(reference, vids))
-    ctx = _DistanceCountingContext(ball)
+    orbits = [orbit_diameter(ball, subgroup, v) for v in range(ball.size)]
+    ctx = _CountingContext(ball)
     afp = almost_fixed_set(ctx, subgroup, threshold)
     assert _table(afp) == _reference_table(orbits, threshold)
     assert ctx.distance_calls <= ball.size * (subgroup.order - 1)
@@ -259,10 +229,8 @@ def test_farey_orbit_table_matches_reference(name, depth):
     orbits = []
     for slope in window.slopes:
         images = [act(m, slope) for m in subgroup]
-        if any(w not in window.index for w in images):
-            orbits.append(None)
-        else:
-            orbits.append(max(farey_distance(u, w) for u in images for w in images))
+        escaped = any(w not in window.index for w in images)
+        orbits.append(None if escaped else diameter(images, farey_distance))
     for threshold in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 2)):
         afp = almost_fixed_slopes(subgroup, window, threshold)
         assert _table(afp) == _reference_table(orbits, threshold)
@@ -296,16 +264,16 @@ def test_midpoint_certify_preconditions(ctx_f2xz2, h_central):
 
 
 class _CountingContext(CayleyContext):
-    """A Cayley context that counts its distance calls and BFS runs."""
+    """A Cayley context that counts its distance calls and its BFS runs."""
 
-    calls = 0
+    distance_calls = bfs_calls = 0
 
     def pair_distance(self, u, v):
-        self.calls += 1
+        self.distance_calls += 1
         return super().pair_distance(u, v)
 
     def bfs_from(self, source):
-        self.calls += 1
+        self.bfs_calls += 1
         return super().bfs_from(source)
 
 
@@ -314,7 +282,7 @@ def _brute_force_far_pairs(ctx, members, deltas):
     measured = [(x, y, ctx.pair_distance(x, y))
                 for i, x in enumerate(members) for y in members[i + 1:]]
     return [[(x, y, d) for x, y, d in measured
-             if ctx.graph.valid(x, y, d) and d >= 20 * delta]
+             if exact(ctx.graph, x, y, d) and d >= 20 * delta]
             for delta in deltas]
 
 
@@ -337,12 +305,12 @@ def test_far_pairs_match_brute_force(name, spec, radius):
     for members in (afp.members, tuple(sample)):
         wants = _brute_force_far_pairs(ctx, members, DELTAS)
         for delta, want in zip(DELTAS, wants):
-            ctx.calls = 0
+            ctx.distance_calls = ctx.bfs_calls = 0
             assert list(far_pairs(ctx, members, delta)) == want
             if delta == 5:
                 # 20*delta exceeds the radius: no near vertex, no distance
                 # call and no BFS
-                assert want == [] and ctx.calls == 0
+                assert want == [] and ctx.distance_calls == ctx.bfs_calls == 0
     assert wants[1]  # the sample has far-apart pairs at delta = 1/6
 
 
@@ -358,34 +326,6 @@ def test_far_pairs_without_radius():
     assert not list(far_pairs(ctx, members, 5))
 
 
-def _reference_certificate(ctx, subgroup, x, y, delta):
-    """The midpoint record from y's own BFS, with the layers read from x."""
-    layers = geodesic_layers(ctx.graph, x, y, bfs_distances(ctx.graph, y))
-    dxy = len(layers) - 1
-    certified, counterexamples, excluded = {}, {}, 0
-    for i, layer in enumerate(layers):
-        if min(i, dxy - i) < 6 * delta + 1:
-            continue
-        for z in layer:
-            vids = orbit(ctx, subgroup, z)
-            diam = None if vids is None else orbit_diameter(ctx, vids)
-            if diam is None:
-                excluded += 1
-            elif diam <= 8 * delta:
-                certified[z] = diam
-            else:
-                counterexamples[z] = diam
-    return {
-        "endpoints": [x, y],
-        "distance": dxy,
-        "geodesics_examined": layers[-1][y],
-        "certified": [list(c) for c in sorted(certified.items())],
-        "counterexamples": [list(c) for c in sorted(counterexamples.items())],
-        "window_excluded": excluded,
-        "truncated": False,
-    }
-
-
 def test_midpoint_certify_bfs_slot(f2xz2, h_central):
     # one context across both passes: a BFS row kept for the wrong endpoint
     # would show as a wrong record once the pairs are shuffled
@@ -394,7 +334,7 @@ def test_midpoint_certify_bfs_slot(f2xz2, h_central):
     afp = almost_fixed_set(ctx, h_central, 6 * delta)
     pairs = [(x, y) for x, y, _ in far_pairs(ctx, afp.members, delta)]
     assert len({x for x, _ in pairs}) > 1
-    want = {pair: _reference_certificate(ctx, h_central, *pair, delta) for pair in pairs}
+    want = {pair: midpoint_certificate(ctx.ball, h_central, *pair, delta) for pair in pairs}
     shuffled = list(pairs)
     random.Random(0).shuffle(shuffled)
     for order in (pairs, shuffled):
@@ -402,20 +342,12 @@ def test_midpoint_certify_bfs_slot(f2xz2, h_central):
             assert midpoint_certify(ctx, afp, *pair, delta).to_record() == want[pair]
 
 
-class _DistanceCountingContext(CayleyContext):
-    distance_calls = 0
-
-    def pair_distance(self, u, v):
-        self.distance_calls += 1
-        return super().pair_distance(u, v)
-
-
 def test_midpoint_certify_orbit_table(f2xz2, h_central):
     # midpoints read every orbit diameter off the almost-fixed set's table
     # and d(x, y) off the BFS row from x: no call measures a distance, in any
     # order, and each gives the certificate of a fresh context
     ball = build_ball(f2xz2, 5)
-    ctx = _DistanceCountingContext(ball)
+    ctx = _CountingContext(ball)
     delta = Fraction(1, 6)
     afp = almost_fixed_set(ctx, h_central, 6 * delta)
     pairs = [(x, y) for x, y, _ in far_pairs(ctx, afp.members, delta)]
@@ -435,13 +367,13 @@ def test_midpoint_certify_orbit_table(f2xz2, h_central):
     trivial = verify_subgroup(f2xz2, {f2xz2.identity})
     trivial_afp = almost_fixed_set(ctx, trivial, 0)
     cert = midpoint_certify(ctx, trivial_afp, *pairs[0], delta)
-    assert cert.to_record() == _reference_certificate(ctx, trivial, *pairs[0], delta)
+    assert cert.to_record() == midpoint_certificate(ball, trivial, *pairs[0], delta)
     assert cert.certified and all(diam == 0 for _, diam in cert.certified)
     assert cert != midpoint_certify(ctx, afp, *pairs[0], delta)
     # an endpoint whose orbit escapes has no diameter in the table, and
     # either endpoint without one gets the one message
     deep = ball.index[f2xz2.parse("a*a*a*a*a")]
-    assert orbit(ctx, h_central, deep) is None and afp.orbits[deep] is None
+    assert orbit(ball, h_central, deep) is None and afp.orbits[deep] is None
     for x, y in ((deep, 0), (0, deep)):
         with pytest.raises(InputError) as err:
             midpoint_certify(ctx, afp, x, y, delta)

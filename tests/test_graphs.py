@@ -6,9 +6,7 @@ import random
 import sys
 import tracemalloc
 from array import array
-from dataclasses import dataclass
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -38,20 +36,42 @@ from centralizers.deltascan import (
 )
 from centralizers.graphs import SphereRows, distance_matrix
 from conftest import window_symmetries
+from reference import (
+    PairData,
+    as_set,
+    distance_rows,
+    distances,
+    exact,
+    interval,
+    level_sets,
+    per_triangle_delta,
+    per_triangle_sampled_delta,
+    sampled_thinness,
+    triangle_thinness,
+)
+
+
+def graph_from_edges(n, edges, lengths=None, radius=None):
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return FiniteMetricGraph(adjacency=tuple(tuple(sorted(a)) for a in adj),
+                             lengths=lengths, radius=radius)
 
 
 def cycle_graph(n):
-    return FiniteMetricGraph(
-        adjacency=tuple(tuple(sorted(((i - 1) % n, (i + 1) % n))) for i in range(n))
-    )
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path_graph(n):
-    adj = [[] for _ in range(n)]
-    for i in range(n - 1):
-        adj[i].append(i + 1)
-        adj[i + 1].append(i)
-    return FiniteMetricGraph(adjacency=tuple(tuple(a) for a in adj))
+    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def grid_graph(k):
+    return graph_from_edges(k * k, [(v, v + 1) for v in range(k * k) if (v + 1) % k]
+                            + [(v, v + k) for v in range(k * k - k)])
 
 
 def brute_force_geodesics(graph, x, y):
@@ -76,31 +96,14 @@ def brute_force_geodesics(graph, x, y):
     return sorted(out)
 
 
-def distance_array(graph):
-    """All-pairs BFS distances as an n x n array, -1 for unreachable pairs."""
-    return np.array([bfs_distances(graph, s) for s in range(graph.n)],
-                    dtype=np.int64).reshape(graph.n, graph.n)
-
-
-def grid_graph(k):
-    adj = [[] for _ in range(k * k)]
-    for i in range(k):
-        for j in range(k):
-            v = i * k + j
-            if j + 1 < k:
-                adj[v].append(v + 1)
-                adj[v + 1].append(v)
-            if i + 1 < k:
-                adj[v].append(v + k)
-                adj[v + k].append(v)
-    return FiniteMetricGraph(adjacency=tuple(tuple(sorted(a)) for a in adj))
-
-
 def assert_interval_matches(g, x, y, paths):
-    """geodesic_layers covers exactly the enumerated paths, and counts them."""
-    layers = geodesic_layers(g, x, y, bfs_distances(g, y))
+    """geodesic_layers covers exactly the enumerated paths, and counts them,
+    as the reference interval does."""
+    dy = distances(g.adjacency, y)
+    layers = geodesic_layers(g, x, y, dy)
     assert set().union(*layers) == {v for p in paths for v in p}
     assert layers[-1][y] == len(paths)
+    assert layers == interval(g.adjacency, distances(g.adjacency, x), dy)
 
 
 def test_bfs_on_path():
@@ -163,14 +166,15 @@ def test_one_validity_predicate(f2xz2):
     assert isinstance(ball, FiniteMetricGraph)
     assert isinstance(build_window(2), FiniteMetricGraph)
     ctx = CayleyContext(ball)
-    dmat = distance_array(ball)
+    dmat = distance_rows(ball.adjacency)
     rows = ball.valid_rows(distance_matrix(ball))
     flags = set()
     for u, v in itertools.product(range(ball.size), repeat=2):
-        valid = ball.valid(u, v, dmat[u, v])
+        valid = ball.valid(u, v, dmat[u][v])
+        assert valid == exact(ball, u, v, dmat[u][v])
         assert rows[u] >> v & 1 == (valid and u != v)
         if valid:
-            assert ctx.pair_distance(u, v) == dmat[u, v]
+            assert ctx.pair_distance(u, v) == dmat[u][v]
         flags.add(valid)
     assert flags == {True, False}
     with pytest.raises(InputError):
@@ -219,62 +223,19 @@ def test_delta_exact_beyond_64_geodesics():
     # corner-to-corner pairs of the 5x5 grid have C(8, 4) = 70 geodesics
     g = grid_graph(5)
     assert len(all_geodesics(g, 0, 24, cap=10**6)[0]) == 70
-    dmat, spheres, outside = distance_array(g), distance_matrix(g), outsides(g, 8)
+    dmat, spheres, outside = distance_rows(g.adjacency), distance_matrix(g), outsides(g, 8)
     for p, q in itertools.combinations(range(g.n), 2):
         paths, _ = all_geodesics(g, p, q, cap=10**6)
-        worst = np.max([dmat[:, list(path)].min(axis=1) for path in paths], axis=0)
-        assert np.array_equal(PairData(g, dmat, p, q).far, worst)
-        for t in range(int(worst.max()) + 1):
-            assert far_sets(g, spheres, q, [p], t, outside[t]) == [as_set(worst > t)]
+        worst = [max(min(row[w] for w in path) for path in paths) for row in dmat]
+        assert PairData(g, dmat, p, q).far == worst
+        for t in range(max(worst) + 1):
+            assert far_sets(g, spheres, q, [p], t, outside[t]) == [as_set(d > t for d in worst)]
     est = estimate_delta(g)
     assert est.delta == 4
     assert est.to_record()["geodesics_capped"] is False
 
 
 # --- the batched scans against the per-triangle scan --------------------------
-
-class PairData:
-    """Reference per-pair geodesic data for the thin-triangle scan.
-
-    For a pair (p, q): ``verts`` is the geodesic interval of the pair, the
-    vertices lying on some geodesic, and ``far`` maps every vertex v to the
-    worst-case distance from v to a geodesic, max over geodesics g of d(v, g).
-    ``far`` is a max-min recursion over the interval from q back to p:
-    best[q] = d(., q), best[w] = min(d(., w), max of best over w's successors).
-    """
-
-    def __init__(self, graph, dmat, p, q):
-        layers = geodesic_layers(graph, p, q, dmat[q].tolist())
-        self.verts = np.array(sorted(w for layer in layers for w in layer), dtype=np.int64)
-        best = {q: dmat[q]}
-        for layer in reversed(layers[:-1]):
-            above = best
-            best = {}
-            for w in layer:
-                succ = [above[s] for s in graph.adjacency[w] if s in above]
-                best[w] = np.minimum(dmat[w], succ[0] if len(succ) == 1
-                                     else np.maximum.reduce(succ))
-        self.far = best[p]
-
-
-def triangle_thinness(sides) -> int:
-    """Worst case over independent geodesic choices for the three sides: for
-    a vertex v on a geodesic of one side, the adversarial distance to the
-    union of the other two sides is min(far_1[v], far_2[v])."""
-    worst = 0
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        v = sides[a].verts
-        val = int(np.minimum(sides[b].far[v], sides[c].far[v]).max())
-        if val > worst:
-            worst = val
-    return worst
-
-
-def as_set(mask):
-    """The int bitset of the true entries of a boolean array."""
-    return sum(1 << int(v) for v in np.flatnonzero(mask))
-
 
 def outsides(graph, top):
     """outside[t][v] = ~ball_t(v), the scan's far-set mask, for t = 0..top."""
@@ -293,37 +254,10 @@ def far_sets(graph, spheres, q, partners, t, outside):
     return [rows[p] for p in partners]
 
 
-def per_triangle_delta(graph):
-    """Reference: every valid x < y < z in order, one ``triangle_thinness`` each."""
-    dmat = distance_array(graph)
-
-    def valid(u, v):
-        return dmat[u, v] >= 0 and graph.valid(u, v, dmat[u, v])
-
-    best, witness, count = 0, None, 0
-    for x, y, z in itertools.combinations(range(graph.n), 3):
-        if valid(x, y) and valid(x, z) and valid(y, z):
-            val = triangle_thinness(tuple(
-                PairData(graph, dmat, p, q) for p, q in ((x, y), (x, z), (y, z))))
-            count += 1
-            if val > best:
-                best, witness = val, (x, y, z)
-    return best, count, witness
-
-
 def assert_scan_matches_reference(graph):
     est = estimate_delta(graph)
     assert (est.delta, est.triangles, est.witness) == per_triangle_delta(graph)
-
-
-def graph_from_edges(n, edges, lengths=None, radius=None):
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    return FiniteMetricGraph(adjacency=tuple(tuple(sorted(a)) for a in adj),
-                             lengths=lengths, radius=radius)
+    return est
 
 
 @st.composite
@@ -402,52 +336,19 @@ def test_batched_scan_past_int8_distances():
     # a-p127 and 128 from side p127-p128: a store that wrapped 128 to -128
     # would score this, the only 1-thin triangle, 0.
     graph = int8_tail_graph()
-    assert distance_array(graph).max() == 130
-    est = estimate_delta(graph)
-    assert (est.delta, est.triangles, est.witness) == per_triangle_delta(graph)
+    assert max(map(max, distance_rows(graph.adjacency))) == 130
+    est = assert_scan_matches_reference(graph)
     assert (est.delta, est.triangles, est.witness) == (1, graph.n - 2, (0, 1, 2))
 
 
 # --- the batched sampled scan against the per-triangle scan -------------------
-
-def sampled_thinness(graph, samples, seed):
-    """Reference draw: the valid triangles of a seeded sample in draw order,
-    each with its ``triangle_thinness``.  It stops only on the sample count or
-    on 20 * samples attempts, never on having met every triangle."""
-    dmat = distance_array(graph)
-    ok = (dmat >= 0) & np.array([[graph.valid(u, v, dmat[u, v]) for v in range(graph.n)]
-                                  for u in range(graph.n)], dtype=bool).reshape(dmat.shape)
-    rng = random.Random(seed)
-    out, seen, attempts = [], set(), 0
-    while len(out) < samples and attempts < samples * 20:
-        attempts += 1
-        if graph.n < 3:
-            break
-        tri = tuple(sorted(rng.sample(range(graph.n), 3)))
-        if tri in seen:
-            continue
-        seen.add(tri)
-        x, y, z = tri
-        if ok[x, y] and ok[x, z] and ok[y, z]:
-            out.append((tri, triangle_thinness(tuple(
-                PairData(graph, dmat, p, q) for p, q in ((x, y), (x, z), (y, z))))))
-    return out
-
-
-def per_triangle_sampled_delta(graph, samples, seed):
-    best, witness = 0, None
-    drawn = sampled_thinness(graph, samples, seed)
-    for tri, val in drawn:
-        if val > best:
-            best, witness = val, tri
-    return best, len(drawn), witness
-
 
 def assert_sampled_scan_matches_reference(graph, samples, seed):
     est = estimate_delta(graph, mode="sampled", samples=samples, seed=seed)
     assert est.mode == "sampled" and est.seed == seed
     assert (est.delta, est.triangles, est.witness) == \
         per_triangle_sampled_delta(graph, samples, seed)
+    return est
 
 
 def test_sample3_draws_what_random_sample_draws():
@@ -479,10 +380,7 @@ def test_sampled_scan_on_farey_windows(depth):
 def test_sampled_scan_past_int8_distances():
     # the only valid triangles run through the tail's last two vertices:
     # about 1 draw in 2,900, so 60,000 attempts find some
-    graph = int8_tail_graph()
-    est = estimate_delta(graph, mode="sampled", samples=3000, seed=2)
-    assert est.triangles > 0
-    assert_sampled_scan_matches_reference(graph, 3000, seed=2)
+    assert assert_sampled_scan_matches_reference(int8_tail_graph(), 3000, seed=2).triangles > 0
 
 
 @st.composite
@@ -551,11 +449,12 @@ def test_sampled_scan_on_a_path_longer_than_the_recursion_limit(monkeypatch):
 @given(scan_cases())
 def test_sphere_rows_give_the_intervals_of_the_spheres(graph):
     spheres, rows = distance_matrix(graph), SphereRows(graph)
-    dmat = distance_array(graph)
+    dmat = distance_rows(graph.adjacency)
     for p, q in itertools.combinations(range(graph.n), 2):
-        if dmat[p, q] >= 0:
-            assert rows.interval(p, q) == _pair_interval(spheres, p, q) == as_set(
-                dmat[p] + dmat[q] == dmat[p, q])
+        if dmat[p][q] >= 0:
+            between = set().union(*interval(graph.adjacency, dmat[p], dmat[q]))
+            assert rows.interval(p, q) == _pair_interval(spheres, p, q) == sum(
+                1 << w for w in between)
 
 
 @settings(max_examples=100, deadline=None)
@@ -565,11 +464,11 @@ def test_valid_rows_are_valid_on_every_pair(graph, lengths, radius):
     # any lengths, negative ones too, and any radius
     window = FiniteMetricGraph(adjacency=graph.adjacency, lengths=tuple(lengths[:graph.n]),
                                radius=radius)
-    dmat = distance_array(window)
+    dmat = distance_rows(window.adjacency)
     for g in (graph, window):
         rows = g.valid_rows(distance_matrix(g))
-        assert rows == [as_set([dmat[u, v] >= 0 and u != v and g.valid(u, v, dmat[u, v])
-                                for v in range(g.n)]) for u in range(g.n)]
+        assert rows == [as_set(u != v and exact(g, u, v, d) for v, d in enumerate(row))
+                        for u, row in enumerate(dmat)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -659,10 +558,11 @@ def assert_matrix_matches_bfs(graph):
     eccentricity, and ``SphereRows`` builds the same from its rows."""
     spheres = distance_matrix(graph)
     assert isinstance(spheres, list) and len(spheres) == graph.n
-    for v, row in enumerate(bfs_distances(graph, s) for s in range(graph.n)):
-        row = np.array(row)
-        assert spheres[v] == [as_set(row == k) for k in range(row.max() + 1)]
-    assert [SphereRows(graph)[v] for v in range(graph.n)] == spheres
+    for v, row in enumerate(distance_rows(graph.adjacency)):
+        assert bfs_distances(graph, v) == row
+        assert spheres[v] == level_sets(row)
+    rows = SphereRows(graph)
+    assert [rows[v] for v in range(graph.n)] == spheres
 
 
 @st.composite
@@ -745,20 +645,20 @@ def assert_target_rows_match_pair_data(graph, thresholds=None):
     partners p hold, at each threshold t, the vertices where ``PairData``'s
     far row of (p, q) exceeds t (every t up to the largest far value, or
     ``thresholds``)."""
-    dmat, spheres = distance_array(graph), distance_matrix(graph)
-    far = {(p, q): PairData(graph, dmat, p, q).far
+    dmat, spheres = distance_rows(graph.adjacency), distance_matrix(graph)
+    far = {(p, q): level_sets(PairData(graph, dmat, p, q).far)
            for p, q in itertools.combinations(range(graph.n), 2)
-           if dmat[p, q] >= 0 and graph.valid(p, q, dmat[p, q])}
+           if exact(graph, p, q, dmat[p][q])}
     if not far:
         return
     if thresholds is None:
-        thresholds = range(int(max(row.max() for row in far.values())) + 1)
+        thresholds = range(max(map(len, far.values())))
     outside = outsides(graph, max(thresholds))
     for q in range(graph.n):
         partners = [p for p in range(graph.n) if (min(p, q), max(p, q)) in far]
         for t in thresholds:
             assert far_sets(graph, spheres, q, partners, t, outside[t]) == [
-                as_set(far[min(p, q), max(p, q)] > t) for p in partners]
+                sum(far[min(p, q), max(p, q)][t + 1:]) for p in partners]
 
 
 @settings(max_examples=150, deadline=None)
@@ -781,7 +681,7 @@ def test_target_rows_on_cayley_windows(family, radius):
 def test_target_rows_past_int8_distances():
     # far values up to 130: a mask or a row that wrapped past 127 would lose them
     graph = int8_tail_graph()
-    assert distance_array(graph).max() == 130
+    assert max(map(max, distance_rows(graph.adjacency))) == 130
     assert_target_rows_match_pair_data(graph, thresholds=(0, 1, 2, 126, 127, 128, 129))
 
 
@@ -850,16 +750,16 @@ def test_delta_budget_covers_the_side_index(monkeypatch, z2z2):
     # a ball has fewer valid triangles than n^2: they are scored one by one,
     # with an interval and a far set kept per valid pair
     graph = build_ball(z2z2, 6)
-    n, dmat = graph.n, distance_array(graph)
+    n, dmat = graph.n, distance_rows(graph.adjacency)
     delta, count, _ = per_triangle_delta(graph)
     pairs = sum(1 for p, q in itertools.combinations(range(n), 2)
-                if dmat[p, q] >= 0 and graph.valid(p, q, dmat[p, q]))
+                if exact(graph, p, q, dmat[p][q]))
     unit = sys.getsizeof(2**n - 1) + 8  # a set of n bits, with its list slot
     key = sys.getsizeof(2 ** (2 * n.bit_length()) - 1) + 8  # a key below n^2, likewise
     assert count <= n * n
     # the spheres of radius 0..eccentricity and the valid rows, and two dict
     # entries a valid pair: set, key and hash
-    spheres = sum(int(row.max()) + 1 for row in dmat) * unit
+    spheres = sum(max(row) + 1 for row in dmat) * unit
     need = spheres + n * unit + 2 * pairs * (unit + key + 8)
     assert n * n * key < need  # past the check of n^2 keys before the spheres
     monkeypatch.setattr(graphs, "DELTA_MEMORY_BUDGET", need)
@@ -886,72 +786,48 @@ def test_farey_depth_10_exceeds_delta_budget():
 
 # --- the witness is least in its orbit under the graph's automorphisms --------
 
-@dataclass(frozen=True, eq=False, kw_only=True)
-class SymmetricGraph(FiniteMetricGraph):
-    """A graph with vertex maps, each the tuple of vertex images, that are
-    automorphisms of it."""
-
-    symmetries: tuple = ()
-
-
-def assert_orbit_scan_matches_full_scan(graph, symmetries=None, reference=True):
-    """Thinness is an isometry invariant, so the witness W, the first triangle
-    reaching delta, is least in its orbit: the sorted image of W under each
-    automorphism is a valid triangle as thick as W and no less than it.  With
-    ``reference``, delta, count and witness are also the per-triangle scan's."""
-    est = estimate_delta(graph)
-    if reference:
-        assert (est.delta, est.triangles, est.witness) == per_triangle_delta(graph)
-    dmat = distance_array(graph)
-    for g in graph.symmetries if symmetries is None else symmetries:
-        assert sorted(g) == list(range(graph.n))
-        for v in range(graph.n):
-            assert sorted(g[u] for u in graph.adjacency[v]) == sorted(graph.adjacency[g[v]])
-            assert graph.lengths is None or graph.lengths[g[v]] == graph.lengths[v]
-        if est.witness is None:
-            continue
-        image = tuple(sorted(g[v] for v in est.witness))
-        sides = ((image[0], image[1]), (image[0], image[2]), (image[1], image[2]))
-        assert image >= est.witness
-        assert all(dmat[p, q] >= 0 and graph.valid(p, q, dmat[p, q]) for p, q in sides)
-        assert triangle_thinness(tuple(PairData(graph, dmat, p, q) for p, q in sides)) == est.delta
-    return est
-
+# The witness W, the first triangle reaching delta, is least in its orbit: an
+# automorphism maps W to a valid triangle as thick, which would otherwise
+# reach delta first.  Where the scan matches the reference this follows, so
+# only the Farey windows past the reference's reach check it directly.
 
 @pytest.mark.parametrize("depth", range(8))
 def test_orbit_scan_on_farey_windows(depth):
     window = build_window(depth)
-    est = assert_orbit_scan_matches_full_scan(window, window_symmetries(window),
-                                              reference=depth <= 3)
+    est = assert_scan_matches_reference(window) if depth <= 3 else estimate_delta(window)
     n = 2 ** (depth + 1)
     assert est.triangles == n * (n - 1) * (n - 2) // 6
-
-
-def dihedral(n):
-    """Every rotation and reflection of the n-cycle but the identity."""
-    return tuple(tuple((k + s * i) % n for i in range(n))
-                 for s in (1, -1) for k in range(n) if (s, k) != (1, 0))
+    dmat = distance_rows(window.adjacency)
+    for g in window_symmetries(window):
+        assert sorted(g) == list(range(n))
+        for v in range(n):
+            assert sorted(g[u] for u in window.adjacency[v]) == sorted(window.adjacency[g[v]])
+        if est.witness is None:
+            continue
+        image = tuple(sorted(g[v] for v in est.witness))
+        sides = list(itertools.combinations(image, 2))
+        assert image >= est.witness
+        assert all(exact(window, p, q, dmat[p][q]) for p, q in sides)
+        assert triangle_thinness([PairData(window, dmat, p, q) for p, q in sides]) == est.delta
 
 
 @pytest.mark.parametrize("n", range(3, 17))
 def test_orbit_scan_on_cycles_with_their_dihedral_group(n):
-    graph = SymmetricGraph(adjacency=cycle_graph(n).adjacency, symmetries=dihedral(n))
-    assert_orbit_scan_matches_full_scan(graph)
+    assert_scan_matches_reference(cycle_graph(n))
 
 
 @pytest.mark.parametrize("n,radius", [(9, 3), (12, 4), (12, 6), (15, 5)])
 def test_orbit_scan_on_a_cycle_window_with_its_reflection(n, radius):
     # lengths from vertex 0, which i -> -i fixes; the radius prunes pairs
     lengths = tuple(min(i, n - i) for i in range(n))
-    graph = SymmetricGraph(adjacency=cycle_graph(n).adjacency, lengths=lengths,
-                           radius=radius, symmetries=(tuple((-i) % n for i in range(n)),))
-    assert_orbit_scan_matches_full_scan(graph)
+    assert_scan_matches_reference(FiniteMetricGraph(adjacency=cycle_graph(n).adjacency,
+                                                    lengths=lengths, radius=radius))
 
 
 @st.composite
 def prism_windows(draw):
-    """G x K2, relabelled at random, with the swap of the two copies of G;
-    copies share their base lengths, and a radius may prune pairs."""
+    """G x K2, relabelled at random; the two copies of G share their base
+    lengths, and a radius may prune pairs."""
     n, edges = draw(random_graphs(max_n=7))
     label = draw(st.permutations(range(2 * n)))
     both = edges + [(u + n, v + n) for u, v in edges] + [(v, v + n) for v in range(n)]
@@ -962,19 +838,10 @@ def prism_windows(draw):
         for v in range(2 * n):
             lengths[label[v]] = base[v % n]
         lengths, radius = tuple(lengths), draw(st.integers(0, 7))
-    swap = [0] * (2 * n)
-    for v in range(2 * n):
-        swap[label[v]] = label[(v + n) % (2 * n)]
-    adj = [set() for _ in range(2 * n)]
-    for u, v in both:
-        if u != v:
-            adj[label[u]].add(label[v])
-            adj[label[v]].add(label[u])
-    return SymmetricGraph(adjacency=tuple(tuple(sorted(a)) for a in adj), lengths=lengths,
-                          radius=radius, symmetries=(tuple(swap),))
+    return graph_from_edges(2 * n, [(label[u], label[v]) for u, v in both], lengths, radius)
 
 
 @settings(max_examples=100, deadline=None)
 @given(prism_windows())
 def test_orbit_scan_on_prism_windows(graph):
-    assert_orbit_scan_matches_full_scan(graph)
+    assert_scan_matches_reference(graph)

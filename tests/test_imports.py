@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import sys
 
 import pytest
 
@@ -50,6 +51,34 @@ def test_no_module_imports_a_name_it_never_reads():
         if names:
             unused[os.path.relpath(path, ROOT)] = names
     assert unused == {}
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level modules the imports in ``source`` name, those inside
+    functions included; a relative import names the package."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("centralizers" if node.level else node.module.split(".")[0])
+    return names
+
+
+def test_package_imports_only_the_standard_library():
+    # the package runs where no third-party module is installed; the scan
+    # sees dotted, relative and function-level imports
+    source = "import os.path\nfrom . import graphs\ndef f():\n    import numpy as np\n"
+    assert imported_modules(source) == {"os", "centralizers", "numpy"}
+    allowed = set(sys.stdlib_module_names) | {"centralizers"}
+    foreign = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                names = sorted(imported_modules(fh.read()) - allowed)
+            if names:
+                foreign[name] = names
+    assert foreign == {}
 
 
 # the names ``centralizers`` has exported since it imported every submodule
