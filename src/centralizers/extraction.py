@@ -266,18 +266,16 @@ def _specialized_path(ctx: CayleyContext, subgroup: FiniteSubgroup,
     """
     oracle = ctx.oracle
     verts = ctx.ball.vertices
-    # the conjugate by h = 1 is 1 for every member, which splits nothing
-    hs = [h for h in subgroup if not h.is_identity()]
     inverse = {i: oracle.invert(verts[i]) for i in members}
-    conj = {
-        i: {h: oracle.multiply(oracle.multiply(verts[i], h), inverse[i]) for h in hs}
-        for i in members
-    }
     cls = members
-    for h in hs:
+    for h in subgroup:
+        # the conjugate by h = 1 is 1 for every member, which splits nothing
+        if h.is_identity():
+            continue
         groups: dict = {}
         for i in cls:
-            groups.setdefault(conj[i][h], []).append(i)
+            conj = oracle.multiply(oracle.multiply(verts[i], h), inverse[i])
+            groups.setdefault(conj, []).append(i)
         cls = max(groups.values(), key=len)
     pc = verts[cls[0]]
     out = [(oracle.multiply(inverse[i], pc), verts[i]) for i in cls]

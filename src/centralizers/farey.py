@@ -19,8 +19,6 @@ from .fixpoints import ActionContext, AlmostFixedSet, almost_fixed_set
 from .graphs import FiniteMetricGraph
 from .groups import FiniteSubgroup
 
-INFINITY_SLOPE: "Slope"
-
 # slopes a window may hold: a depth-d window has 2^(d+1), so depth 16 (about
 # 4 s and 116 MB to build on a 2-core machine) is the deepest allowed
 WINDOW_SLOPE_BUDGET = 2**17
@@ -130,8 +128,8 @@ def finite_subgroup(name: str) -> FiniteSubgroup:
 
 
 def _descend_to_infinity(s: Slope) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Distance and one geodesic from s to 1/0 by parent descent, the
-    geodesic's slopes given as (p, q) pairs.
+    """Distance and one geodesic from s, a slope other than 1/0, to 1/0 by
+    parent descent, the geodesic's slopes given as (p, q) pairs.
 
     Any path to infinity must exit through one of the two Farey parents of s
     (tessellation edges do not cross), so d(s, oo) = 1 + min over the two
@@ -144,8 +142,6 @@ def _descend_to_infinity(s: Slope) -> tuple[int, tuple[tuple[int, int], ...]]:
     the smaller denominator, every m_j past the first descends through f.
     """
     sp, sq = s.p, s.q
-    if sq == 0:
-        return 0, ((1, 0),)
     if sq == 1:
         return 1, ((sp, 1), (1, 0))
     k = sp // sq
@@ -211,7 +207,6 @@ class FareyWindow(FiniteMetricGraph):
     slopes never leaves it and its distances are the Farey distances.
     """
 
-    center: Slope
     slopes: tuple[Slope, ...]
     index: dict
 
@@ -254,7 +249,6 @@ def build_window(depth: int) -> FareyWindow:
         adjacency[i].append(j)
         adjacency[j].append(i)
     return FareyWindow(
-        center=ZERO_SLOPE,
         slopes=ordered,
         index=index,
         adjacency=tuple(tuple(sorted(a)) for a in adjacency),
@@ -291,12 +285,12 @@ class ProfileRow:
 
 
 def orbit_diameter_profile(afp: AlmostFixedSet, window: FareyWindow) -> list[ProfileRow]:
-    """Max orbit diameter per distance-from-center, read off the orbit table of
-    an almost-fixed set on ``window``; the slopes whose orbit escapes are the
-    set's ``excluded`` (Farey distances are always exact)."""
+    """Max orbit diameter per distance from the center 0/1, read off the
+    orbit table of an almost-fixed set on ``window``; the slopes whose orbit
+    escapes are the set's ``excluded`` (Farey distances are always exact)."""
     rows: dict[int, list[int]] = {}
     for vid, diam in enumerate(afp.orbits):
         if diam is not None:
-            r = farey_distance(window.center, window.slopes[vid])
+            r = farey_distance(ZERO_SLOPE, window.slopes[vid])
             rows.setdefault(r, []).append(diam)
     return [ProfileRow(r, max(ds), len(ds)) for r, ds in sorted(rows.items())]

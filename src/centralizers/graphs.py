@@ -41,7 +41,8 @@ class FiniteMetricGraph:
 
     @property
     def n(self) -> int:
-        return len(self.adjacency)
+        # a window's lengths count its vertices without reading its adjacency
+        return len(self.lengths or self.adjacency)
 
     size = n  # the name the reports read
 

@@ -40,8 +40,9 @@ Table row i lists the products (row element) * (column element) as names, in
 the order of the ``elements`` line.  Non-identity element names, generators and
 their inverses ``g^-1`` must all differ, and none may be ``1`` or contain ``*``
 or ``,``, which the word syntax reserves.  A file has at most one ``generators``
-line; a line its family has no use for is a ``ParseError``, and so are parts
-that do not fit ``groups.FAMILIES``.
+line; a line its family has no use for is a ``ParseError``, and so are an
+``elements`` line that no ``table`` follows and parts that do not fit
+``groups.FAMILIES``.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ def parse_group(text: str) -> GroupOracle:
     generators: list[str] = []
     tables: list[MultiplicationTable] = []
     pending_elements = None
+    pending_line = 0  # the line of the elements list no table has used yet
     first: dict[str, int] = {}  # directive -> the line of its first use
     for parts in lines:
         i = lines.line
@@ -101,16 +103,19 @@ def parse_group(text: str) -> GroupOracle:
             if "generators" in first:
                 raise ParseError("duplicate generators line", line=i)
             generators = parts[1:]
-        elif parts[0] == "factor":
-            pending_elements = None
-        elif parts[0] == "elements":
-            pending_elements = parts[1:]
+        elif parts[0] in ("factor", "elements"):
+            if pending_elements is not None:
+                raise ParseError("elements line with no table after it", line=pending_line)
+            if parts[0] == "elements":
+                pending_elements, pending_line = parts[1:], i
         elif parts[0] == "table":
             tables.append(lines.table(pending_elements))
             pending_elements = None
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", line=i)
         first.setdefault(parts[0], i)
+    if pending_elements is not None:
+        raise ParseError("elements line with no table after it", line=pending_line)
 
     if family is None:
         raise ParseError("missing family line")

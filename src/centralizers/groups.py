@@ -28,7 +28,7 @@ which is an isometry of that graph.  Consequently d(u, v) = |v * u^-1|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import BudgetError, ClosureError, InputError
@@ -154,7 +154,7 @@ class GroupOracle:
                 stack.append(s)
         if tail:
             stack.append(tail)
-        return GroupElement(stack)
+        return GroupElement(stack) if stack else IDENTITY
 
     def normalize(self, raw: Sequence[str]) -> GroupElement:
         """Canonical form of a raw word; InputError on an unknown symbol."""
@@ -166,6 +166,8 @@ class GroupOracle:
     # canonical words spell only alphabet symbols, so these skip the check
     def multiply(self, x: GroupElement, y: GroupElement) -> GroupElement:
         """x*y, merging the two words only where they meet."""
+        if not (x and y):  # a product by 1 is the other factor, not a copy
+            return x or y
         xw, yw, merge, center = x, y, self._merge, self._center
         tail = ""
         if center:
@@ -317,13 +319,30 @@ class CayleyBall(FiniteMetricGraph):
     The ball is the graph window itself: its ``lengths`` are word lengths and
     ``valid`` flags which of its distances are ambient word distances.
     ``step[s][v]`` is the id of s*v for the symbol of index s, or -1 when s*v
-    lies outside the ball.
+    lies outside the ball; ``adjacency`` is built from it when first read.
     """
 
+    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     oracle: GroupOracle
     vertices: tuple[GroupElement, ...]
     index: dict
     step: tuple[array, ...]
+
+    def __getattr__(self, name: str):
+        if name != "adjacency":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        # v's neighbours are the u with some step[s][u] = v (s*u = v iff s^-1*v = u),
+        # met in increasing order, each once, as index's ints (no new int objects);
+        # each list gives way to its tuple in place, so the two are never all held
+        adjacency = [[] for _ in self.vertices]
+        for u, column in zip(self.index.values(), zip(*self.step)):
+            for j in column:
+                if j >= 0:
+                    adjacency[j].append(u)
+        for v, around in enumerate(adjacency):
+            adjacency[v] = tuple(around)
+        object.__setattr__(self, "adjacency", tuple(adjacency))
+        return self.adjacency
 
 
 def build_ball(oracle: GroupOracle, radius: int,
@@ -372,11 +391,9 @@ def build_ball(oracle: GroupOracle, radius: int,
     step = tuple(array("i") for _ in symbols)
     vertices = [oracle.identity]
     index = {oracle.identity: 0}
-    lengths = [0]
     v = 0
     while v < len(vertices):
         word = vertices[v]
-        grow = lengths[v] < radius
         if word:
             rule, f, p = seams[word[0]], oracle.index[word[0]], index[word[1:]]
             ends_in_b = word[-1] in center
@@ -387,38 +404,26 @@ def build_ball(oracle: GroupOracle, radius: int,
                 j = p if c < 0 else step[c][p]
             elif ends_in_b and central[s]:
                 j = step[f][step[s][p]]
-            elif grow:
+            elif len(word) < radius:
                 w = GroupElement(word + letters[s] if central[s] else letters[s] + word)
                 j = index.get(w)
                 if j is None:
                     if len(vertices) + 1 > budget:
                         raise BudgetError(
-                            f"ball budget {budget} exceeded after radius {lengths[v]}",
-                            radius_reached=lengths[v],
+                            f"ball budget {budget} exceeded after radius {len(word)}",
+                            radius_reached=len(word),
                         )
                     j = index[w] = len(vertices)
                     vertices.append(w)
-                    lengths.append(lengths[v] + 1)
             else:
                 j = -1
             step[s].append(j)
         v += 1
-    # v's neighbours are the u with some step[s][u] = v (s*u = v iff s^-1*v = u),
-    # met in increasing order, each once, as the ints that index holds; each
-    # list gives way to its tuple in place, so the two are never all held
-    adjacency = [[] for _ in vertices]
-    for u, column in zip(index.values(), zip(*step)):
-        for j in column:
-            if j >= 0:
-                adjacency[j].append(u)
-    for v, around in enumerate(adjacency):
-        adjacency[v] = tuple(around)
     return CayleyBall(
         oracle=oracle,
         radius=radius,
         vertices=tuple(vertices),
         index=index,
         step=step,
-        adjacency=tuple(adjacency),
-        lengths=tuple(lengths),
+        lengths=tuple(map(len, vertices)),
     )

@@ -22,8 +22,9 @@ from .errors import BudgetError, InputError, ParseError
 from .groupfile import Directives
 from .groups import MultiplicationTable
 
-# exponent vectors verify_multitwist_commutation may walk: 8 curves at the
-# default exponent range 2; each further curve multiplies the walk by 5
+# verify_multitwist_commutation walks the vectors of [-EXPONENT_RANGE,
+# EXPONENT_RANGE]^A, 5 choices per curve, and at most 5^8 of them: 8 curves
+EXPONENT_RANGE = 2
 MULTITWIST_VECTOR_BUDGET = 5 ** 8
 
 
@@ -140,14 +141,13 @@ class Lemma59Report:
         return asdict(self)
 
 
-def verify_multitwist_commutation(action: PermutationAction,
-                                  exponent_range: int = 2) -> Lemma59Report:
+def verify_multitwist_commutation(action: PermutationAction) -> Lemma59Report:
     """Check that the full multitwist is central over H, and the converse
     characterization: a pure twist commutes with all of H iff its vector is
-    H-invariant (exhausted over exponents in [-range, range]).  BudgetError
-    if that is more than ``MULTITWIST_VECTOR_BUDGET`` vectors."""
+    H-invariant (exhausted over exponents in [-EXPONENT_RANGE, EXPONENT_RANGE]).
+    BudgetError if that is more than ``MULTITWIST_VECTOR_BUDGET`` vectors."""
     n = action.family_size
-    vectors = (2 * exponent_range + 1) ** n
+    vectors = (2 * EXPONENT_RANGE + 1) ** n
     if vectors > MULTITWIST_VECTOR_BUDGET:
         raise BudgetError(f"{vectors} exponent vectors exceed the budget of "
                           f"{MULTITWIST_VECTOR_BUDGET}")
@@ -159,7 +159,7 @@ def verify_multitwist_commutation(action: PermutationAction,
 
     witness = None
     checked = 0
-    for vec in itertools.product(range(-exponent_range, exponent_range + 1), repeat=n):
+    for vec in itertools.product(range(-EXPONENT_RANGE, EXPONENT_RANGE + 1), repeat=n):
         checked += 1
         twist = pure_twist(action, vec)
         commutes_all = all(

@@ -306,7 +306,7 @@ def test_criterion_8_multitwist_commutation():
     for table in abstract_groups():
         for n in range(1, 5):
             for action in all_actions(table, n):
-                rep = verify_multitwist_commutation(action, exponent_range=2)
+                rep = verify_multitwist_commutation(action)
                 assert rep.multitwist_central, (table.names, n, rep.multitwist_failures)
                 assert rep.characterization_holds, rep.characterization_witness
                 assert rep.vectors_checked == 5 ** n

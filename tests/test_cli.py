@@ -137,6 +137,18 @@ def test_error_exit_codes(tmp_path):
     assert invoke(["delta", "--family", "F2"] )[0] == EXIT_OK
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["afp", "--family", "F2xZ2", "--subgroup", "t", "--radius", "2"],
+     "one of --threshold-a / --delta is required"),
+    # delta is 0 beside --threshold-a, and no vertex is moved by at most 0
+    (["afp", "--family", "F2xZ2", "--subgroup", "t", "--threshold-a", "0", "--certify"],
+     "--certify needs a nonempty member set"),
+    (["multitwist"], "one of --action-file / --builtin-action is required"),
+])
+def test_missing_required_input_exits_2(argv, message):
+    assert invoke(argv) == (EXIT_INPUT, "", f"input error: {message}\n")
+
+
 def test_empty_delta_exits_2_beside_threshold_a():
     # an empty --delta beside --threshold-a used to run with delta 0
     base = ["afp", "--family", "F2xZ2", "--subgroup", "t", "--radius", "2"]

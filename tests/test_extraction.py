@@ -28,6 +28,16 @@ from conftest import make_subgroup
 from reference import constant_n, distances
 
 
+def test_extraction_never_derives_the_adjacency(f2xz2):
+    # a whole extraction reads the step table, words and lengths only
+    ball = build_ball(f2xz2, 4)
+    assert "adjacency" not in vars(ball)
+    ctx = CayleyContext(ball)
+    subgroup = make_subgroup(f2xz2, "t")
+    result = extract_centralizers(ctx, subgroup, almost_fixed_set(ctx, subgroup, 1))
+    assert result.certificates and "adjacency" not in vars(ball)
+
+
 def test_compute_constants_known_values():
     rep = compute_constants(3, 1, 7, 1, Fraction(0), a=1)
     assert rep.n == 1715

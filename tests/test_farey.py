@@ -181,13 +181,6 @@ def test_window_sizes(depth, size):
     assert build_window(depth).size == size
 
 
-def test_window_adjacency_matches_intersection_one():
-    w = build_window(4)
-    for u, nbrs in enumerate(w.adjacency):
-        for v in nbrs:
-            assert adjacent(w.slopes[u], w.slopes[v])
-
-
 @pytest.mark.parametrize("depth", range(11))
 def test_window_adjacency_from_mediant_edges(depth):
     # the n^2 reference: every pair of window slopes tested for adjacency

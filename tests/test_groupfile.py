@@ -103,6 +103,11 @@ def test_load_group(tmp_path):
         (DIRECT_PRODUCT_TEXT + Z2_FACTOR.format("s"), "takes exactly one table, not 2"),
         ("family free_product\n" + 2 * Z2_FACTOR.format("r"), "duplicate symbols"),
         ("family free\ngenerators a a^-1\n", "duplicate symbols"),
+        ("family free extra\ngenerators a\n", "line 1: family needs exactly one value"),
+        # an elements line that no table follows is rejected, not dropped
+        ("family free_product\nfactor\nelements 1 r\n" + Z2_FACTOR.format("s")
+         + Z2_FACTOR.format("u"), "line 3: elements line with no table after it"),
+        (FINITE_TEXT + "elements 1 x y\n", "line 8: elements line with no table after it"),
     ],
 )
 def test_parse_errors(text, fragment):

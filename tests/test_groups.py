@@ -271,7 +271,9 @@ def test_group_axioms(name, data):
         x, oracle.multiply(y, z)
     )
     assert oracle.multiply(x, oracle.invert(x)).is_identity()
-    assert oracle.multiply(x, oracle.identity) == x
+    # a product by the identity is the other factor itself, not a copy
+    assert oracle.multiply(x, oracle.identity) is x
+    assert oracle.multiply(oracle.identity, x) is x
     # normalize is idempotent and length is the word length
     assert oracle.normalize(x) == x
     assert oracle.length(x) == len(x)
@@ -296,11 +298,20 @@ def test_word_metric_axioms(name, data):
 # --- tables and subgroups ----------------------------------------------------
 
 def test_bad_table_rejected():
-    with pytest.raises(InputError):
-        # not associative / broken row
-        MultiplicationTable(["1", "x"], [["1", "x"], ["x", "x"]])
-    with pytest.raises(InputError):
-        MultiplicationTable(["1", "x", "x"], [["1"]])
+    for names, rows, message in [
+        (["1", "x"], [["1", "x"], ["x", "x"]], "element 'x' has no inverse"),
+        (["1", "x", "x"], [["1"]], "duplicate element names"),
+        (["1", "x"], [["1", "x"]], "multiplication table is not square"),
+        (["1", "x"], [["1", "x"], ["x"]], "multiplication table is not square"),
+        (["1", "x"], [["1", "x"], ["x", "y"]], "table entry 'y' is not an element"),
+        (["1", "x"], [["x", "1"], ["1", "x"]], "'1' is not an identity in the table"),
+        # every element has an inverse, but (a*b)*b = 1 and a*(b*b) = a
+        (["1", "a", "b"], [["1", "a", "b"], ["a", "1", "b"], ["b", "b", "1"]],
+         "table is not associative at (a, b, b)"),
+    ]:
+        with pytest.raises(InputError) as err:
+            MultiplicationTable(names, rows)
+        assert str(err.value).startswith(message), names
 
 
 def test_verify_subgroup(f2xz2, z2z3):
@@ -425,6 +436,18 @@ def test_ball_budget(f2):
     with pytest.raises(BudgetError) as err:
         build_ball(f2, 9, budget=100)
     assert err.value.radius_reached < 9
+
+
+def test_ball_holds_step_as_its_one_edge_table(f2xz2):
+    # size reads the vertices and not the adjacency, which is derived from the
+    # step table when first read, and kept
+    ball = build_ball(f2xz2, 3)
+    assert ball.size == ball.n == len(ball.vertices)
+    assert "adjacency" not in vars(ball)
+    assert ball.adjacency is ball.adjacency
+    assert "adjacency" in vars(ball)
+    with pytest.raises(AttributeError):
+        ball.missing
 
 
 def test_adjacency_is_sorted_and_symmetric(z2z3):

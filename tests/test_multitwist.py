@@ -129,13 +129,29 @@ def test_cycle_decomposition():
 
 def test_action_validation():
     table = MultiplicationTable.cyclic(2, "g")
-    with pytest.raises(InputError):
-        PermutationAction(labels=("x",), table=table, perms=((0,),))  # missing perm
-    with pytest.raises(InputError):
+    for labels, perms, message in [
+        (("x",), ((0,),), "one permutation per group element is required"),
         # g must act by an involution for the map to be a homomorphism
-        PermutationAction(
-            labels=("x", "y", "z"), table=table, perms=((0, 1, 2), (1, 2, 0))
-        )
+        (("x", "y", "z"), ((0, 1, 2), (1, 2, 0)), "not a homomorphism"),
+        (("x", "x"), ((0, 1), (1, 0)), "curve labels must be distinct"),
+        ((), ((), ()), "curve family must be nonempty"),
+        (("x", "y"), ((0, 1), (0, 0)), "images of 'g' are not a permutation"),
+        (("x", "y"), ((1, 0), (1, 0)), "the identity must act trivially"),
+    ]:
+        with pytest.raises(InputError) as err:
+            PermutationAction(labels=labels, table=table, perms=perms)
+        assert str(err.value).startswith(message), labels
+
+
+def test_semidirect_element_validation():
+    action = cyclic_rotation_action(3)
+    for vector, part, message in [
+        ((0, 0), 0, "exponent vector length must match the curve family"),
+        ((0, 0, 0), 3, "group part out of range"),
+        ((0, 0, 0), -1, "group part out of range"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            SemidirectElement(action, vector, part)
 
 
 def test_mixed_action_elements_rejected():
