@@ -5,7 +5,8 @@ inputs it was computed from; identical configuration and seed produce a
 byte-identical stream (no timestamps, no unordered iteration).
 
 Exit codes: 0 ok / certificates found, 1 extraction found none,
-2 input or parse error, 3 budget exceeded, 5 internal invariant failure.
+2 input or parse error, 3 budget exceeded or out of memory, 5 internal
+invariant failure.
 """
 
 from __future__ import annotations
@@ -296,7 +297,8 @@ def _cmd_extract(args, report):
         nontrivial=len(nontrivial),
         class_size=result.class_size,
         threshold_reached=afp.size >= constants.n,
-        paths_agree=result.paths_agree,
+        # extract_centralizers raises InvariantError when the paths disagree
+        paths_agree=True,
     )
     report.say(
         f"extracted {len(result.certificates)} certificates "
@@ -442,6 +444,7 @@ _FAILURES = (
     (BudgetError, "budget error", EXIT_BUDGET),
     (InvariantError, "internal error", EXIT_INVARIANT),
     (ToolkitError, "error", EXIT_INPUT),
+    (MemoryError, "budget error: out of memory", EXIT_BUDGET),
 )
 
 
@@ -471,10 +474,11 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return code
     except SystemExit as exc:
         return exc.code
-    except (OSError, ToolkitError) as exc:
+    except (OSError, ToolkitError, MemoryError) as exc:
         label, code = next((label, code) for kind, label, code in _FAILURES
                            if isinstance(exc, kind))
-        print(f"{label}: {exc}", file=stderr)
+        # a MemoryError's message is most often empty
+        print(": ".join(filter(None, (label, str(exc)))), file=stderr)
         return code
 
 

@@ -221,7 +221,8 @@ def parse_action(text: str) -> PermutationAction:
         perm g2 x->z y->x z->y
 
     A file has one ``labels``, ``elements`` and ``table`` line each and at
-    most one ``perm`` line per element; a repeated line is a ``ParseError``.
+    most one ``perm`` line per element, which maps each label at most once; a
+    repeated line or mapping is a ``ParseError``.
     """
     labels: Optional[tuple[str, ...]] = None
     names: Optional[list[str]] = None
@@ -249,6 +250,8 @@ def parse_action(text: str) -> PermutationAction:
                 if "->" not in chunk:
                     raise ParseError(f"bad mapping {chunk!r}", line=i)
                 src, dst = chunk.split("->", 1)
+                if src in images:
+                    raise ParseError(f"label {src!r} mapped twice", line=i)
                 images[src] = dst
             perm_lines[parts[1]] = (i, images)
         else:

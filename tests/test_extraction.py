@@ -150,20 +150,19 @@ def test_order_matches_the_power_loop(name, data):
 
 def test_verify_centralizer(f2xz2, z2z3):
     h = verify_subgroup(f2xz2, {f2xz2.identity, f2xz2.parse("t")})
-    assert verify_centralizer(f2xz2, f2xz2.parse("a*b"), h).ok
+    assert verify_centralizer(f2xz2, f2xz2.parse("a*b"), h) is True
     hr = verify_subgroup(z2z3, {z2z3.identity, z2z3.parse("r")})
-    bad = verify_centralizer(z2z3, z2z3.parse("s"), hr)
-    assert not bad.ok and len(bad.entries) == 2
+    assert verify_centralizer(z2z3, z2z3.parse("s"), hr) is False
 
 
 def test_certificates_are_slotted(f2xz2):
     *_, res = run_extraction(f2xz2, "t", 3, 1)
     cert = res.certificates[1]
-    for obj in (cert, cert.transcript, cert.order):
+    for obj in (cert, cert.order):
         assert not hasattr(obj, "__dict__")
-    # a commuting pair's one product is held for both z*h and h*z
-    for _, zh, hz, equal in cert.transcript.entries:
-        assert equal and zh is hz
+    # every certificate of infinite order holds one shared report
+    infinite = {id(c.order) for c in res.certificates if c.order.kind == "infinite"}
+    assert len(infinite) == 1 and len(res.nontrivial) > 2
 
 
 # --- extraction --------------------------------------------------------------
@@ -192,7 +191,7 @@ def test_members_and_certificates_are_each_sorted_once(monkeypatch, f2xz3):
 
     monkeypatch.setattr(GroupOracle, "key", counted)
     res = extract_centralizers(ctx, sub, afp)
-    assert res.paths_agree and len(res.certificates) > 1
+    assert len(res.certificates) > 1
     assert len(calls) == afp.size + len(res.certificates)
 
 
@@ -247,7 +246,6 @@ def test_both_paths_match_the_reference_tie_break():
 
 def test_extraction_central_factor(f2xz2):
     ctx, sub, afp, res = run_extraction(f2xz2, "t", 5, 1)
-    assert res.paths_agree is True
     assert res.class_size == afp.size
     assert len(res.certificates) == afp.size
     elements = {str(c.element) for c in res.certificates}

@@ -2,9 +2,10 @@
 
 The calls are the four criterion-9 configurations, the README's
 ``afp ... --radius 4 --certify`` example, the README's exhaustive
-``farey --depth 6`` example, the three calls of the benchmark's ``cayley``
-workload at ``--seed 1``, the two calls of its ``farey`` workload at
-``--seed 1`` and two exhaustive ``delta`` scans of Cayley balls.
+``farey --depth 6`` example, the README's ``extract`` example, the three
+calls of the benchmark's ``cayley`` workload at ``--seed 1``, the two calls
+of its ``farey`` workload at ``--seed 1`` and two exhaustive ``delta`` scans
+of Cayley balls.
 A change that is meant to leave the reports alone must leave these digests
 alone; a change that alters a stream on purpose updates its digest here and
 says why in CHANGES.md.
@@ -43,6 +44,11 @@ GOLDEN = [
     (["farey", "--depth", "6", "--subgroup-name", "S4"],
      "349c56959c37389edc3f65e2bfdf98bbfd2ca4c954459a1f70c65bf4eeaef8b3",
      "3529b106dc0194b0822ee4db898596cd67844d8c8f5d7352a45452283f1548fc"),
+    # README example: 4,371 certificates, card(P_H) = 4,371 past N = 1,715
+    (["extract", "--family", "F2xZ3", "--subgroup", "u,u*u", "--threshold-a", "1",
+      "--c0", "3", "--radius", "8"],
+     "edcb663c30925997ed3f32b786e6144c68bffb4defe46f1708165ee91ab79af4",
+     "2ef988e129e01899031c055d881bdde15ba1db4d743f16aec52b0e059a2d7d94"),
 ]
 
 # the benchmark's `cayley` workload at --seed 1; kept apart from GOLDEN so

@@ -209,6 +209,8 @@ def test_parse_action_errors():
         # a bad perm line is rejected at its line
         (ACTION_TEXT.replace("perm g x->y", "perm g x->w"), 9),
         (ACTION_TEXT + "perm h x->y\n", 11),
+        # a label mapped twice, which once read as the trivial action
+        ("labels x y\nelements 1 g\ntable\n1 g\ng 1\nend\nperm g x->y x->x\n", 7),
     ]:
         with pytest.raises(ParseError) as err:
             parse_action(text)
