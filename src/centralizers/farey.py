@@ -5,8 +5,8 @@ slopes with |p*q' - q*p'| = 1.  This is the curve graph of the once-punctured
 torus, a desk-scale analogue: the graph is locally infinite, so finite
 windows are generated by mediant expansion, never by enumerating neighbor
 sets.  Distances, however, are globally exact: ``farey_distance`` descends
-through Farey parents (a continued-fraction pivot descent) and returns a
-checked geodesic witness.
+through Farey parents (a continued-fraction pivot descent), counting the
+steps.
 """
 
 from __future__ import annotations
@@ -127,75 +127,54 @@ def finite_subgroup(name: str) -> FiniteSubgroup:
     return FiniteSubgroup(tuple(sorted(powers, key=UniMatrix.entries)))
 
 
-def _descend_to_infinity(s: Slope) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Distance and one geodesic from s, a slope other than 1/0, to 1/0 by
-    parent descent, the geodesic's slopes given as (p, q) pairs.
+def _descend_to_infinity(s: Slope) -> int:
+    """The distance from s, a slope other than 1/0, to 1/0 by parent descent.
 
     Any path to infinity must exit through one of the two Farey parents of s
     (tessellation edges do not cross), so d(s, oo) = 1 + min over the two
-    parents, ties going to the first parent in (q, p) order.  The parents of
-    each mediant on the Stern-Brocot path from (k/1, (k+1)/1), k = floor(s),
-    down to s are the ends of its interval, so one loop down that path
-    settles every distance on the way.  The loop takes a run of equal turns
-    at once: in a run the interval keeps one end f while its mediants are
-    m_j = j*f + g, and since d(m_1) >= d(f) (f and g are adjacent) and f has
-    the smaller denominator, every m_j past the first descends through f.
+    parents.  The parents of each mediant on the Stern-Brocot path from
+    (k/1, (k+1)/1), k = floor(s), down to s are the ends of its interval, so
+    one loop down that path settles every distance on the way.  The loop
+    takes a run of equal turns at once: in a run the interval keeps one end
+    f while its mediants are m_j = j*f + g, and d(m_1) >= d(f) because f and
+    g are adjacent, so every m_j past the first is 1 + d(f).
     """
     sp, sq = s.p, s.q
     if sq == 1:
-        return 1, ((sp, 1), (1, 0))
-    k = sp // sq
-    # each end of the current interval as a geodesic from it to 1/0
-    lo, hi = ((k, 1), (1, 0)), ((k + 1, 1), (1, 0))
+        return 1
+    # the ends a < s < b of the current interval, each with its distance to 1/0
+    ap, aq, da = sp // sq, 1, 1
+    bp, bq, db = ap + 1, 1, 1
     while True:
-        (ap, aq), (bp, bq) = lo[0], hi[0]
-        # s - a = above / (sq * aq) and b - s = below / (sq * bq), so
-        # s <= j*a + b iff j*above <= below, and s >= a + j*b iff j*below <= above
+        # s - a = above / (sq * aq) and b - s = below / (sq * bq), so s <= j*a + b
+        # iff j*above <= below, and s >= a + j*b iff j*below <= above, with
+        # equality iff s is that mediant
         above, below = sp * aq - sq * ap, sq * bp - sp * bq
         if above <= below:
-            j, fixed = below // above, lo
-            m = (j * ap + bp, j * aq + bq)
+            j = below // above
+            d = 1 + (da if j > 1 else min(da, db))
+            if j * above == below:
+                return d
+            bp, bq, db = j * ap + bp, j * aq + bq, d
         else:
-            j, fixed = above // below, hi
-            m = (ap + j * bp, aq + j * bq)
-        if j == 1:
-            first, second = (lo, hi) if (aq, ap) < (bq, bp) else (hi, lo)
-            path = (m,) + (second if len(second) < len(first) else first)
-        else:
-            path = (m,) + fixed
-        if m == (sp, sq):
-            return len(path) - 1, path
-        if fixed is lo:
-            hi = path
-        else:
-            lo = path
+            j = above // below
+            d = 1 + (db if j > 1 else min(da, db))
+            if j * below == above:
+                return d
+            ap, aq, da = ap + j * bp, aq + j * bq, d
 
 
-def farey_distance(s1: Slope, s2: Slope,
-                   with_path: bool = False):
-    """Exact Farey-graph distance via continued-fraction pivot descent.
-
-    Moves s2 to infinity by a determinant-1 matrix, descends through parents,
-    and maps the geodesic back.  The witness path is verified edge by edge.
-    """
+def farey_distance(s1: Slope, s2: Slope) -> int:
+    """Exact Farey-graph distance via continued-fraction pivot descent: a
+    determinant-1 matrix, an isometry, moves s2 to infinity, and the image
+    of s1 descends through its parents."""
     if s1 == s2:
-        return (0, (s1,)) if with_path else 0
+        return 0
     # rows (x, y) and (-q2, p2) with x*p2 + y*q2 = 1; x = 1 for 1/0
     p2, q2 = s2.p, s2.q
     x = pow(p2, -1, q2) if q2 else 1
     mover = UniMatrix(x, (1 - x * p2) // (q2 or 1), -q2, p2)
-    moved = act(mover, s1)
-    d, path = _descend_to_infinity(moved)
-    if not with_path:
-        return d
-    back = mover.inverse()
-    mapped = tuple(act(back, Slope(p, q)) for p, q in path)
-    for u, v in zip(mapped, mapped[1:]):
-        if not adjacent(u, v):
-            raise InvariantError(f"descent produced a non-edge {u} -- {v}")
-    if mapped[0] != s1 or mapped[-1] != s2:
-        raise InvariantError("descent endpoints do not match")
-    return d, mapped
+    return _descend_to_infinity(act(mover, s1))
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)

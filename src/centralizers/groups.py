@@ -40,6 +40,11 @@ if TYPE_CHECKING:
     from array import array
 
 DEFAULT_BALL_BUDGET = 2_000_000
+# letters the words of a ball may hold in all: at least the 61,603,857 of
+# Z2*Z3 at radius 36, the largest the default vertex budget allows it, while a
+# group of linear growth such as F1, R(R+1) letters at radius R, stops after
+# radius 8,191 instead of filling memory
+BALL_LETTER_BUDGET = 2**26
 
 
 def inverse_name(symbol: str) -> str:
@@ -374,7 +379,9 @@ def build_ball(oracle: GroupOracle, radius: int,
 
     The first two cases read ids of words no longer than v, which exist; the
     third sees each edge to the next sphere once, in the order in which the
-    oracle's products would have found it, so the ids are unchanged.
+    oracle's products would have found it, so the ids are unchanged.  A ball
+    of more than ``budget`` vertices, or of more than ``BALL_LETTER_BUDGET``
+    letters in all its words, raises ``BudgetError`` as it grows.
     """
     from array import array
 
@@ -391,7 +398,7 @@ def build_ball(oracle: GroupOracle, radius: int,
     step = tuple(array("i") for _ in symbols)
     vertices = [oracle.identity]
     index = {oracle.identity: 0}
-    v = 0
+    v = held = 0  # held: the letters of the words in vertices
     while v < len(vertices):
         word = vertices[v]
         if word:
@@ -408,11 +415,16 @@ def build_ball(oracle: GroupOracle, radius: int,
                 w = GroupElement(word + letters[s] if central[s] else letters[s] + word)
                 j = index.get(w)
                 if j is None:
+                    held += len(w)
                     if len(vertices) + 1 > budget:
                         raise BudgetError(
                             f"ball budget {budget} exceeded after radius {len(word)}",
                             radius_reached=len(word),
                         )
+                    if held > BALL_LETTER_BUDGET:
+                        raise BudgetError(f"ball letter budget {BALL_LETTER_BUDGET} "
+                                          f"exceeded after radius {len(word)}",
+                                          radius_reached=len(word))
                     j = index[w] = len(vertices)
                     vertices.append(w)
             else:

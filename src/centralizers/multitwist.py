@@ -84,14 +84,6 @@ class SemidirectElement:
         vector = tuple(a + b for a, b in zip(self.vector, moved))
         return SemidirectElement(self.action, vector, self.action.table.mult(self.part, other.part))
 
-    def inverse(self) -> "SemidirectElement":
-        inv = self.action.table.inverse_index[self.part]
-        moved = _permute(self.action.perms[inv], self.vector)
-        return SemidirectElement(self.action, tuple(-a for a in moved), inv)
-
-    def is_identity(self) -> bool:
-        return self.part == 0 and not any(self.vector)
-
 
 def _permute(perm: tuple[int, ...], vector: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * len(vector)

@@ -1,8 +1,24 @@
 """Shared fixtures: the corpus of small groups used across the suite."""
 
+import importlib
+import warnings
+
 import pytest
 
 from centralizers import builtin_group, verify_subgroup
+
+# hypothesis imports this module to report a failing example; where libcst is
+# installed the import warns that mypy_extensions.TypedDict is deprecated, and
+# under -W error that warning would end the session with INTERNALERROR in
+# place of the failure.  Importing it once here, with that warning ignored,
+# leaves the later import nothing to run; pytest restores the filters after
+# conftests load, so a filter alone would not last.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated")
+    try:
+        importlib.import_module("hypothesis.extra._patching")
+    except ImportError:
+        pass
 
 # (family name, subgroup specs as comma-separated words)
 CORPUS = [

@@ -61,6 +61,28 @@ def slope_grid(k):
     return slopes, farey_edges(slopes)
 
 
+def distance_to_infinity(p, q):
+    """The Farey distance from p/q, in lowest terms with q >= 1, to 1/0.
+
+    A path from p/q to 1/0 leaves through one of p/q's two Farey parents,
+    as Farey edges do not cross, so the distance is 1 + the nearer parent's.
+    The walk goes down the Stern-Brocot path from the integers floor(p/q)
+    and floor(p/q) + 1, both adjacent to 1/0, one mediant at a time: each
+    mediant's parents are the ends of its interval."""
+    if q == 1:
+        return 1
+    # (p, q, distance to 1/0) of each end of the interval holding p/q
+    lo, hi = (p // q, 1, 1), (p // q + 1, 1, 1)
+    while True:
+        m = (lo[0] + hi[0], lo[1] + hi[1], 1 + min(lo[2], hi[2]))
+        if m[:2] == (p, q):
+            return m[2]
+        if p * m[1] < m[0] * q:
+            hi = m
+        else:
+            lo = m
+
+
 def interval(adjacency, dx, dy):
     """The geodesic interval {w : d(x, w) + d(w, y) = d(x, y)} of x and y, from
     their distance rows ``dx`` and ``dy``, layer by layer: layer i maps each

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centralizers import extraction, farey, fixpoints
+from centralizers import extraction, farey, fixpoints, groups
 from centralizers import multitwist as mt
 from centralizers.cli import (
     EXIT_BUDGET,
@@ -459,6 +459,16 @@ def test_farey_window_budget_exits_3_before_the_build(monkeypatch):
         code, out, err = invoke(argv)
         assert code == EXIT_BUDGET and out == ""
         assert err == "budget error: a depth-5 window has 2^6 slopes, over the 63-slope budget\n"
+
+
+def test_ball_letter_budget_exits_3(monkeypatch):
+    # a ball of F1 or Z2*Z2 holds R(R+1) letters: 10,100 at radius 100
+    monkeypatch.setattr(groups, "BALL_LETTER_BUDGET", 10_100)
+    for family in ("F1", "Z2*Z2"):
+        assert invoke(["ball", "--family", family, "--radius", "100"])[0] == EXIT_OK
+        code, out, err = invoke(["ball", "--family", family, "--radius", "100000"])
+        assert code == EXIT_BUDGET and out == ""
+        assert err == "budget error: ball letter budget 10100 exceeded after radius 100\n"
 
 
 def test_certify_pair_budget_exits_3(monkeypatch):

@@ -30,7 +30,7 @@ from centralizers.farey import (
     ZERO_SLOPE,
 )
 from conftest import window_symmetries
-from reference import distances, farey_edges
+from reference import distance_to_infinity, distances, farey_edges
 
 
 def slopes_strategy():
@@ -124,20 +124,29 @@ def test_farey_distance_symmetric():
         assert farey_distance(s, t) == farey_distance(t, s)
 
 
-def test_farey_distance_witness_path():
-    d, path = farey_distance(Slope(34, 55), Slope(-21, 13), with_path=True)
-    assert len(path) == d + 1
-    assert path[0] == Slope(34, 55) and path[-1] == Slope(-21, 13)
-    for u, v in zip(path, path[1:]):
-        assert adjacent(u, v)
+def test_farey_distance_across_a_window():
+    # the depth-9 window is the least that holds both; it is convex
+    w = build_window(9)
+    u, v = w.index[Slope(34, 55)], w.index[Slope(-21, 13)]
+    assert farey_distance(Slope(34, 55), Slope(-21, 13)) == distances(w.adjacency, u)[v] == 9
 
 
 def test_farey_distance_deep_slope():
     # 1/5000 lies 4,999 Stern-Brocot steps below 0/1 -- 1/1; the descent
     # must not depend on the recursion limit
-    d, path = farey_distance(Slope(1, 5000), INFINITY_SLOPE, with_path=True)
-    assert d == 2 and path == (Slope(1, 5000), ZERO_SLOPE, INFINITY_SLOPE)
+    assert farey_distance(Slope(1, 5000), INFINITY_SLOPE) == 2
     assert farey_distance(INFINITY_SLOPE, Slope(-4999, 5000)) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(-5000, 5000), q=st.integers(1, 3000))
+def test_farey_distance_to_infinity_matches_mediant_walk(p, q):
+    # slopes deeper than any window the tests build, against a walk that
+    # takes one mediant a step where the descent takes a run at once
+    g = gcd(abs(p), q)
+    s = Slope(p // g, q // g)
+    assert (farey_distance(s, INFINITY_SLOPE) == farey_distance(INFINITY_SLOPE, s)
+            == distance_to_infinity(s.p, s.q))
 
 
 def test_farey_distance_invariant_under_action():

@@ -42,9 +42,16 @@ def elements(action=ACTION):
 @given(x=elements(), y=elements(), z=elements())
 def test_semidirect_group_laws(x, y, z):
     assert (x * y) * z == x * (y * z)
-    assert (x * x.inverse()).is_identity()
-    assert x * group_part(ACTION, 0) == x
-    assert group_part(ACTION, 0) * x == x
+    identity = group_part(ACTION, 0)
+    assert x * identity == x
+    assert identity * x == x
+    # (v, h)^-1 = (-(h^-1 . v), h^-1), with (h.w)[h(i)] = w[i]
+    part = ACTION.table.inverse_index[x.part]
+    vector = [0] * ACTION.family_size
+    for i, a in enumerate(x.vector):
+        vector[ACTION.perms[part][i]] = -a
+    inverse = SemidirectElement(ACTION, tuple(vector), part)
+    assert x * inverse == identity == inverse * x
 
 
 @settings(max_examples=50, deadline=None)
